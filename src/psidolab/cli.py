@@ -32,7 +32,7 @@ from .operators import (apply_psido, default_levels, dyadic_decompose,
 from .symbols import (Symbol, bessel_multiplier, constant_symbol,
                       separable_symbol, smoothness_coefficients,
                       SampleSpec, trig_multiplication, verify_symbol_class,
-                      wave_multiplier)
+                      wave_multiplier, with_params)
 
 EXPERIMENTS = ("apply", "verify-symbol", "dyadic", "kernel-decay", "cz-check",
                "norm-estimate", "budget", "conditions", "probe")
@@ -47,75 +47,64 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # parsing helpers
 
+_SPEC_FIELDS = {"const": 1, "bessel": 1, "wave": 1, "trig": 1, "sep": 2}
+
+
 def parse_symbol_spec(spec, period: float) -> Symbol:
     """Symbol from a compact spec string or a config mapping.
 
-    Strings: const:C | bessel:M | wave:M | trig:S,K | sep:S,K:M
-    (S = x-smoothness, K = series length, M = order).
-
-    Mappings carry the kind tag plus explicit class parameters, e.g.
-    {"kind": "bessel", "m": -2, "rho": 1, "delta": 0, "N": 0, "Nprime": 4}
-    or {"kind": "trig", "coeffs": [...], "N": 2}.
+    Strings const:C | bessel:M | wave[:M] | trig:S,K | sep:S,K:M (S =
+    x-smoothness, K = series length, M = order) abbreviate mappings, e.g.
+    sep:S,K:M is {"kind": "sep", "m": M, "x_part": {"smoothness": S, "terms": K}}.
+    Mappings may add trig "coeffs" and "period", and a class claim (m, rho,
+    delta, N, Nprime) overriding the family's; a trig factor claims
+    N = S - S % 2 unless N is given.
     """
-    if isinstance(spec, dict):
-        return _symbol_from_mapping(spec, period)
-    parts = str(spec).split(":")
-    kind = parts[0]
     try:
-        if kind == "const":
-            return constant_symbol(complex(parts[1]))
-        if kind == "bessel":
-            return bessel_multiplier(float(parts[1]))
-        if kind == "wave":
-            return wave_multiplier(float(parts[1]) if len(parts) > 1 else 0.0)
-        if kind == "trig":
-            s, k = (int(v) for v in parts[1].split(","))
-            return trig_multiplication(smoothness_coefficients(s, k), period,
-                                       N=s - s % 2)
-        if kind == "sep":
-            s, k = (int(v) for v in parts[1].split(","))
-            mult = trig_multiplication(smoothness_coefficients(s, k), period,
-                                       N=s - s % 2)
-            return separable_symbol(mult, bessel_multiplier(float(parts[2])))
-    except (IndexError, ValueError) as exc:
-        raise InvalidInputError(f"bad symbol spec {spec!r}: {exc}") from None
-    raise InvalidInputError(f"unknown symbol kind in spec {spec!r}")
-
-
-def _symbol_from_mapping(cfg: dict, period: float) -> Symbol:
-    from .symbols import with_params
-
-    kind = cfg.get("kind")
-    try:
+        cfg = spec if isinstance(spec, dict) else _spec_mapping(str(spec))
+        kind = cfg.get("kind")
         if kind == "const":
             sym = constant_symbol(complex(cfg.get("value", 1.0)))
         elif kind == "bessel":
-            sym = bessel_multiplier(float(cfg["m"]),
-                                    Nprime=int(cfg.get("Nprime", 4)))
+            sym = bessel_multiplier(float(cfg["m"]))
         elif kind == "wave":
-            sym = wave_multiplier(float(cfg.get("m", 0.0)),
-                                  Nprime=int(cfg.get("Nprime", 2)))
+            sym = wave_multiplier(float(cfg.get("m", 0.0)))
         elif kind == "trig":
-            coeffs = cfg.get("coeffs") or smoothness_coefficients(
-                int(cfg.get("smoothness", 2)), int(cfg.get("terms", 6)))
+            smoothness = int(cfg.get("smoothness", 2))
+            coeffs = cfg.get("coeffs")
+            if coeffs is None:
+                coeffs = smoothness_coefficients(smoothness, int(cfg.get("terms", 6)))
+            elif len(coeffs) == 0:
+                raise InvalidInputError("coeffs must list at least one coefficient")
             sym = trig_multiplication(coeffs, float(cfg.get("period", period)),
-                                      N=int(cfg.get("N", 2)))
+                                      N=smoothness - smoothness % 2)
         elif kind == "sep":
-            mult = _symbol_from_mapping({**cfg.get("x_part", {}), "kind": "trig"},
-                                        period)
-            sym = separable_symbol(mult, bessel_multiplier(float(cfg["m"])))
+            x_part = parse_symbol_spec({**cfg.get("x_part", {}), "kind": "trig"}, period)
+            sym = separable_symbol(x_part, bessel_multiplier(float(cfg["m"])))
         else:
-            raise InvalidInputError(f"unknown symbol kind {kind!r} in config")
+            raise InvalidInputError(f"unknown symbol kind {kind!r}")
+        # N and Nprime pass unconverted, so SymbolClassParams rejects fractions
+        claim = {k: cfg[k] if k in ("N", "Nprime") else float(cfg[k])
+                 for k in ("m", "rho", "delta", "N", "Nprime") if k in cfg}
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad symbol config {cfg!r}: {exc}") from None
-    claim = {k: cfg[k] for k in ("m", "rho", "delta", "N", "Nprime")
-             if k in cfg}
-    if kind in ("const",) and not claim:
-        return sym
-    claim.setdefault("m", sym.params.m)
-    numeric = {k: (int(v) if k in ("N", "Nprime") else float(v))
-               for k, v in claim.items()}
-    return with_params(sym, **numeric)
+        raise InvalidInputError(f"bad symbol spec {spec!r}: {exc}") from None
+    return with_params(sym, **claim) if claim else sym
+
+
+def _spec_mapping(spec: str) -> dict:
+    """The config mapping a spec string abbreviates."""
+    kind, *fields = ("wave:0" if spec == "wave" else spec).split(":")
+    if len(fields) != _SPEC_FIELDS.get(kind):
+        raise InvalidInputError("unknown kind or wrong number of fields")
+    if kind == "const":
+        return {"kind": kind, "value": complex(fields[0])}
+    if kind in ("bessel", "wave"):
+        return {"kind": kind, "m": float(fields[0])}
+    s, k = (int(v) for v in fields[0].split(","))
+    x_part = {"smoothness": s, "terms": k}
+    if kind == "trig":
+        return {"kind": kind, **x_part}
+    return {"kind": kind, "m": float(fields[1]), "x_part": x_part}
 
 
 def _floats(text) -> tuple:
@@ -193,18 +182,22 @@ def _run_verify_symbol(params):
     return checks, {"constants": rows}, []
 
 
-def _run_dyadic(params):
+def _decomposition(params):
+    """The dyadic decomposition to run on, and the x its pieces are taken at."""
     grid = _grid_from(params)
     sym = _symbol_for_grid(params, grid)
-    levels = int(params.get("levels") or default_levels(grid))
-    dd = dyadic_decompose(sym, grid, levels)
-    x = None if sym.kind == "multiplier" else _x_point(params, grid)
+    dd = dyadic_decompose(sym, grid, int(params.get("levels") or default_levels(grid)))
+    return dd, None if sym.x_independent else _x_point(params, grid)
+
+
+def _run_dyadic(params):
+    dd, x = _decomposition(params)
     radius = dd.dual.radius()
-    band = radius <= 2.0**levels
+    band = radius <= 2.0**dd.levels
     recon_err = float(np.max(np.abs(dd.sum_values(x) - dd.symbol_values(x))[band]))
     support_ok = True
     rows = []
-    for j in range(levels + 1):
+    for j in range(dd.levels + 1):
         piece = np.abs(dd.piece_values(j, x))
         outside = ~((radius >= 2.0 ** (j - 1)) & (radius <= 2.0 ** (j + 1))) \
             if j else (radius > 2.0)
@@ -214,18 +207,15 @@ def _run_dyadic(params):
                                         leak == 0.0))
     checks = [
         reporting.make_check("reconstruction", recon_err <= 1e-12,
-                             max_error=recon_err, band=2.0**levels),
+                             max_error=recon_err, band=2.0**dd.levels),
         reporting.make_check("ring_support", support_ok),
     ]
     return checks, {"pieces": rows}, []
 
 
 def _run_kernel_decay(params):
-    grid = _grid_from(params)
-    sym = _symbol_for_grid(params, grid)
-    levels = int(params.get("levels") or default_levels(grid))
-    dd = dyadic_decompose(sym, grid, levels)
-    x = None if sym.kind == "multiplier" else _x_point(params, grid)
+    dd, x = _decomposition(params)
+    grid = dd.grid
     kern = kernel_sum(dd, x)
     window = _floats(params.get("window", (4 * grid.spacing, grid.half_extent / 2)))
     alpha = _ints(params.get("alpha", "0," * (grid.dim - 1) + "0"))

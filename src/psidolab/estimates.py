@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InfeasibleBudgetError, InvalidInputError, PreconditionError
 from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
-from .mixed_norm import MixedExponent, iterated_pnorm, mixed_norm
+from .mixed_norm import (MixedExponent, iterated_pnorm, leading_pnorms,
+                         mixed_norm)
 from .operators import (DyadicDecomposition, Kernel, apply_psido,
                         discrete_adjoint_apply, support_mask)
 from .symbols import Symbol, as_multi_index, multi_index_order
@@ -320,15 +321,6 @@ def _verify_cancellation_class(f: SampledFunction, l: int, t: float, x0prime):
             f"zero-mean violated: max row mean {np.max(means):.3e} exceeds {tol:.3e}")
 
 
-def _outer_field(values: np.ndarray, spacing: float, inner_exponents) -> np.ndarray:
-    """Reduce the leading axes with the inner exponents, returning the
-    partial-norm field over the trailing coordinates."""
-    a = np.abs(values)
-    for q in inner_exponents:
-        a = (spacing * np.sum(a**q, axis=0)) ** (1.0 / q)
-    return a
-
-
 def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
                        f: SampledFunction) -> CZReport:
     """Measure the excluded-region mass ratio
@@ -350,8 +342,8 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
     inner = cfg.pbar.p[:l]
     h = f.grid.spacing
     Tf = apply_fn(f)
-    field_T = _outer_field(Tf.values, h, inner)
-    field_f = _outer_field(f.values, h, inner)
+    field_T = leading_pnorms(Tf.values, h, inner)
+    field_f = leading_pnorms(f.values, h, inner)
     # periodic inf-distance of each trailing grid point from the slab center
     ax = f.grid.axis_coords()
     two_r = 2.0 * f.grid.half_extent
@@ -481,6 +473,8 @@ def _boyd_ascent(s: Symbol, grid: Grid, q: float, budget: int,
         return iterated_pnorm(vals, grid.spacing, (q,) * d)
 
     for start in starts:
+        if not np.any(start.values):   # the adjoint start of a zero operator
+            continue
         x = start.values / norm_q(start.values)
         prev = -1.0
         for _ in range(iters):
@@ -733,7 +727,7 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
     that grow with resolution; a bounded one stays flat.  The verdict is
     qualitative and tied to the supplied settings.
     """
-    if s.kind != "multiplier":
+    if not s.x_independent:
         raise InvalidInputError("the probe is defined for multiplier symbols")
     p = float(p)
     if p == 2.0:

@@ -64,15 +64,18 @@ def holder_dual(p: MixedExponent) -> MixedExponent:
     return MixedExponent(tuple(v / (v - 1.0) for v in p.p), p.split)
 
 
-def iterated_pnorm(values: np.ndarray, spacing: float, exponents) -> float:
-    """Iterated Riemann p-norms reducing axis 0 first (x1 innermost).
-
-    Accepts any exponents >= 1; the public mixed_norm restricts to (1, inf).
-    """
+def leading_pnorms(values: np.ndarray, spacing: float, exponents) -> np.ndarray:
+    """Iterated Riemann p-norms over the leading axes, axis 0 first (x1
+    innermost), for any exponents >= 1; the field over the remaining axes."""
     a = np.abs(np.asarray(values))
     for q in exponents:
         a = (spacing * np.sum(a**q, axis=0)) ** (1.0 / q)
-    return float(a)
+    return a
+
+
+def iterated_pnorm(values: np.ndarray, spacing: float, exponents) -> float:
+    """leading_pnorms over every axis: one exponent per axis."""
+    return float(leading_pnorms(values, spacing, exponents))
 
 
 def mixed_norm(f: SampledFunction, p: MixedExponent) -> float:

@@ -3,9 +3,10 @@ exact discrete adjoint.
 
 The operator acts by  (T f)(x) = (2R)^{-d} sum_m exp(i x.xi_m) sigma(x, xi_m) fhat(xi_m),
 the Riemann-sum realization of symbol quantization on the periodic box.
-x-independent symbols ride a single inverse FFT; xi-independent symbols
-multiply pointwise (exactly); separable products combine both; general
-symbols take the O(n^{2d}) quadratic path, capped per dimension.
+Every kind but "general" is a factored product a(x) b(xi) and takes one
+path: an FFT pair around the multiplication by b when xi_factor exists,
+then a pointwise (exact) multiplication by a when x_factor exists.
+General symbols take the O(n^{2d}) quadratic path, capped per dimension.
 
 The adjoint is the conjugate transpose of the discretized operator
 matrix, realized matrix-free, so the pairing identity
@@ -61,18 +62,8 @@ def ring_cutoff(r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator application
 
-def _multiplier_values(s: Symbol, dual: Grid) -> np.ndarray:
-    stack = dual.coord_stack()
-    if s.xi_factor is not None:
-        return np.asarray(s.xi_factor(stack), dtype=np.complex128)
-    return s.eval(np.zeros(dual.dim), stack)
-
-
-def _multiplication_values(s: Symbol, grid: Grid) -> np.ndarray:
-    stack = grid.coord_stack()
-    if s.x_factor is not None:
-        return np.asarray(s.x_factor(stack), dtype=np.complex128)
-    return s.eval(stack, np.zeros(grid.dim))
+def _factor_values(factor, grid: Grid) -> np.ndarray:
+    return np.asarray(factor(grid.coord_stack()), dtype=np.complex128)
 
 
 def _check_general_cap(grid: Grid):
@@ -109,26 +100,23 @@ def _general_apply(s: Symbol, f: SampledFunction) -> SampledFunction:
 def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     """Apply the operator with symbol s to the sampled function f.
 
-    Dispatch by symbol kind: "multiplier" uses one inverse FFT,
-    "multiplication" multiplies pointwise (exact at grid level),
-    "separable" combines both, and "general" runs the quadratic-cost
-    double sum (see the per-dimension caps).
+    A factored symbol a(x) b(xi) multiplies fhat by b between one forward
+    and one inverse FFT (skipped without xi_factor), then multiplies
+    pointwise by a (skipped without x_factor), so a multiplication symbol
+    is exact at grid level.  "general" runs the quadratic-cost double sum
+    (see the per-dimension caps).
     """
-    if s.kind == "multiplier":
+    if s.kind == "general":
+        return _general_apply(s, f)
+    out = f
+    if s.xi_factor is not None:
         fhat = fourier_transform(f, "forward")
-        mvals = _multiplier_values(s, fhat.grid)
-        return fourier_transform(SampledFunction(fhat.grid, mvals * fhat.values),
-                                 "inverse")
-    if s.kind == "multiplication":
-        return SampledFunction(f.grid, _multiplication_values(s, f.grid) * f.values)
-    if s.kind == "separable":
-        fhat = fourier_transform(f, "forward")
-        bvals = np.asarray(s.xi_factor(fhat.grid.coord_stack()), dtype=np.complex128)
-        inner = fourier_transform(SampledFunction(fhat.grid, bvals * fhat.values),
-                                  "inverse")
-        avals = np.asarray(s.x_factor(f.grid.coord_stack()), dtype=np.complex128)
-        return SampledFunction(f.grid, avals * inner.values)
-    return _general_apply(s, f)
+        bvals = _factor_values(s.xi_factor, fhat.grid)
+        out = fourier_transform(SampledFunction(fhat.grid, bvals * fhat.values),
+                                "inverse")
+    if s.x_factor is not None:
+        out = SampledFunction(f.grid, _factor_values(s.x_factor, f.grid) * out.values)
+    return out
 
 
 def _general_adjoint(s: Symbol, g: SampledFunction) -> SampledFunction:
@@ -156,25 +144,21 @@ def _general_adjoint(s: Symbol, g: SampledFunction) -> SampledFunction:
 def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
     """Apply the exact conjugate transpose of the discretized operator.
 
-    Matrix-free realization per kind; for every kind the discrete pairing
-    <T u, phi> = <u, T* phi> holds to roundoff by construction.
+    Matrix-free: the conjugated factors in reverse order, or the transposed
+    double sum for "general"; the discrete pairing <T u, phi> = <u, T* phi>
+    holds to roundoff by construction.
     """
-    if s.kind == "multiplier":
-        ghat = fourier_transform(g, "forward")
-        mvals = _multiplier_values(s, ghat.grid)
-        return fourier_transform(
-            SampledFunction(ghat.grid, np.conj(mvals) * ghat.values), "inverse")
-    if s.kind == "multiplication":
-        avals = _multiplication_values(s, g.grid)
-        return SampledFunction(g.grid, np.conj(avals) * g.values)
-    if s.kind == "separable":
-        avals = np.asarray(s.x_factor(g.grid.coord_stack()), dtype=np.complex128)
-        staged = SampledFunction(g.grid, np.conj(avals) * g.values)
-        shat = fourier_transform(staged, "forward")
-        bvals = np.asarray(s.xi_factor(shat.grid.coord_stack()), dtype=np.complex128)
-        return fourier_transform(
+    if s.kind == "general":
+        return _general_adjoint(s, g)
+    out = g
+    if s.x_factor is not None:
+        out = SampledFunction(g.grid, np.conj(_factor_values(s.x_factor, g.grid)) * g.values)
+    if s.xi_factor is not None:
+        shat = fourier_transform(out, "forward")
+        bvals = _factor_values(s.xi_factor, shat.grid)
+        out = fourier_transform(
             SampledFunction(shat.grid, np.conj(bvals) * shat.values), "inverse")
-    return _general_adjoint(s, g)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +188,8 @@ class DyadicDecomposition:
 
     def symbol_values(self, x=None) -> np.ndarray:
         """The raw symbol sampled on the dual grid (at x if x-dependent)."""
-        if self.symbol.kind == "multiplier":
-            return _multiplier_values(self.symbol, self.dual)
+        if self.symbol.x_independent:
+            return _factor_values(self.symbol.xi_factor, self.dual)
         if x is None:
             raise InvalidInputError(
                 "x is required for pieces of an x-dependent symbol")

@@ -81,13 +81,23 @@ class SymbolClassParams:
             raise InvalidInputError(f"order m must be finite, got {self.m}")
 
 
+# the factors each kind carries: (x_factor, xi_factor)
+_KIND_FACTORS = {
+    "multiplier": (False, True),
+    "multiplication": (True, False),
+    "separable": (True, True),
+    "general": (False, False),
+}
+
+
 @dataclass(frozen=True)
 class Symbol:
     """Evaluator plus class metadata and a structural kind tag.
 
-    kind is one of "multiplier" (x-independent), "multiplication"
-    (xi-independent), "separable" (product a(x) b(xi)) or "general".
-    x_factor / xi_factor expose the factors when the kind implies them.
+    Every kind but "general" is a product a(x) b(xi) with one factor possibly
+    absent: x_factor = a, xi_factor = b, as _KIND_FACTORS lists.  A multiplier
+    or multiplication built without its factor gets one that samples the
+    evaluator; any other kind/factor mismatch is rejected.
     """
 
     evaluator: Callable
@@ -98,12 +108,32 @@ class Symbol:
     label: str = "symbol"
 
     def __post_init__(self):
-        if self.kind not in ("multiplier", "multiplication", "separable", "general"):
+        if self.kind not in _KIND_FACTORS:
             raise InvalidInputError(f"unknown symbol kind {self.kind!r}")
+        # rebound on every copy (replace reruns this) to sample its own evaluator
+        if self.kind == "multiplier" and _samples_evaluator(self.xi_factor):
+            object.__setattr__(self, "xi_factor", self._sample_xi)
+        if self.kind == "multiplication" and _samples_evaluator(self.x_factor):
+            object.__setattr__(self, "x_factor", self._sample_x)
+        carried = (self.x_factor is not None, self.xi_factor is not None)
+        if carried != _KIND_FACTORS[self.kind]:
+            raise InvalidInputError(
+                f"{self.label}: a {self.kind} symbol carries (x_factor, xi_factor) "
+                f"= {_KIND_FACTORS[self.kind]}, got {carried}")
 
     @property
     def x_independent(self) -> bool:
         return self.kind == "multiplier"
+
+    @property
+    def xi_independent(self) -> bool:
+        return self.kind == "multiplication"
+
+    def _sample_x(self, x) -> np.ndarray:
+        return self.eval(x, np.zeros(x.shape[-1]))
+
+    def _sample_xi(self, xi) -> np.ndarray:
+        return self.eval(np.zeros(xi.shape[-1]), xi)
 
     def eval(self, x, xi) -> np.ndarray:
         """Vectorized evaluation with a finiteness check."""
@@ -126,6 +156,11 @@ class Symbol:
         return out
 
 
+def _samples_evaluator(factor) -> bool:
+    """True for a missing factor or one sampling some symbol's evaluator."""
+    return factor is None or isinstance(getattr(factor, "__self__", None), Symbol)
+
+
 def eval_symbol(s: Symbol, x, xi) -> complex:
     """Evaluate a symbol at a single point pair."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -145,31 +180,34 @@ def _bracket(xi: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + np.sum(xi**2, axis=-1))
 
 
+def _factored(params: SymbolClassParams, label: str, x_factor=None,
+              xi_factor=None) -> Symbol:
+    """Symbol a(x) b(xi) from its factors; the kind follows from which are
+    given.  Only symbols with an x factor broadcast against xi."""
+    if x_factor is None:
+        return Symbol(lambda x, xi: xi_factor(xi), params, "multiplier",
+                      xi_factor=xi_factor, label=label)
+    if xi_factor is None:
+        def ev(x, xi):
+            vals = x_factor(x)
+            return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, xi.shape[:-1]))
+
+        return Symbol(ev, params, "multiplication", x_factor=x_factor, label=label)
+    return Symbol(lambda x, xi: x_factor(x) * xi_factor(xi), params, "separable",
+                  x_factor=x_factor, xi_factor=xi_factor, label=label)
+
+
 def constant_symbol(c, label: Optional[str] = None) -> Symbol:
     """sigma = c.  Tagged xi-independent so application is exact pointwise."""
     c = complex(c)
-
-    def factor(x):
-        return np.full(x.shape[:-1], c)
-
-    def ev(x, xi):
-        return np.full(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]), c)
-
-    return Symbol(ev, SymbolClassParams(m=0.0), "multiplication",
-                  x_factor=factor, label=label or f"const:{c}")
+    return _factored(SymbolClassParams(m=0.0), label or f"const:{c}",
+                     x_factor=lambda x: np.full(x.shape[:-1], c))
 
 
 def bessel_multiplier(m: float, Nprime: int = 4) -> Symbol:
     """sigma(xi) = <xi>^m, the smooth model multiplier of order m."""
-
-    def factor(xi):
-        return _bracket(xi) ** m + 0j
-
-    def ev(x, xi):
-        return factor(xi)
-
-    return Symbol(ev, SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=Nprime),
-                  "multiplier", xi_factor=factor, label=f"bessel:{m}")
+    return _factored(SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=Nprime),
+                     f"bessel:{m}", xi_factor=lambda xi: _bracket(xi) ** m + 0j)
 
 
 def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
@@ -180,11 +218,8 @@ def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
         br = _bracket(xi)
         return np.exp(1j * br) * br**m
 
-    def ev(x, xi):
-        return factor(xi)
-
-    return Symbol(ev, SymbolClassParams(m=float(m), rho=0.0, delta=0.0, N=0, Nprime=Nprime),
-                  "multiplier", xi_factor=factor, label=f"wave:{m}")
+    return _factored(SymbolClassParams(m=float(m), rho=0.0, delta=0.0, N=0, Nprime=Nprime),
+                     f"wave:{m}", xi_factor=factor)
 
 
 def smoothness_coefficients(smoothness: int, count: int, amplitude: float = 0.4) -> tuple:
@@ -216,29 +251,20 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
             out = out * (1.0 + phases @ cs)
         return out
 
-    def ev(x, xi):
-        vals = factor(x)
-        return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, xi.shape[:-1]))
-
-    return Symbol(ev, SymbolClassParams(m=0.0, rho=1.0, delta=0.0, N=N, Nprime=0),
-                  "multiplication", x_factor=factor,
-                  label=f"trig:{len(coeffs)}")
+    return _factored(SymbolClassParams(m=0.0, rho=1.0, delta=0.0, N=N, Nprime=0),
+                     f"trig:{len(coeffs)}", x_factor=factor)
 
 
 def separable_symbol(a: Symbol, b: Symbol, label: Optional[str] = None) -> Symbol:
     """Product a(x) * b(xi) from a multiplication and a multiplier symbol."""
-    if a.x_factor is None or b.xi_factor is None:
+    if not (a.xi_independent and b.x_independent):
         raise InvalidInputError(
             "separable_symbol needs a multiplication symbol and a multiplier")
     pa, pb = a.params, b.params
-
-    def ev(x, xi):
-        return a.x_factor(x) * b.xi_factor(xi)
-
     combined = SymbolClassParams(m=pb.m, rho=pb.rho, delta=pa.delta,
                                  N=pa.N, Nprime=pb.Nprime)
-    return Symbol(ev, combined, "separable", x_factor=a.x_factor,
-                  xi_factor=b.xi_factor, label=label or f"sep({a.label},{b.label})")
+    return _factored(combined, label or f"sep({a.label},{b.label})",
+                     x_factor=a.x_factor, xi_factor=b.xi_factor)
 
 
 def builtin_symbols(period: float) -> list:
@@ -297,15 +323,14 @@ def _fd_derivative(s: Symbol, alpha, beta, x: np.ndarray, xi: np.ndarray,
     dim = x.shape[-1]
     shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
     # derivatives the kind tag rules out are identically zero, not stencil noise
-    if multi_index_order(alpha) > 0 and s.kind == "multiplier":
+    if multi_index_order(alpha) > 0 and s.x_independent:
         return np.zeros(shape, dtype=np.complex128)
-    if multi_index_order(beta) > 0 and s.kind == "multiplication":
+    if multi_index_order(beta) > 0 and s.xi_independent:
         return np.zeros(shape, dtype=np.complex128)
     if multi_index_order(alpha) + multi_index_order(beta) == 0:
         return s.eval(x, xi)
     terms, denom = _fd_terms(alpha, beta, dim, step)
-    acc = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]),
-                   dtype=np.complex128)
+    acc = np.zeros(shape, dtype=np.complex128)
     for dx, dxi, w in terms:
         acc += w * s.eval(x + dx, xi + dxi)
     return acc / denom

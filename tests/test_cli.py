@@ -22,7 +22,10 @@ class TestSymbolSpecs:
         assert parse_symbol_spec("sep:2,6:-1", 4.0).kind == "separable"
 
     def test_bad_specs(self):
-        for bad in ("nosuch:1", "bessel", "trig:x,y"):
+        for bad in ("nosuch:1", "bessel", "trig:x,y", "bessel:-1:junk",
+                    "wave:0:junk", {"kind": "bessel", "m": -1, "N": 2.9},
+                    {"kind": "bessel", "m": -1, "Nprime": 4.5},
+                    {"kind": "trig", "coeffs": []}):
             with pytest.raises(InvalidInputError):
                 parse_symbol_spec(bad, 4.0)
 
@@ -37,6 +40,22 @@ class TestSymbolSpecs:
         assert trig.kind == "multiplication"
         with pytest.raises(InvalidInputError):
             parse_symbol_spec({"kind": "bessel"}, 4.0)
+
+    def test_string_is_shorthand_for_mapping(self):
+        pairs = [
+            ("const:2", {"kind": "const", "value": 2}),
+            ("bessel:-2", {"kind": "bessel", "m": -2}),
+            ("wave", {"kind": "wave"}),
+            ("wave:0.5", {"kind": "wave", "m": 0.5}),
+            ("trig:3,4", {"kind": "trig", "smoothness": 3, "terms": 4}),
+            ("sep:4,6:-1", {"kind": "sep", "m": -1,
+                            "x_part": {"smoothness": 4, "terms": 6}}),
+        ]
+        for text, mapping in pairs:
+            a = parse_symbol_spec(text, 4.0)
+            b = parse_symbol_spec(mapping, 4.0)
+            assert (a.kind, a.label, a.params) == (b.kind, b.label, b.params), text
+        assert parse_symbol_spec("sep:4,6:-1", 4.0).params.N == 4
 
 
 class TestBudgetCommand:

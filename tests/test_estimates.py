@@ -276,6 +276,14 @@ class TestOperatorNorm:
                                      "random_ascent", budget=40, seed=1)
         assert 0 < est.value <= 1.5
 
+    def test_zero_operator_every_method(self):
+        # the adjoint ascent start of a zero operator vanishes; it is skipped
+        g = Grid(1, 32, 4.0)
+        for method, p in (("power_iteration_p2", MixedExponent((2.0,))),
+                          ("random_ascent", MixedExponent((4.0,)))):
+            est = operator_norm_estimate(constant_symbol(0), g, p, method)
+            assert (est.value, est.converged) == (0.0, True)
+
     def test_power_iteration_requires_p2(self):
         g = Grid(1, 64, 8.0)
         with pytest.raises(InvalidInputError):

@@ -101,6 +101,18 @@ class TestApplyPaths:
         slow = apply_psido(Symbol(s.evaluator, s.params, "general"), f)
         assert np.max(np.abs(fast.values - slow.values)) <= 1e-10
 
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("op", [apply_psido, discrete_adjoint_apply],
+                             ids=["apply", "adjoint"])
+    @pytest.mark.parametrize("index", range(5))
+    def test_factored_matches_general(self, d, n, op, index):
+        g = Grid(d, n, 4.0)
+        s = builtin_symbols(2 * g.half_extent)[index]
+        f = random_band_limited(g, np.random.default_rng(10 + index))
+        fast = op(s, f)
+        slow = op(Symbol(s.evaluator, s.params, "general"), f)
+        assert np.max(np.abs(fast.values - slow.values)) <= 1e-10
+
     def test_linearity(self, grid_1d):
         rng = np.random.default_rng(7)
         f = random_band_limited(grid_1d, rng)

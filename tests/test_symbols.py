@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,33 @@ class TestEvalSymbol:
             SymbolClassParams(m=0.0, delta=1.0)
         with pytest.raises(InvalidInputError):
             SymbolClassParams(m=0.0, N=3)
+
+
+class TestSymbolFactors:
+    def test_kind_factor_mismatch_rejected(self):
+        ev = lambda x, xi: np.ones(np.broadcast_shapes(  # noqa: E731
+            x.shape[:-1], xi.shape[:-1])) + 0j
+        params = SymbolClassParams(m=0.0)
+        factor = lambda v: np.ones(v.shape[:-1]) + 0j  # noqa: E731
+        for kind, factors in (("separable", {}),
+                              ("separable", {"x_factor": factor}),
+                              ("multiplier", {"x_factor": factor}),
+                              ("multiplication", {"xi_factor": factor}),
+                              ("general", {"xi_factor": factor})):
+            with pytest.raises(InvalidInputError, match=kind):
+                Symbol(ev, params, kind, **factors)
+
+    def test_missing_factor_samples_evaluator(self):
+        b = bessel_multiplier(-1.0)
+        bare = Symbol(b.evaluator, b.params, "multiplier")
+        xi = np.linspace(-3.0, 3.0, 7)[:, None]
+        assert np.array_equal(bare.xi_factor(xi), b.xi_factor(xi))
+        # a copy with a new evaluator samples that evaluator, not the old one
+        doubled = replace(bare, evaluator=lambda x, xi: 2 * b.evaluator(x, xi))
+        assert np.array_equal(doubled.xi_factor(xi), 2 * b.xi_factor(xi))
+        t = trig_multiplication(smoothness_coefficients(2, 4), 2.0)
+        bare = Symbol(t.evaluator, t.params, "multiplication")
+        assert np.array_equal(bare.x_factor(xi), t.x_factor(xi))
 
 
 class TestFiniteDifference:
