@@ -192,7 +192,7 @@ def _decomposition(params):
 
 def _run_dyadic(params):
     dd, x = _decomposition(params)
-    radius = dd.dual.radius()
+    radius = dd.dual_radius
     band = radius <= 2.0**dd.levels
     recon_err = float(np.max(np.abs(dd.sum_values(x) - dd.symbol_values(x))[band]))
     support_ok = True

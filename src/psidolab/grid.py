@@ -20,6 +20,7 @@ enters the transform beyond the FFT itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,18 @@ class Grid:
 
     def __post_init__(self):
         d, n, R = self.dim, self.points_per_axis, self.half_extent
-        if not isinstance(d, int) or not 1 <= d <= 3:
+        if not _is_integer(d) or not 1 <= d <= 3:
             raise InvalidInputError(f"dim must be 1, 2 or 3, got {d!r}")
-        if not isinstance(n, int) or n < 8 or n % 2 != 0:
+        if not _is_integer(n) or n < 8 or n % 2 != 0:
             raise InvalidInputError(f"points_per_axis must be even and >= 8, got {n!r}")
-        if not (isinstance(R, (int, float)) and math.isfinite(R) and R > 0):
+        if not ((_is_integer(R) or isinstance(R, float)) and math.isfinite(R) and R > 0):
             raise InvalidInputError(f"half_extent must be a positive real, got {R!r}")
+        # plain Python numbers: equal grids compare, hash and print alike,
+        # and n**d cannot wrap around as a fixed-width integer would
+        d, n, R = int(d), int(n), int(R) if _is_integer(R) else float(R)
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "points_per_axis", n)
+        object.__setattr__(self, "half_extent", R)
         if n**d > MAX_TOTAL_POINTS:
             raise InvalidInputError(
                 f"grid has {n}^{d} points, exceeding the 2^28 cap")
@@ -106,6 +113,11 @@ class Grid:
         return tuple(int(i) for i in rounded)
 
 
+def _is_integer(v) -> bool:
+    # bool is an Integral, but True is no grid size
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def compatible_grids(a: Grid, b: Grid, rel_tol: float = 1e-12) -> bool:
     return (
         a.dim == b.dim
@@ -163,15 +175,13 @@ def _require_same_grid(a: Grid, b: Grid):
 
 
 def _apply_alternating_sign(arr: np.ndarray) -> np.ndarray:
-    # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis
-    out = arr
-    n = arr.shape[0]
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis.
+    # Negates the odd slices of arr in place (exact), so callers must pass
+    # an array they own: both pass a fresh fftn / ifftshift result.
     for axis in range(arr.ndim):
-        shape = [1] * arr.ndim
-        shape[axis] = n
-        out = out * sign.reshape(shape)
-    return out
+        odd = (slice(None),) * axis + (slice(1, None, 2),)
+        np.negative(arr[odd], out=arr[odd])
+    return arr
 
 
 def fourier_transform(f: SampledFunction, direction: str = "forward") -> SampledFunction:

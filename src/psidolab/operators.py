@@ -12,8 +12,13 @@ The adjoint is the conjugate transpose of the discretized operator
 matrix, realized matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 
-No shared mutable state anywhere: operators and decompositions are pure
-given immutable inputs and safe to evaluate concurrently.
+Each factor is sampled once per grid: `Symbol.sampled_factor` memoises
+the last grid sample of each factor on the symbol, and a decomposition
+computes its dual grid and dual radius once.  These memos are the only
+shared mutable state.  Each memo entry is written whole and read-only, so
+concurrent evaluation stays safe: a racing caller at worst samples the
+same grid again.  Apart from them, operators and decompositions are pure
+given immutable inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,10 +67,6 @@ def ring_cutoff(r) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # operator application
-
-def _factor_values(factor, grid: Grid) -> np.ndarray:
-    return np.asarray(factor(grid.coord_stack()), dtype=np.complex128)
-
 
 def _check_general_cap(grid: Grid):
     cap = _GENERAL_N_CAP[grid.dim]
@@ -111,11 +113,11 @@ def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     out = f
     if s.xi_factor is not None:
         fhat = fourier_transform(f, "forward")
-        bvals = _factor_values(s.xi_factor, fhat.grid)
+        bvals = s.sampled_factor("xi", fhat.grid)
         out = fourier_transform(SampledFunction(fhat.grid, bvals * fhat.values),
                                 "inverse")
     if s.x_factor is not None:
-        out = SampledFunction(f.grid, _factor_values(s.x_factor, f.grid) * out.values)
+        out = SampledFunction(f.grid, s.sampled_factor("x", f.grid) * out.values)
     return out
 
 
@@ -152,10 +154,10 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
         return _general_adjoint(s, g)
     out = g
     if s.x_factor is not None:
-        out = SampledFunction(g.grid, np.conj(_factor_values(s.x_factor, g.grid)) * g.values)
+        out = SampledFunction(g.grid, np.conj(s.sampled_factor("x", g.grid)) * g.values)
     if s.xi_factor is not None:
         shat = fourier_transform(out, "forward")
-        bvals = _factor_values(s.xi_factor, shat.grid)
+        bvals = s.sampled_factor("xi", shat.grid)
         out = fourier_transform(
             SampledFunction(shat.grid, np.conj(bvals) * shat.values), "inverse")
     return out
@@ -175,21 +177,32 @@ class DyadicDecomposition:
 
     Piece 0 is the low-frequency cap sigma * eta(|xi|); piece j >= 1 is
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
-    Pieces are evaluated lazily on the dual grid.
+    Pieces are evaluated lazily on the dual grid; the dual grid and its
+    radius are computed once per decomposition, the cutoffs per call.
     """
 
     symbol: Symbol
     grid: Grid
     levels: int
 
-    @property
+    @cached_property
     def dual(self) -> Grid:
         return self.grid.dual()
 
+    @cached_property
+    def dual_radius(self) -> np.ndarray:
+        """|xi| on the dual grid (read-only)."""
+        r = self.dual.radius()
+        r.flags.writeable = False
+        return r
+
     def symbol_values(self, x=None) -> np.ndarray:
-        """The raw symbol sampled on the dual grid (at x if x-dependent)."""
+        """The raw symbol sampled on the dual grid (at x if x-dependent).
+
+        Read-only for an x-independent symbol: it is the symbol's memoised
+        factor sample."""
         if self.symbol.x_independent:
-            return _factor_values(self.symbol.xi_factor, self.dual)
+            return self.symbol.sampled_factor("xi", self.dual)
         if x is None:
             raise InvalidInputError(
                 "x is required for pieces of an x-dependent symbol")
@@ -201,7 +214,7 @@ class DyadicDecomposition:
     def cutoff_values(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:
             raise InvalidInputError(f"piece index {j} outside 0..{self.levels}")
-        r = self.dual.radius()
+        r = self.dual_radius
         if j == 0:
             return low_pass_cutoff(r)
         return ring_cutoff(r / 2.0**j)
@@ -220,8 +233,7 @@ class DyadicDecomposition:
 
     def truncation_values(self, x=None) -> np.ndarray:
         """The band-limited symbol sigma * eta(2^-J |xi|) itself."""
-        r = self.dual.radius()
-        return self.symbol_values(x) * low_pass_cutoff(r / 2.0**self.levels)
+        return self.symbol_values(x) * low_pass_cutoff(self.dual_radius / 2.0**self.levels)
 
 
 def dyadic_decompose(s: Symbol, grid: Grid, levels: int) -> DyadicDecomposition:
@@ -273,13 +285,12 @@ def kernel_piece(dd: DyadicDecomposition, j: int, x=None) -> Kernel:
 
 
 def kernel_sum(dd: DyadicDecomposition, x=None) -> Kernel:
-    """Pointwise sum of the piece kernels 0..levels."""
-    total = np.zeros(dd.grid.shape, dtype=np.complex128)
-    for j in range(dd.levels + 1):
-        total += kernel_piece(dd, j, x).values
-    xp = None if x is None else tuple(float(v) for v in np.atleast_1d(x))
-    return Kernel(grid=dd.grid, values=total, symbol_params=dd.symbol.params,
-                  levels=dd.levels, piece_index=None, x_point=xp)
+    """Sum of the piece kernels 0..levels.
+
+    The transform is linear, so this is one inverse transform of the
+    summed pieces; it equals the sum of `kernel_piece` up to roundoff.
+    """
+    return _kernel_from_band(dd, dd.sum_values(x), None, x)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ class Symbol:
     absent: x_factor = a, xi_factor = b, as _KIND_FACTORS lists.  A multiplier
     or multiplication built without its factor gets one that samples the
     evaluator; any other kind/factor mismatch is rejected.
+
+    `sampled_factor` memoises the last grid sample of each factor (one
+    read-only array per factor).  The memo is not part of the symbol's
+    identity: equality, hashing and repr ignore it, and every
+    `dataclasses.replace` / `with_params` copy starts without it.
     """
 
     evaluator: Callable
@@ -106,6 +111,9 @@ class Symbol:
     x_factor: Optional[Callable] = None
     xi_factor: Optional[Callable] = None
     label: str = "symbol"
+    # which ("x" / "xi") -> (grid, read-only samples); replaced, never mutated
+    _samples: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_FACTORS:
@@ -128,6 +136,34 @@ class Symbol:
     @property
     def xi_independent(self) -> bool:
         return self.kind == "multiplication"
+
+    def sampled_factor(self, which: str, grid) -> np.ndarray:
+        """x_factor ("x") or xi_factor ("xi") sampled at every point of grid.
+
+        Only the last grid is kept per factor, as one (grid, array) tuple
+        that a new grid replaces whole: memory stays bounded, and a
+        concurrent caller sees either entry complete, never one grid
+        paired with another's samples (at worst two callers sample the
+        same grid).  The returned array is read-only.  A non-finite sample
+        raises SymbolEvaluationError naming the first bad point.
+        """
+        entry = self._samples.get(which)
+        if entry is not None and entry[0] == grid:
+            return entry[1]
+        factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
+        points = grid.coord_stack()
+        # a view, so the read-only flag never reaches an array the factor keeps
+        values = np.asarray(factor(points), dtype=np.complex128).view()
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = ~np.broadcast_to(finite, points.shape[:-1])
+            where = tuple(np.argwhere(bad)[0])
+            raise SymbolEvaluationError(
+                f"{self.label}: non-finite {which}_factor value at "
+                f"{which}={points[where].tolist()}")
+        values.flags.writeable = False
+        self._samples[which] = (grid, values)
+        return values
 
     def _sample_x(self, x) -> np.ndarray:
         return self.eval(x, np.zeros(x.shape[-1]))

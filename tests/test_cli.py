@@ -178,6 +178,15 @@ class TestDyadicCommand:
         names = {c["name"] for c in report["checks"]}
         assert names == {"reconstruction", "ring_support"}
 
+    def test_overflowing_symbol_exits_two(self, tmp_path, capsys):
+        # <xi>^120 overflows on this grid: a typed error, not a NaN report
+        with np.errstate(over="ignore"):
+            code = run_cli("dyadic", "--symbol", "bessel:120", "--d", "1",
+                           "--n", "4096", "--R", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "dyadic-report.json").exists()
+
 
 class TestKernelDecayCommand:
     def test_slope_assertion(self, tmp_path):

@@ -17,6 +17,13 @@ class TestGridValidation:
         assert g.shape == (64, 64)
         assert g.nyquist == pytest.approx(math.pi * 64 / 8.0)
         assert g.dual().half_extent == pytest.approx(g.nyquist)
+        # numpy integers are accepted and stored as int, so equal grids
+        # compare, hash and print alike
+        for grid, plain in ((Grid(1, np.int64(16), 4.0), Grid(1, 16, 4.0)),
+                            (Grid(np.int64(2), 16, 4.0), Grid(2, 16, 4.0))):
+            assert grid == plain and hash(grid) == hash(plain)
+            assert repr(grid) == repr(plain)
+            assert type(grid.dim) is int and type(grid.points_per_axis) is int
 
     @pytest.mark.parametrize("bad", [
         dict(dim=0, points_per_axis=64, half_extent=1.0),
@@ -25,6 +32,8 @@ class TestGridValidation:
         dict(dim=1, points_per_axis=4, half_extent=1.0),
         dict(dim=1, points_per_axis=64, half_extent=-1.0),
         dict(dim=3, points_per_axis=1024, half_extent=1.0),  # 2^30 points
+        dict(dim=1, points_per_axis=16, half_extent=True),
+        dict(dim=True, points_per_axis=16, half_extent=4.0),
     ])
     def test_rejects_bad_grids(self, bad):
         with pytest.raises(InvalidInputError):
@@ -81,6 +90,29 @@ class TestFourierTransform:
             rhs = ((2 * math.pi) ** (-d) * fh.grid.spacing**d
                    * np.sum(np.abs(fh.values) ** 2))
             assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_matches_out_of_place_sign_flip(self, d, n):
+        # reference: the sign flip as d out-of-place multiplies by (-1)^m;
+        # the transform negates in place, which must give the same bits
+        def flip(arr):
+            sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            for axis in range(d):
+                shape = [1] * d
+                shape[axis] = n
+                arr = arr * sign.reshape(shape)
+            return arr
+
+        g = Grid(d, n, 3.0)
+        rng = np.random.default_rng(d)
+        f = SampledFunction(g, rng.standard_normal(g.shape)
+                            + 1j * rng.standard_normal(g.shape))
+        forward = np.fft.fftshift(flip(np.fft.fftn(f.values)) * g.spacing**d)
+        assert np.array_equal(fourier_transform(f, "forward").values, forward)
+        fhat = SampledFunction(g.dual(), f.values)
+        h = g.dual().dual().spacing
+        inverse = np.fft.ifftn(flip(np.fft.ifftshift(f.values))) / h**d
+        assert np.array_equal(fourier_transform(fhat, "inverse").values, inverse)
 
     def test_bad_direction(self, grid_1d):
         with pytest.raises(InvalidInputError):

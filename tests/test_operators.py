@@ -1,17 +1,22 @@
+import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from psidolab import (Grid, InvalidInputError, PreconditionError,
                       SampledFunction, Symbol, SymbolClassParams,
-                      apply_psido, bessel_multiplier, builtin_symbols,
-                      constant_symbol, default_levels, discrete_adjoint_apply,
-                      dual_pairing, dyadic_decompose, fourier_transform,
-                      kernel_piece, kernel_sum, low_pass_cutoff, mixed_norm,
-                      MixedExponent, offsupport_apply, quadrature,
-                      random_band_limited, ring_cutoff, separable_symbol,
-                      smoothness_coefficients, trig_multiplication)
+                      SymbolEvaluationError, apply_psido, bessel_multiplier,
+                      builtin_symbols, constant_symbol, default_levels,
+                      discrete_adjoint_apply, dual_pairing, dyadic_decompose,
+                      fourier_transform, kernel_piece, kernel_sum,
+                      low_pass_cutoff, mixed_norm, MixedExponent,
+                      offsupport_apply, quadrature, random_band_limited,
+                      ring_cutoff, separable_symbol, smoothness_coefficients,
+                      trig_multiplication, wave_multiplier, with_params)
 from conftest import gaussian
 
 
@@ -132,6 +137,107 @@ class TestApplyPaths:
         with pytest.raises(InvalidInputError, match="cap"):
             apply_psido(s, f)
 
+    def test_overflowing_symbol_raises_typed_error(self):
+        # <xi>^120 overflows near the Nyquist frequency 2048 pi
+        g = Grid(1, 4096, 1.0)
+        f = gaussian(g, 0.1)
+        for op in (apply_psido, discrete_adjoint_apply):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(SymbolEvaluationError, match="bessel:120"):
+                op(bessel_multiplier(120.0), f)
+
+
+def counting_symbol(calls: dict) -> Symbol:
+    """A separable symbol whose factors count their calls in `calls`."""
+    def a(x):
+        calls["x"] += 1
+        return 1.0 + 0.25 * np.cos(x[..., 0]) + 0j
+
+    def b(xi):
+        calls["xi"] += 1
+        return (1.0 + np.sum(xi**2, axis=-1)) ** -0.5 + 0j
+
+    return Symbol(lambda x, xi: a(x) * b(xi), SymbolClassParams(m=-1.0),
+                  "separable", x_factor=a, xi_factor=b, label="counting")
+
+
+class TestFactorSamples:
+    def test_each_factor_sampled_once_per_grid(self):
+        calls = {"x": 0, "xi": 0}
+        s = counting_symbol(calls)
+        g = Grid(2, 32, 4.0)
+        f = random_band_limited(g, np.random.default_rng(1))
+        first = apply_psido(s, f)
+        for _ in range(20):
+            assert np.array_equal(apply_psido(s, f).values, first.values)
+            discrete_adjoint_apply(s, f)
+        assert calls == {"x": 1, "xi": 1}
+        other = Grid(2, 32, 5.0)
+        apply_psido(s, random_band_limited(other, np.random.default_rng(2)))
+        assert calls == {"x": 2, "xi": 2}
+
+    def test_copies_start_empty(self):
+        calls = {"x": 0, "xi": 0}
+        s = counting_symbol(calls)
+        f = random_band_limited(Grid(1, 64, 4.0), np.random.default_rng(3))
+        apply_psido(s, f)
+        for copy in (with_params(s, rho=0.5), dataclasses.replace(s)):
+            before = dict(calls)
+            apply_psido(copy, f)
+            assert calls == {"x": before["x"] + 1, "xi": before["xi"] + 1}
+        # the memo is not part of the symbol's identity
+        assert dataclasses.replace(s) == s
+        assert hash(dataclasses.replace(s)) == hash(s)
+        assert "_samples" not in repr(s)
+
+    def test_cached_arrays_read_only(self):
+        g = Grid(1, 64, 4.0)
+        s = bessel_multiplier(-1.0)
+        dd = dyadic_decompose(s, g, 2)
+        for arr in (s.sampled_factor("xi", g.dual()), dd.symbol_values(),
+                    dd.dual_radius):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_concurrent_callers_on_alternating_grids(self):
+        # equal shapes, so a sample paired with the other grid would not
+        # fail to broadcast but silently give different values; tiny grids
+        # keep the threads in the Python code around the memo
+        grids = [Grid(1, 16, 4.0), Grid(1, 16, 5.0)]
+        s = separable_symbol(
+            trig_multiplication(smoothness_coefficients(2, 6), 8.0),
+            bessel_multiplier(-1.0))
+        inputs = [random_band_limited(g, np.random.default_rng(i))
+                  for i, g in enumerate(grids)]
+        serial = [(apply_psido(dataclasses.replace(s), f).values,
+                   discrete_adjoint_apply(dataclasses.replace(s), f).values)
+                  for f in inputs]
+        rounds = 100
+        matches = []
+
+        def worker(offset):
+            for k in range(rounds):
+                i = (offset + k) % 2
+                got = (apply_psido(s, inputs[i]).values,
+                       discrete_adjoint_apply(s, inputs[i]).values)
+                matches.append(all(np.array_equal(a, b)
+                                   for a, b in zip(got, serial[i])))
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(2 * (os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(matches) == rounds * len(threads) and all(matches)
+
 
 class TestDyadicDecomposition:
     def test_cutoff_shapes(self):
@@ -224,6 +330,18 @@ class TestKernels:
         m = (z >= 0.1) & (z <= 5.0)
         exact = 0.5 * np.exp(-z[m])
         assert np.max(np.abs(k.values.real[m] - exact) / exact) <= 1e-3
+
+
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+    @pytest.mark.parametrize("s", [bessel_multiplier(-1.0), wave_multiplier(0.0)],
+                             ids=["bessel", "wave"])
+    def test_kernel_sum_matches_sum_of_piece_kernels(self, s, d, n):
+        # reference: one inverse transform per piece, summed pointwise
+        g = Grid(d, n, 4.0)
+        dd = dyadic_decompose(s, g, default_levels(g))
+        explicit = sum(kernel_piece(dd, j).values for j in range(dd.levels + 1))
+        total = kernel_sum(dd).values
+        assert np.max(np.abs(total - explicit)) <= 1e-14 * np.max(np.abs(explicit))
 
 
 class TestOffSupport:
