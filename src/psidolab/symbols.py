@@ -9,6 +9,13 @@ Class membership (the weighted derivative bound with weight
 ``<xi>^(m - rho|beta| + delta|alpha|)``) is checked by sampling: the
 reported constants are suprema over a declared finite sample set, fitted
 not proven.
+
+The derivatives are composed 4th-order central differences.  Their cost is
+one evaluation per distinct stencil point per sample point, not one per
+stencil term: all (alpha, beta) pairs share one table of distinct offsets,
+evaluated by one ``Symbol.eval`` per block of about 2^20 points.  Each
+pair then sums its weighted terms in the per-term order, so the result is
+bit-identical to summing ``w * s.eval(x + dx, xi + dxi)`` term by term.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from .errors import InvalidInputError, SymbolEvaluationError
 from .grid import SampledFunction, spectral_derivative
 
 FD_ORDER_CAP = 8  # mixed central differences degrade beyond this total order
+# evaluators run quietly: the finiteness checks turn overflow into typed errors
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +162,8 @@ class Symbol:
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
         points = grid.coord_stack()
         # a view, so the read-only flag never reaches an array the factor keeps
-        values = np.asarray(factor(points), dtype=np.complex128).view()
+        with np.errstate(**_QUIET):
+            values = np.asarray(factor(points), dtype=np.complex128).view()
         finite = np.isfinite(values)
         if not finite.all():
             bad = ~np.broadcast_to(finite, points.shape[:-1])
@@ -172,7 +182,11 @@ class Symbol:
         return self.eval(np.zeros(xi.shape[-1]), xi)
 
     def eval(self, x, xi) -> np.ndarray:
-        """Vectorized evaluation with a finiteness check."""
+        """Vectorized evaluation with a finiteness check.
+
+        numpy's floating-point warnings are off while the evaluator runs:
+        a non-finite value raises SymbolEvaluationError instead.
+        """
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         if x.ndim == 0 or xi.ndim == 0:
@@ -180,7 +194,8 @@ class Symbol:
         if x.shape[-1] != xi.shape[-1]:
             raise InvalidInputError(
                 f"x has dimension {x.shape[-1]}, xi has {xi.shape[-1]}")
-        out = np.asarray(self.evaluator(x, xi), dtype=np.complex128)
+        with np.errstate(**_QUIET):
+            out = np.asarray(self.evaluator(x, xi), dtype=np.complex128)
         bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
         if np.any(bad):
             xb = np.broadcast_to(x, bad.shape + x.shape[-1:])
@@ -324,52 +339,148 @@ def builtin_symbols(period: float) -> list:
 
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))                  # / (12 s)
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))    # / (12 s^2)
+_EVAL_BLOCK = 2**20  # points per batched Symbol.eval (general-path chunks are 2^21)
+_RAW = "raw"         # plan of an order-0 pair: the unshifted sample points
 
 
-def _fd_terms(alpha, beta, dim, step):
-    """Expand the composed 4th-order stencils into (dx, dxi, weight) terms."""
-    plan = []
-    for var, mi in ((0, alpha), (1, beta)):
+def _axis_stencil(stencils, step) -> np.ndarray:
+    """(offset, weight) rows of 1-D stencils composed along one axis.
+
+    Rows come in expansion order (the first stencil varies slowest), and
+    each offset adds its shifts left to right from 0.0, as a coordinate
+    shifted by one stencil at a time would.
+    """
+    terms = [(0.0, 1.0)]
+    for stencil in stencils:
+        terms = [(off + o * step, w * c) for off, w in terms for o, c in stencil]
+    return np.array(terms)
+
+
+def _fd_stencil(alpha, beta, dim, step):
+    """The composed 4th-order stencil of d_x^alpha d_xi^beta.
+
+    Returns the offsets (terms, 2, dim), x shifts in [:, 0] and xi shifts
+    in [:, 1]; the integer-valued weights (terms,); and the denominator.
+    The stencil is the tensor product of one 1-D stencil per (variable,
+    axis), x axes first, second differences before an odd first
+    difference; terms come in the order of expanding those one at a time.
+    """
+    offsets, weights, denom = np.zeros((1, 2, dim)), np.ones(1), 1.0
+    for var, mi in enumerate((alpha, beta)):
         for axis, order in enumerate(mi):
-            plan += [(var, axis, _D2)] * (order // 2)
-            if order % 2:
-                plan.append((var, axis, _D1))
-    terms = [(np.zeros(dim), np.zeros(dim), 1.0)]
-    denom = 1.0
-    for var, axis, stencil in plan:
-        denom *= 12.0 * step ** (2 if stencil is _D2 else 1)
-        new = []
-        for dx, dxi, w in terms:
-            for offset, coeff in stencil:
-                ndx, ndxi = dx, dxi
-                if var == 0:
-                    ndx = dx.copy()
-                    ndx[axis] += offset * step
-                else:
-                    ndxi = dxi.copy()
-                    ndxi[axis] += offset * step
-                new.append((ndx, ndxi, w * coeff))
-        terms = new
-    return terms, denom
+            if not order:
+                continue
+            stencils = [_D2] * (order // 2) + [_D1] * (order % 2)
+            for stencil in stencils:
+                denom *= 12.0 * step ** (2 if stencil is _D2 else 1)
+            axis_terms = _axis_stencil(stencils, step)
+            offsets = np.repeat(offsets, len(axis_terms), axis=0)
+            offsets[:, var, axis] = np.tile(axis_terms[:, 0], len(weights))
+            weights = np.outer(weights, axis_terms[:, 1]).ravel()
+    return offsets, weights, denom
 
 
-def _fd_derivative(s: Symbol, alpha, beta, x: np.ndarray, xi: np.ndarray,
-                   step: float) -> np.ndarray:
-    """Vectorized mixed derivative d_x^alpha d_xi^beta sigma at sample points."""
-    dim = x.shape[-1]
-    shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-    # derivatives the kind tag rules out are identically zero, not stencil noise
-    if multi_index_order(alpha) > 0 and s.x_independent:
-        return np.zeros(shape, dtype=np.complex128)
-    if multi_index_order(beta) > 0 and s.xi_independent:
-        return np.zeros(shape, dtype=np.complex128)
-    if multi_index_order(alpha) + multi_index_order(beta) == 0:
-        return s.eval(x, xi)
-    terms, denom = _fd_terms(alpha, beta, dim, step)
-    acc = np.zeros(shape, dtype=np.complex128)
-    for dx, dxi, w in terms:
-        acc += w * s.eval(x + dx, xi + dxi)
-    return acc / denom
+def _fd_plan(s: Symbol, pairs, dim: int, step: float):
+    """Stencils of the mixed derivatives of every (alpha, beta) pair, over
+    one table of distinct evaluation points.
+
+    Returns (plans, table, raw).  The points are rows: row 0 is the
+    unshifted point when raw (some pair has order 0), then one row per
+    distinct offset in `table` (offsets, 2, dim), in the order the per-term
+    loop first uses them.  plans[j] is None for a derivative the kind tag
+    rules out (identically zero, not stencil noise), _RAW for order 0, or
+    (rows, weights, denom) of the pair's terms in term order.
+    """
+    plans, stencils = [], []
+    for alpha, beta in pairs:
+        a, b = multi_index_order(alpha), multi_index_order(beta)
+        if (a and s.x_independent) or (b and s.xi_independent):
+            plans.append(None)
+        elif a + b == 0:
+            plans.append(_RAW)
+        else:
+            plans.append(len(stencils))
+            stencils.append(_fd_stencil(alpha, beta, dim, step))
+    raw = _RAW in plans
+    if not stencils:
+        return plans, np.zeros((0, 2, dim)), raw
+    flat = np.concatenate([o for o, _, _ in stencils]).reshape(-1, 2 * dim)
+    # byte keys are exact float keys: offsets are sums from 0.0, never -0.0
+    keys = flat.view(np.dtype((np.void, flat.itemsize * 2 * dim))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    rows = np.split(raw + rank[inverse.ravel()],
+                    np.cumsum([len(w) for _, w, _ in stencils])[:-1])
+    plans = [(rows[plan], stencils[plan][1], stencils[plan][2])
+             if isinstance(plan, int) else plan for plan in plans]
+    return plans, flat[first[by_use]].reshape(-1, 2, dim), raw
+
+
+def _fd_sum(plans, vals: np.ndarray, n: int) -> list:
+    """Each plan's derivative at n points from the row values vals (rows, n).
+
+    Terms are summed in term order from +0.0 and divided by the
+    denominator, as ``acc += w * s.eval(x + dx, xi + dxi)`` did term by
+    term; the weights are integers, so w * value rounds once either way.
+    """
+    derivs = []
+    for plan in plans:
+        if plan is None:
+            derivs.append(np.zeros(n, dtype=np.complex128))
+        elif plan is _RAW:
+            derivs.append(vals[0])
+        else:
+            rows, weights, denom = plan
+            terms = vals[rows]
+            terms *= weights[:, None]
+            # accumulate adds in order by definition (reduce may sum pairwise);
+            # + 0.0 because a sum started from +0.0 is never -0.0
+            np.add.accumulate(terms, axis=0, out=terms)
+            derivs.append((terms[-1] + 0.0) / denom)
+    return derivs
+
+
+def _shifted(points: np.ndarray, shifts: np.ndarray, raw: bool) -> np.ndarray:
+    """points (n, dim) moved by every shift (k, dim): (raw + k, n, dim),
+    led by the unshifted points when raw."""
+    out = np.empty((raw + len(shifts),) + points.shape)
+    out[:raw] = points
+    np.add(points, shifts[:, None, :], out=out[raw:])
+    return out
+
+
+def _fd_blocks(s: Symbol, pairs, x: np.ndarray, xi: np.ndarray, step: float):
+    """Mixed derivatives of every (alpha, beta) pair at the samples x, xi
+    (n, dim), one block of samples at a time: yields (slice, derivatives).
+
+    Every distinct stencil point is evaluated once per sample, by one
+    Symbol.eval per block of about _EVAL_BLOCK points.  A non-finite value
+    raises the error the per-term loop would: the first bad sample of the
+    first point it used.
+    """
+    plans, table, raw = _fd_plan(s, pairs, x.shape[-1], step)
+    nrows = raw + len(table)
+    widest = max((len(p[1]) for p in plans if isinstance(p, tuple)), default=1)
+    width = _EVAL_BLOCK // max(nrows, widest)
+    for lo in range(0, len(x), width):
+        sl = slice(lo, lo + width)
+        n = len(x[sl])
+        vals = None
+        if nrows:
+            try:
+                vals = s.eval(_shifted(x[sl], table[:, 0], raw),
+                              _shifted(xi[sl], table[:, 1], raw))
+            except SymbolEvaluationError:
+                # an earlier point may fail only in another block: rerun in loop order
+                if raw:
+                    s.eval(x, xi)
+                for dx, dxi in table:
+                    s.eval(x + dx, xi + dxi)
+                raise
+            vals = np.broadcast_to(vals, (nrows, n))
+        yield sl, _fd_sum(plans, vals, n)
 
 
 def finite_diff_derivative(s: Symbol, alpha, beta, x, xi, step: float) -> complex:
@@ -377,7 +488,9 @@ def finite_diff_derivative(s: Symbol, alpha, beta, x, xi, step: float) -> comple
 
     Composed one axis at a time from 4th-order stencils; the total order
     is capped at 8 and small steps are rejected for order >= 4 to guard
-    against cancellation.
+    against cancellation.  Each distinct stencil point is evaluated once,
+    at the shape of the given point (an evaluator may take scalar paths
+    there), so the result equals the per-term sum bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -393,7 +506,10 @@ def finite_diff_derivative(s: Symbol, alpha, beta, x, xi, step: float) -> comple
     if total >= 4 and step < 1e-4:
         raise InvalidInputError(
             f"step {step} too small for order {total} (cancellation guard)")
-    return complex(_fd_derivative(s, alpha, beta, x, xi, step))
+    plans, table, raw = _fd_plan(s, [(alpha, beta)], dim, step)
+    vals = [s.eval(x, xi)] * raw + [s.eval(x + dx, xi + dxi) for dx, dxi in table]
+    (deriv,) = _fd_sum(plans, np.reshape(vals, (len(vals), 1)), 1)
+    return complex(deriv[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,29 +608,43 @@ def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> Deriv
 
     A pair passes when the constant is finite and at most `cap`.  This is a
     sampled supremum, not a proof.
+
+    Cost: one Symbol.eval point per distinct stencil offset (over all pairs)
+    per sample point, in blocks of about 2^20 points, so one or a few
+    Symbol.eval calls in all.  The constants and witnesses are bit-identical
+    to evaluating and summing every stencil term on its own; ties go to the
+    first sample.
     """
     if cap <= 0:
         raise InvalidInputError(f"cap must be positive, got {cap}")
     p = s.params
     x_all, xi_all = sample_spec.points()
+    pairs = [(alpha, beta)
+             for alpha in iter_multi_indices(sample_spec.dim, min(p.N, FD_ORDER_CAP))
+             for beta in iter_multi_indices(sample_spec.dim, min(p.Nprime, FD_ORDER_CAP))
+             if multi_index_order(alpha) + multi_index_order(beta) <= FD_ORDER_CAP]
     bracket = np.sqrt(1.0 + np.sum(xi_all**2, axis=-1))
-    entries = []
-    for alpha in iter_multi_indices(sample_spec.dim, min(p.N, FD_ORDER_CAP)):
-        for beta in iter_multi_indices(sample_spec.dim, min(p.Nprime, FD_ORDER_CAP)):
-            if multi_index_order(alpha) + multi_index_order(beta) > FD_ORDER_CAP:
-                continue
-            deriv = _fd_derivative(s, alpha, beta, x_all, xi_all, sample_spec.step)
-            weight = bracket ** (-p.m + p.rho * multi_index_order(beta)
-                                 - p.delta * multi_index_order(alpha))
-            weighted = np.abs(deriv) * weight
+    exponents = [-p.m + p.rho * multi_index_order(beta) - p.delta * multi_index_order(alpha)
+                 for alpha, beta in pairs]
+    # per pair, the largest weighted value of each block and where it sits
+    maxima, where = [[] for _ in pairs], [[] for _ in pairs]
+    for sl, derivs in _fd_blocks(s, pairs, x_all, xi_all, sample_spec.step):
+        for j, deriv in enumerate(derivs):
+            weighted = np.abs(deriv) * bracket[sl] ** exponents[j]
             i = int(np.argmax(weighted))
-            fitted = float(weighted[i])
-            entries.append(DerivativeBoundEntry(
-                alpha=alpha, beta=beta, fitted_constant=fitted,
-                witness_x=tuple(float(v) for v in x_all[i]),
-                witness_xi=tuple(float(v) for v in xi_all[i]),
-                passed=bool(np.isfinite(fitted) and fitted <= cap),
-            ))
+            maxima[j].append(weighted[i])
+            where[j].append(sl.start + i)
+    entries = []
+    for (alpha, beta), block_max, block_at in zip(pairs, maxima, where):
+        # the first block holding the maximum (or a NaN), as one argmax over all
+        k = int(np.argmax(block_max))
+        fitted, i = float(block_max[k]), block_at[k]
+        entries.append(DerivativeBoundEntry(
+            alpha=alpha, beta=beta, fitted_constant=fitted,
+            witness_x=tuple(float(v) for v in x_all[i]),
+            witness_xi=tuple(float(v) for v in xi_all[i]),
+            passed=bool(np.isfinite(fitted) and fitted <= cap),
+        ))
     return DerivativeBoundReport(entries=entries, cap=cap,
                                  global_pass=all(e.passed for e in entries))
 

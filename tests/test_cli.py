@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,8 +180,10 @@ class TestDyadicCommand:
         assert names == {"reconstruction", "ring_support"}
 
     def test_overflowing_symbol_exits_two(self, tmp_path, capsys):
-        # <xi>^120 overflows on this grid: a typed error, not a NaN report
-        with np.errstate(over="ignore"):
+        # <xi>^120 overflows on this grid: a typed error, not a NaN report,
+        # and no numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run_cli("dyadic", "--symbol", "bessel:120", "--d", "1",
                            "--n", "4096", "--R", "1", "--out-dir", str(tmp_path))
         assert code == 2

@@ -3,14 +3,125 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psidolab import (Grid, InvalidInputError, SampleSpec, Symbol,
                       SymbolClassParams, SymbolEvaluationError,
-                      bessel_multiplier, constant_symbol, eval_symbol,
-                      finite_diff_derivative, schwartz_seminorm,
+                      bessel_multiplier, builtin_symbols, constant_symbol,
+                      eval_symbol, finite_diff_derivative, schwartz_seminorm,
                       trig_multiplication, smoothness_coefficients,
                       verify_symbol_class, wave_multiplier, with_params)
+from psidolab.symbols import (FD_ORDER_CAP, DerivativeBoundEntry,
+                              DerivativeBoundReport, iter_multi_indices,
+                              multi_index_order)
 from conftest import gaussian
+
+
+# ---------------------------------------------------------------------------
+# reference: every stencil term expanded and evaluated on its own, summed in
+# term order (the finite-difference path before distinct points were shared)
+
+_D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))                  # / (12 s)
+_D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))    # / (12 s^2)
+
+
+def _ref_terms(alpha, beta, dim, step):
+    plan = []
+    for var, mi in ((0, alpha), (1, beta)):
+        for axis, order in enumerate(mi):
+            plan += [(var, axis, _D2)] * (order // 2)
+            if order % 2:
+                plan.append((var, axis, _D1))
+    terms = [(np.zeros(dim), np.zeros(dim), 1.0)]
+    denom = 1.0
+    for var, axis, stencil in plan:
+        denom *= 12.0 * step ** (2 if stencil is _D2 else 1)
+        new = []
+        for dx, dxi, w in terms:
+            for offset, coeff in stencil:
+                ndx, ndxi = dx, dxi
+                if var == 0:
+                    ndx = dx.copy()
+                    ndx[axis] += offset * step
+                else:
+                    ndxi = dxi.copy()
+                    ndxi[axis] += offset * step
+                new.append((ndx, ndxi, w * coeff))
+        terms = new
+    return terms, denom
+
+
+def _ref_derivative(s, alpha, beta, x, xi, step):
+    shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
+    if multi_index_order(alpha) > 0 and s.x_independent:
+        return np.zeros(shape, dtype=np.complex128)
+    if multi_index_order(beta) > 0 and s.xi_independent:
+        return np.zeros(shape, dtype=np.complex128)
+    if multi_index_order(alpha) + multi_index_order(beta) == 0:
+        return s.eval(x, xi)
+    terms, denom = _ref_terms(alpha, beta, x.shape[-1], step)
+    acc = np.zeros(shape, dtype=np.complex128)
+    for dx, dxi, w in terms:
+        acc += w * s.eval(x + dx, xi + dxi)
+    return acc / denom
+
+
+def _ref_verify(s, spec, cap):
+    p = s.params
+    x_all, xi_all = spec.points()
+    bracket = np.sqrt(1.0 + np.sum(xi_all**2, axis=-1))
+    entries = []
+    for alpha in iter_multi_indices(spec.dim, min(p.N, FD_ORDER_CAP)):
+        for beta in iter_multi_indices(spec.dim, min(p.Nprime, FD_ORDER_CAP)):
+            if multi_index_order(alpha) + multi_index_order(beta) > FD_ORDER_CAP:
+                continue
+            deriv = _ref_derivative(s, alpha, beta, x_all, xi_all, spec.step)
+            weight = bracket ** (-p.m + p.rho * multi_index_order(beta)
+                                 - p.delta * multi_index_order(alpha))
+            weighted = np.abs(deriv) * weight
+            i = int(np.argmax(weighted))
+            fitted = float(weighted[i])
+            entries.append(DerivativeBoundEntry(
+                alpha=alpha, beta=beta, fitted_constant=fitted,
+                witness_x=tuple(float(v) for v in x_all[i]),
+                witness_xi=tuple(float(v) for v in xi_all[i]),
+                passed=bool(np.isfinite(fitted) and fitted <= cap)))
+    return DerivativeBoundReport(entries=entries, cap=cap,
+                                 global_pass=all(e.passed for e in entries))
+
+
+def _bits(report):
+    """Every float of a report as hex, so == compares bit for bit."""
+    return [(e.alpha, e.beta, e.fitted_constant.hex(),
+             [v.hex() for v in e.witness_x], [v.hex() for v in e.witness_xi],
+             e.passed) for e in report.entries]
+
+
+def coupled_symbol(delta=0.25):
+    """sigma = (1 + 0.3 cos x1) <xi>^(-1 + 0.2 sin x1), the benchmark's
+    coupled symbol, claimed with delta > 0 so the delta|alpha| weight runs."""
+
+    def ev(x, xi):
+        x1 = x[..., 0]
+        bracket = np.sqrt(1.0 + np.sum(xi**2, axis=-1))
+        return (1.0 + 0.3 * np.cos(x1)) * bracket ** (-1.0 + 0.2 * np.sin(x1)) + 0j
+
+    return Symbol(ev, SymbolClassParams(m=-0.8, delta=delta, N=2, Nprime=2),
+                  "general", label="coupled")
+
+
+REFERENCE_SYMBOLS = builtin_symbols(2.0) + [coupled_symbol()]
+
+
+@st.composite
+def _derivative_orders(draw, dim):
+    """alpha, beta of the given dimension with |alpha| + |beta| <= FD_ORDER_CAP."""
+    budget, orders = FD_ORDER_CAP, []
+    for _ in range(2 * dim):
+        orders.append(draw(st.integers(0, budget)))
+        budget -= orders[-1]
+    order = draw(st.permutations(orders))
+    return tuple(order[:dim]), tuple(order[dim:])
 
 
 class TestEvalSymbol:
@@ -110,6 +221,45 @@ class TestFiniteDifference:
             finite_diff_derivative(s, 0, 1, [0.0], [1.0], step=0.0)
 
 
+class TestMatchesPerTermReference:
+    """Shared distinct stencil points give the per-term sums bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           s=st.sampled_from(REFERENCE_SYMBOLS), step=st.floats(1e-3, 0.2))
+    def test_finite_diff_derivative(self, data, dim, s, step):
+        alpha, beta = data.draw(_derivative_orders(dim))
+        coords = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+        x = np.array(data.draw(coords))
+        xi = 20.0 * np.array(data.draw(coords))
+        got = finite_diff_derivative(s, alpha, beta, x, xi, step)
+        want = complex(_ref_derivative(s, alpha, beta, x, xi, step))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3), s=st.sampled_from(REFERENCE_SYMBOLS),
+           claim=st.sampled_from([(0, 0), (0, 2), (2, 0), (2, 2), (0, 4), (4, 0)]),
+           num_x=st.integers(1, 3), num_xi=st.integers(2, 6),
+           seed=st.integers(0, 2**16), step=st.floats(1e-3, 0.2))
+    def test_verify_symbol_class(self, dim, s, claim, num_x, num_xi, seed, step):
+        s = with_params(s, N=claim[0], Nprime=claim[1])
+        spec = SampleSpec(dim=dim, xi_max=64.0, num_x=num_x, num_xi=num_xi,
+                          seed=seed, step=step)
+        assert (_bits(verify_symbol_class(s, spec, cap=10.0))
+                == _bits(_ref_verify(s, spec, cap=10.0)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_builtin_at_its_claim(self, dim):
+        for s in REFERENCE_SYMBOLS:
+            if dim == 3:
+                # the separable claim (N, N') = (2, 4) has 350 pairs at d = 3,
+                # seconds of per-term reference evaluations
+                s = with_params(s, Nprime=min(s.params.Nprime, 2))
+            spec = SampleSpec(dim=dim, xi_max=64.0, num_x=2, num_xi=12, seed=dim)
+            assert (_bits(verify_symbol_class(s, spec, cap=10.0))
+                    == _bits(_ref_verify(s, spec, cap=10.0)))
+
+
 class TestVerifySymbolClass:
     def test_constant_passes_with_unit_constant(self):
         s = constant_symbol(1.0)
@@ -163,6 +313,61 @@ class TestVerifySymbolClass:
         report = verify_symbol_class(rough, spec, cap=50.0)
         assert report.entry((4,), (0,)).fitted_constant > 50.0
         assert not report.global_pass
+
+    def test_blocks_match_reference(self, monkeypatch):
+        # 2^14 samples, 18 evaluation rows and 625 terms at beta = (8,):
+        # the samples are split over several blocks of about 2^20 points
+        s = with_params(bessel_multiplier(-1.0), Nprime=8)
+        spec = SampleSpec(dim=1, xi_max=64.0, num_x=341, num_xi=48, seed=3)
+        calls = []
+        plain_eval = Symbol.eval
+
+        def counted_eval(self, x, xi):
+            calls.append(np.shape(x))
+            return plain_eval(self, x, xi)
+
+        monkeypatch.setattr(Symbol, "eval", counted_eval)
+        report = verify_symbol_class(s, spec, cap=10.0)
+        monkeypatch.undo()
+        assert len(calls) >= 2
+        reference = _ref_verify(s, spec, cap=10.0)
+        assert _bits(report) == _bits(reference)
+        # flat in x, so every maximum is tied across the x cloud (one x per
+        # block or more): the witness is the first sample, at x = 0
+        assert all(e.witness_x == (0.0,) for e in report.entries)
+
+    def test_overflow_raises_like_reference(self):
+        s = with_params(bessel_multiplier(120.0), Nprime=4)
+        spec = SampleSpec(dim=1, xi_max=1024.0)
+        with pytest.raises(SymbolEvaluationError) as got:
+            verify_symbol_class(s, spec, cap=10.0)
+        with pytest.raises(SymbolEvaluationError) as want:
+            _ref_verify(s, spec, cap=10.0)
+        assert str(got.value) == str(want.value)
+
+    def test_first_bad_point_in_a_later_block(self):
+        # the xi shift -2 step (the first offset used) fails only at the
+        # last x sample, in the last block; +2 step fails in every block
+        spec = SampleSpec(dim=1, xi_max=64.0, num_x=341, num_xi=48, seed=3)
+        x_all, xi_all = spec.points()
+        x_last = x_all[-1, 0]
+        lo = xi_all.min() - 1.5 * spec.step
+        hi = xi_all.max() + 1.5 * spec.step
+
+        def trap(x, xi):
+            out = np.ones(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]),
+                          dtype=np.complex128)
+            out[(x[..., 0] == x_last) & (xi[..., 0] < lo)] = np.inf
+            out[xi[..., 0] > hi] = np.inf
+            return out
+
+        s = Symbol(trap, SymbolClassParams(m=0.0, Nprime=8), "general")
+        with pytest.raises(SymbolEvaluationError) as got:
+            verify_symbol_class(s, spec, cap=10.0)
+        with pytest.raises(SymbolEvaluationError) as want:
+            _ref_verify(s, spec, cap=10.0)
+        assert str(got.value) == str(want.value)
+        assert f"x=[{float(x_last)!r}]" in str(got.value)
 
     def test_report_csv(self, tmp_path):
         report = verify_symbol_class(constant_symbol(1.0),
