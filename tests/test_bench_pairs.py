@@ -1,0 +1,107 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+RESULT = {"correct": True, "attempted": 5, "failed": 0,
+          "metrics": {"wall_s": {"value": 1.0, "unit": "s"},
+                      "symbols.eval.calls": {"value": 7, "unit": "count"}}}
+SPECS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}]
+
+
+def fake_tree(tmp_path, body):
+    """A tree whose psidobench/run.py runs ``body`` with ``trace`` set."""
+    run = tmp_path / "psidobench" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text("import json, sys\n"
+                   "trace = int(sys.argv[sys.argv.index('--trace') + 1])\n"
+                   f"RESULT = {RESULT!r}\n" + body)
+    return tmp_path
+
+
+def bench(tree, trace):
+    return bench_pairs._bench(tree, "symbol-eval", 1, 1, trace)
+
+
+class TestRuns:
+    def test_success(self, tmp_path):
+        tree = fake_tree(tmp_path, "print('env line')\n"
+                         "if trace: print('self-check: 4 power-iteration spans "
+                         "against 4k-1 / 4k+1 transforms, 0 problems')\n"
+                         "print(json.dumps(RESULT))\n")
+        assert bench(tree, 0)["environment"] == "env line"
+        assert bench(tree, 1)["selfcheck"] == (4, 0)
+
+    def test_nonzero_exit_is_recorded(self, tmp_path):
+        tree = fake_tree(tmp_path, "print('partial')\n"
+                         "sys.stderr.write('boom\\n')\nsys.exit(3)\n")
+        result = bench(tree, 0)
+        assert result["error"] == "exited 3"
+        assert result["exit_code"] == 3
+        assert result["output_tail"] == ["partial", "boom"]
+
+    def test_traced_run_without_self_check_fails(self, tmp_path):
+        tree = fake_tree(tmp_path, "print('env line')\nprint(json.dumps(RESULT))\n")
+        assert "error" not in bench(tree, 0)
+        assert bench(tree, 1)["error"] == "no self-check line in --trace 1 output"
+
+    def test_output_without_result_fails(self, tmp_path):
+        tree = fake_tree(tmp_path, "print('env line')\n")
+        assert bench(tree, 0)["error"] == "last output line is not a JSON result"
+
+
+class TestSummary:
+    def pair(self, parent, change):
+        return {"workload": "symbol-eval",
+                "runs": {"parent": parent, "change": change}}
+
+    def run(self, wall_s):
+        result = json.loads(json.dumps(RESULT))
+        result["metrics"]["wall_s"]["value"] = wall_s
+        result["selfcheck"] = (0, 0)
+        record = bench_pairs._record(result, 0)
+        record["traced"] = bench_pairs._traced(result, 0)
+        return record
+
+    def failed(self):
+        record = bench_pairs._record({"error": "exited 1", "exit_code": 1,
+                                      "output_tail": []}, 0)
+        record["traced"] = bench_pairs._traced({"error": "exited 1", "exit_code": 1,
+                                                "output_tail": []}, 0)
+        return record
+
+    def test_failed_run_is_counted_not_timed(self):
+        pairs = [self.pair(self.run(2.0), self.run(1.0)),
+                 self.pair(self.run(2.0), self.failed())]
+        summary = bench_pairs._summary(pairs, SPECS)
+        assert summary["pairs"] == 2
+        assert summary["complete_pairs"] == 1
+        assert summary["runs_attempted"] == {"parent": 4, "change": 4}
+        assert summary["runs_failed"] == {"parent": 0, "change": 2}
+        assert summary["wall_s"]["change_wins"] == 1
+        assert summary["wall_s"]["change"]["n"] == 1
+        assert summary["traced_counts_parent_change"] == {"symbols.eval.calls": [[7, 7]]}
+
+    def test_every_pair_failed(self):
+        summary = bench_pairs._summary([self.pair(self.failed(), self.failed())], SPECS)
+        assert summary["complete_pairs"] == 0
+        assert "wall_s" not in summary
+        assert summary["runs_failed"] == {"parent": 2, "change": 2}
+
+    @pytest.mark.parametrize("failures, met", [(0, True), (1, True), (2, False)])
+    def test_failed_pair_counts_against_claim(self, failures, met):
+        pairs = [self.pair(self.run(2.0), self.run(1.0)) for _ in range(10 - failures)]
+        pairs += [self.pair(self.run(2.0), self.failed()) for _ in range(failures)]
+        args = type("Args", (), {"title": "t", "claim": "symbol-eval:wall_s"})
+        bench = {"run_seconds": 30, "end_to_end": SPECS}
+        report = bench_pairs._report(args, [], bench, "abc", "env", pairs)
+        assert report["claim"]["pairs"] == 10
+        assert report["claim"]["change_wins"] == 10 - failures
+        assert report["claim"]["met"] is met
+        assert "--seconds 30 " in report["commands"]["end_to_end"]

@@ -8,12 +8,17 @@ Both sides run from a fresh copy of their tree: the parent is extracted
 with ``git archive <rev> | tar -x``, the change is the working tree's
 tracked and untracked (not ignored) files.  Both copies get the working
 tree's ``psidobench/``, so the two sides differ only in the program.  For
-every seed the two sides run ``psidobench/run.py --trace 0`` back to back,
-the first side alternating between pairs (parent first on odd pairs); then
-each side runs one short ``--trace 1`` pass at the same seed for the work
-counts.  The summary holds, per workload and end-to-end metric of
-BENCHMARK.json, the median and linear-interpolated quartiles per side, the
-change's wins, and the median change against the metric's bound.
+every seed the two sides run ``psidobench/run.py --trace 0`` back to back
+for BENCHMARK.json's ``run_seconds``, the first side alternating between
+pairs (parent first on odd pairs); then each side runs one short
+``--trace 1`` pass at the same seed for the work counts.  A run that exits
+non-zero, or a traced run that prints no self-check line, is kept in its
+pair with its exit code and the tail of its output, and counted as a failed
+run.  The report is rewritten after every pair, so an interrupted session
+keeps the pairs it measured.  The summary holds, per workload and
+end-to-end metric, the median and linear-interpolated quartiles per side
+over the pairs where both untraced runs succeeded, the change's wins, and
+the median change against the metric's bound.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_SECONDS = 1   # one untraced and one traced batch: enough for the counts
+OUTPUT_TAIL_LINES = 20
+SELFCHECK = re.compile(r"self-check: (\d+) power-iteration spans .* (\d+) problems")
 
 
 def _git(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -69,18 +76,27 @@ def _seeds(spec: str) -> list:
 
 
 def _bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run.py result, or ``{"error", "exit_code", "output_tail"}`` if it failed."""
     cmd = [sys.executable, "psidobench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stdout}\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
+    check = SELFCHECK.search(proc.stdout)
+    error = (f"exited {proc.returncode}" if proc.returncode != 0
+             else "no self-check line in --trace 1 output" if trace and not check
+             else None)
+    if error is None:
+        lines = proc.stdout.strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            error = "last output line is not a JSON result"
+    if error is not None:
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-OUTPUT_TAIL_LINES:]
+        print(f"FAILED {shlex.join(cmd[1:])} in {tree.name}: {error}", flush=True)
+        return {"error": error, "exit_code": proc.returncode, "output_tail": tail}
     result["environment"] = lines[0]
-    check = re.search(r"self-check: (\d+) power-iteration spans .* (\d+) problems",
-                      proc.stdout)
-    result["selfcheck"] = tuple(map(int, check.groups())) if check else (0, 0)
+    if trace:
+        result["selfcheck"] = tuple(map(int, check.groups()))
     return result
 
 
@@ -91,12 +107,18 @@ def _quartiles(values: list) -> dict:
 
 
 def _summary(pairs: list, metric_specs: list) -> dict:
-    out = {"pairs": len(pairs),
-           "failed": {side: sum(p["runs"][side]["failed"] for p in pairs)
-                      for side in SIDES}}
+    runs = {side: [r for p in pairs for r in (p["runs"][side], p["runs"][side]["traced"])]
+            for side in SIDES}
+    timed = [p for p in pairs if all("error" not in p["runs"][s] for s in SIDES)]
+    out = {"pairs": len(pairs), "complete_pairs": len(timed),
+           "runs_attempted": {side: len(runs[side]) for side in SIDES},
+           "runs_failed": {side: sum("error" in r for r in runs[side]) for side in SIDES},
+           "failed": {side: sum(r.get("failed", 0) for r in runs[side]) for side in SIDES}}
+    if not timed:
+        return out
     for spec in metric_specs:
         name, sign = spec["name"], (1 if spec["better"] == "lower" else -1)
-        values = {side: [p["runs"][side]["end_to_end"][name] for p in pairs]
+        values = {side: [p["runs"][side]["end_to_end"][name] for p in timed]
                   for side in SIDES}
         stats = {side: _quartiles(values[side]) for side in SIDES}
         signed = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
@@ -110,7 +132,11 @@ def _summary(pairs: list, metric_specs: list) -> dict:
             "bound": spec["bound"],
             "within_bound": sign * change <= spec["bound"],
         }
-    traced = {side: [p["runs"][side]["traced"] for p in pairs] for side in SIDES}
+    traced = {side: [p["runs"][side]["traced"] for p in pairs
+                     if all("error" not in p["runs"][s]["traced"] for s in SIDES)]
+              for side in SIDES}
+    if not traced["parent"]:
+        return out
     out["traced_counts_parent_change"] = {
         name: [[tp["counts"][name], tc["counts"][name]]
                for tp, tc in zip(traced["parent"], traced["change"])]
@@ -123,6 +149,8 @@ def _summary(pairs: list, metric_specs: list) -> dict:
 
 
 def _record(result: dict, order: int) -> dict:
+    if "error" in result:
+        return {"run_order": order, **result}
     return {"run_order": order,
             "end_to_end": {k: m["value"] for k, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
@@ -130,6 +158,8 @@ def _record(result: dict, order: int) -> dict:
 
 
 def _traced(result: dict, order: int) -> dict:
+    if "error" in result:
+        return {"traced_run_order": order, **result}
     metrics = result["metrics"]
     return {"traced_run_order": order, "correct": result["correct"],
             "failed": result["failed"],
@@ -142,6 +172,45 @@ def _traced(result: dict, order: int) -> dict:
             "layer_s": {k: m["value"] for k, m in metrics.items() if m["unit"] == "s"}}
 
 
+def _report(args, argv, bench: dict, commit: str, environment, pairs: list) -> dict:
+    specs = bench["end_to_end"]
+    summary = {workload: _summary([p for p in pairs if p["workload"] == workload], specs)
+               for workload in dict.fromkeys(p["workload"] for p in pairs)}
+    report = {
+        "title": args.title,
+        "parent_commit": commit,
+        "commands": {
+            "end_to_end": f"python3 psidobench/run.py --workload W --seed N "
+                          f"--seconds {bench['run_seconds']:g} --trace 0",
+            "traced_counts": f"python3 psidobench/run.py --workload W --seed N "
+                             f"--seconds {TRACED_SECONDS} --trace 1",
+            "pairs": "python3 tools/bench_pairs.py " + shlex.join(
+                argv if argv is not None else sys.argv[1:]),
+        },
+        "method": __doc__.split("\n\n", 2)[2].replace("\n", " ").strip(),
+        "environment": {"python": platform.python_version(),
+                        "numpy": numpy.__version__,
+                        "benchmark_reports": environment},
+        "summary": summary,
+        "pairs": pairs,
+    }
+    workload, _, metric = (args.claim or "").partition(":")
+    if workload in summary:
+        n = summary[workload]["pairs"]   # a failed pair counts as a loss
+        s = summary[workload].get(metric)
+        sign = 1 if next(m for m in specs if m["name"] == metric)["better"] == "lower" else -1
+        gain = sign * (s["parent"]["median"] - s["change"]["median"]) if s else None
+        report["claim"] = {
+            "metric": metric, "workload": workload, "pairs": n,
+            "change_wins": s and s["change_wins"],
+            "median_gap_s": gain,
+            "parent_quartile_spread_s": s and s["parent_quartile_spread"],
+            "met": bool(s) and s["change_wins"] >= 0.9 * n
+                   and gain > s["parent_quartile_spread"],
+        }
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -150,12 +219,10 @@ def main(argv=None) -> int:
                         help="workload and seed range, e.g. symbol-eval 501-510")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--title", default="before/after benchmark pairs")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    specs = bench["end_to_end"]
     order, pairs, environment = 0, [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -171,8 +238,8 @@ def main(argv=None) -> int:
                 runs = {}
                 for side in sides:
                     order += 1
-                    result = _bench(trees[side], workload, seed, args.seconds, 0)
-                    environment = environment or result["environment"]
+                    result = _bench(trees[side], workload, seed, bench["run_seconds"], 0)
+                    environment = environment or result.get("environment")
                     runs[side] = _record(result, order)
                 for side in sides:
                     order += 1
@@ -182,43 +249,11 @@ def main(argv=None) -> int:
                 pairs.append({"workload": workload, "seed": seed, "pair": i,
                               "first_side": sides[0], "runs": runs})
                 print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{s} wall_s {runs[s]['end_to_end']['wall_s']:.3f}"
+                    f"{s} wall_s " + (f"{runs[s]['end_to_end']['wall_s']:.3f}"
+                                      if "error" not in runs[s] else "FAILED")
                     for s in SIDES), flush=True)
-
-    summary = {workload: _summary([p for p in pairs if p["workload"] == workload],
-                                  specs)
-               for workload, _ in args.run}
-    report = {
-        "title": args.title,
-        "parent_commit": commit,
-        "commands": {
-            "end_to_end": f"python3 psidobench/run.py --workload W --seed N "
-                          f"--seconds {args.seconds:g} --trace 0",
-            "traced_counts": f"python3 psidobench/run.py --workload W --seed N "
-                             f"--seconds {TRACED_SECONDS} --trace 1",
-            "pairs": "python3 tools/bench_pairs.py " + shlex.join(
-                argv if argv is not None else sys.argv[1:]),
-        },
-        "method": __doc__.split("\n\n", 2)[2].replace("\n", " ").strip(),
-        "environment": {"python": platform.python_version(),
-                        "numpy": numpy.__version__,
-                        "benchmark_reports": environment},
-        "summary": summary,
-        "pairs": pairs,
-    }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        s, n = summary[workload][metric], summary[workload]["pairs"]
-        sign = 1 if next(m for m in specs if m["name"] == metric)["better"] == "lower" else -1
-        gain = sign * (s["parent"]["median"] - s["change"]["median"])
-        report["claim"] = {
-            "metric": metric, "workload": workload,
-            "change_wins": s["change_wins"], "pairs": n,
-            "median_gap_s": gain,
-            "parent_quartile_spread_s": s["parent_quartile_spread"],
-            "met": s["change_wins"] >= 0.9 * n and gain > s["parent_quartile_spread"],
-        }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+                report = _report(args, argv, bench, commit, environment, pairs)
+                args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
 
