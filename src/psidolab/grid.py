@@ -15,10 +15,24 @@ Conventions (used everywhere else in the package):
 Because R * (pi/R) = pi, the boundary phase exp(+-i R xi_m) reduces to
 the exact alternating sign (-1)^m per axis; no trigonometric roundoff
 enters the transform beyond the FFT itself.
+
+Cost of a transform: one FFT plus about one pass over the samples, in
+place.  n is even, so fftshift and ifftshift both swap each half-block
+with the opposite one.  The forward direction negates the samples of the
+fresh FFT output whose index sum is odd, then swaps the half-blocks and
+scales them by h^d in one pass through a single block-sized temporary
+(2^-d of the array).  The inverse copies the caller's samples into
+shifted order once, negates, runs the inverse FFT and divides by h^d in
+place.  Both give the bits of the out-of-place fftshift formulation,
+signed zeros included.  Wrapping the result in a SampledFunction adds one
+reduction, the finiteness sum, and each grid computes its dual grid once.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -95,8 +109,16 @@ class Grid:
         return np.sqrt(sum(c**2 for c in mesh))
 
     def dual(self) -> "Grid":
-        """The DFT-dual frequency grid (spacing pi/R, Nyquist pi*n/(2R))."""
-        return Grid(self.dim, self.points_per_axis, self.nyquist)
+        """The DFT-dual frequency grid (spacing pi/R, Nyquist pi*n/(2R)).
+
+        Computed once per grid and kept outside the dataclass fields, so
+        equality, hashing and repr ignore it and `dataclasses.replace`
+        copies start without it."""
+        dual = self.__dict__.get("_dual")
+        if dual is None:
+            dual = Grid(self.dim, self.points_per_axis, self.nyquist)
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
     def index_of(self, point, tol: float = 1e-9) -> tuple:
         """Grid index of an on-grid point; raises if any coordinate is off-grid."""
@@ -141,7 +163,7 @@ class SampledFunction:
             raise InvalidInputError(
                 f"values shape {np.shape(self.values)} does not match grid shape "
                 f"{self.grid.shape}")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        if not _all_finite(vals):
             raise InvalidInputError("values contain NaN or Inf samples")
         object.__setattr__(self, "values", vals)
 
@@ -169,19 +191,48 @@ class SampledFunction:
         return SampledFunction(self.grid, np.conj(self.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _all_finite(vals: np.ndarray) -> bool:
+    # a non-finite sample makes the sum non-finite, so a finite sum proves
+    # every sample finite in one reduction; only a non-finite sum (which
+    # finite samples can reach by overflow, quietly) checks each sample
+    return cmath.isfinite(vals.sum()) or bool(np.isfinite(vals).all())
+
+
 def _require_same_grid(a: Grid, b: Grid):
     if not compatible_grids(a, b):
         raise InvalidInputError(f"grids differ: {a} vs {b}")
 
 
 def _apply_alternating_sign(arr: np.ndarray) -> np.ndarray:
-    # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis.
-    # Negates the odd slices of arr in place (exact), so callers must pass
-    # an array they own: both pass a fresh fftn / ifftshift result.
-    for axis in range(arr.ndim):
-        odd = (slice(None),) * axis + (slice(1, None, 2),)
-        np.negative(arr[odd], out=arr[odd])
+    # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis,
+    # so the sample at index m gets the sign (-1)^(m_1 + ... + m_d).
+    # Negates the samples with an odd index sum in place: exact, and the
+    # same bits as negating the odd slices axis by axis, since a second
+    # negation restores the bits.  Callers must pass an array they own:
+    # both pass a fresh fftn output or shifted copy.
+    for index in _odd_index_sum(arr.ndim):
+        np.negative(arr[index], out=arr[index])
     return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_index_sum(ndim: int) -> tuple:
+    """Strided indices that together cover the indices with an odd sum."""
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    return tuple(index for index in itertools.product((even, odd), repeat=ndim)
+                 if index.count(odd) % 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _opposite_half_blocks(ndim: int, n: int) -> tuple:
+    """Index pairs (P, Q) of opposite half-blocks, covering the array once.
+
+    For even n, fftshift and ifftshift both move block Q to P and P to Q.
+    """
+    lo, hi = slice(0, n // 2), slice(n // 2, None)
+    return tuple(((lo,) + rest, (hi,) + tuple(hi if r is lo else lo for r in rest))
+                 for rest in itertools.product((lo, hi), repeat=ndim - 1))
 
 
 def fourier_transform(f: SampledFunction, direction: str = "forward") -> SampledFunction:
@@ -202,16 +253,27 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     -------
     SampledFunction on the dual grid.
     """
+    d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
-        h = f.grid.spacing
-        spectrum = np.fft.fftn(f.values)
-        spectrum = _apply_alternating_sign(spectrum) * h**f.grid.dim
-        return SampledFunction(f.grid.dual(), np.fft.fftshift(spectrum))
+        scale = f.grid.spacing**d
+        spectrum = _apply_alternating_sign(np.fft.fftn(f.values))
+        # fftshift and the h^d scaling in one in-place pass; the sign flip
+        # stays a negation, as a -h^d factor would turn -0.0 into +0.0
+        block = np.empty((n // 2,) * d, dtype=spectrum.dtype)
+        for p, q in _opposite_half_blocks(d, n):
+            np.multiply(spectrum[q], scale, out=block)
+            np.multiply(spectrum[p], scale, out=spectrum[q])
+            spectrum[p] = block
+        return SampledFunction(f.grid.dual(), spectrum)
     if direction == "inverse":
         out_grid = f.grid.dual()
-        h = out_grid.spacing
-        spectrum = _apply_alternating_sign(np.fft.ifftshift(f.values))
-        vals = np.fft.ifftn(spectrum) / h**out_grid.dim
+        # ifftshift into a copy: the caller's samples stay untouched
+        spectrum = np.empty_like(f.values)
+        for p, q in _opposite_half_blocks(d, n):
+            spectrum[p] = f.values[q]
+            spectrum[q] = f.values[p]
+        vals = np.fft.ifftn(_apply_alternating_sign(spectrum))
+        np.divide(vals, out_grid.spacing**d, out=vals)
         return SampledFunction(out_grid, vals)
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 

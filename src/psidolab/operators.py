@@ -14,10 +14,11 @@ h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 
 Each factor is sampled once per grid: `Symbol.sampled_factor` memoises
 the last grid sample of each factor on the symbol, and a decomposition
-computes its dual grid and dual radius once.  These memos are the only
-shared mutable state.  Each memo entry is written whole and read-only, so
-concurrent evaluation stays safe: a racing caller at worst samples the
-same grid again.  Apart from them, operators and decompositions are pure
+computes its dual grid and dual radius once and keeps the symbol sample
+at the last x.  These memos and the grid's own dual-grid memo are the
+only shared mutable state.  Each memo entry is written whole and
+read-only, so concurrent evaluation stays safe: a racing caller at worst
+samples the same grid again.  Apart from them, operators and decompositions are pure
 given immutable inputs.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -179,11 +180,16 @@ class DyadicDecomposition:
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
     Pieces are evaluated lazily on the dual grid; the dual grid and its
     radius are computed once per decomposition, the cutoffs per call.
+    The symbol sample of an x-dependent symbol is kept for the last x
+    only, like `Symbol.sampled_factor` keeps the last grid.
     """
 
     symbol: Symbol
     grid: Grid
     levels: int
+    # (x bytes, read-only samples) of the last x; replaced, never mutated
+    _x_sample: Optional[tuple] = field(default=None, init=False, compare=False,
+                                       repr=False)
 
     @cached_property
     def dual(self) -> Grid:
@@ -199,8 +205,8 @@ class DyadicDecomposition:
     def symbol_values(self, x=None) -> np.ndarray:
         """The raw symbol sampled on the dual grid (at x if x-dependent).
 
-        Read-only for an x-independent symbol: it is the symbol's memoised
-        factor sample."""
+        Read-only: the symbol's memoised factor sample for an x-independent
+        symbol, else the sample at the last x, evaluated once per x."""
         if self.symbol.x_independent:
             return self.symbol.sampled_factor("xi", self.dual)
         if x is None:
@@ -209,7 +215,16 @@ class DyadicDecomposition:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.grid.dim,):
             raise InvalidInputError(f"x has shape {x.shape}, expected ({self.grid.dim},)")
-        return self.symbol.eval(x, self.dual.coord_stack())
+        # keyed by the exact bits, so x = -0.0 is not served the sample at +0.0
+        key = x.tobytes()
+        entry = self._x_sample
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        # a view, so the read-only flag never reaches an array the evaluator keeps
+        values = self.symbol.eval(x, self.dual.coord_stack()).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "_x_sample", (key, values))
+        return values
 
     def cutoff_values(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:

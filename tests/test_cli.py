@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from psidolab import Grid, SampledFunction, random_band_limited
+from psidolab import Grid, SampledFunction, Symbol, random_band_limited
 from psidolab.cli import main, parse_symbol_spec
 from psidolab.errors import InvalidInputError
 from psidolab.fileio import read_pslb, write_pslb
@@ -178,6 +178,20 @@ class TestDyadicCommand:
         report = json.loads((tmp_path / "dyadic-report.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert names == {"reconstruction", "ring_support"}
+
+    def test_x_dependent_symbol_evaluated_once(self, tmp_path, monkeypatch):
+        # the reconstruction check and every piece share one sample at x
+        calls = []
+        evaluate = Symbol.eval
+
+        def counted(self, x, xi):
+            calls.append(self.label)
+            return evaluate(self, x, xi)
+
+        monkeypatch.setattr(Symbol, "eval", counted)
+        code = run_cli("dyadic", "--symbol", "sep:2,6:-1", "--d", "2",
+                       "--levels", "3", "--out-dir", str(tmp_path))
+        assert code == 0 and len(calls) == 1
 
     def test_overflowing_symbol_exits_two(self, tmp_path, capsys):
         # <xi>^120 overflows on this grid: a typed error, not a NaN report,

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from psidolab import (Grid, InvalidInputError, SampledFunction, dual_pairing,
                       fourier_transform, japanese_bracket, quadrature,
                       random_band_limited, spectral_derivative, vector_pnorm)
+from psidolab.grid import compatible_grids
 from conftest import gaussian
 
 
@@ -46,6 +50,45 @@ class TestGridValidation:
         vals[3] = np.nan
         with pytest.raises(InvalidInputError):
             SampledFunction(grid_1d, vals)
+        message = "values contain NaN or Inf samples"
+        with warnings.catch_warnings():
+            # the checks raise the typed error alone, with no numpy warning
+            warnings.simplefilter("error", RuntimeWarning)
+            # NaN or Inf in either part; +inf and -inf together sum to NaN
+            for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+                vals = np.ones(grid_1d.shape, dtype=complex)
+                vals[5] = bad
+                with pytest.raises(InvalidInputError, match=message):
+                    SampledFunction(grid_1d, vals)
+            vals = np.ones(grid_1d.shape)
+            vals[[2, 7]] = np.inf, -np.inf
+            with pytest.raises(InvalidInputError, match=message):
+                SampledFunction(grid_1d, vals)
+            # finite samples whose sum overflows are valid
+            huge = np.full(grid_1d.shape, 1e308 + 1e308j)
+            assert np.array_equal(SampledFunction(grid_1d, huge).values, huge)
+            # a strided view is checked at the samples it holds
+            wide = np.ones(2 * grid_1d.total_points)
+            wide[1::2] = np.nan
+            assert np.all(SampledFunction(grid_1d, wide[::2]).values == 1.0)
+            wide[::2][9] = np.inf
+            with pytest.raises(InvalidInputError, match=message):
+                SampledFunction(grid_1d, wide[::2])
+
+    def test_dual_memo_is_not_identity(self):
+        g = Grid(2, 16, 3.0)
+        fresh = Grid(2, 16, 3.0)
+        assert g.dual() is g.dual()
+        assert g.dual() == fresh.dual()
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "dim", "points_per_axis", "half_extent"]
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.dual() == g.dual()
+        replaced = dataclasses.replace(g)
+        assert replaced == g and "_dual" not in vars(replaced)
+        assert replaced.dual() == g.dual() and replaced.dual() is not g.dual()
+        assert compatible_grids(g.dual().dual(), g)
 
     def test_index_of_rejects_offgrid(self, grid_1d):
         assert grid_1d.index_of([0.0]) == (128,)
@@ -91,28 +134,42 @@ class TestFourierTransform:
                    * np.sum(np.abs(fh.values) ** 2))
             assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
-    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8), (1, 10), (2, 10),
+                                      (3, 10), (1, 18), (2, 18), (3, 18)])
     def test_matches_out_of_place_sign_flip(self, d, n):
-        # reference: the sign flip as d out-of-place multiplies by (-1)^m;
-        # the transform negates in place, which must give the same bits
+        # reference: the sign flip as d out-of-place negations and numpy's
+        # fftshift / ifftshift; the transform flips, shifts and scales in
+        # place, which must give the same bits, signed zeros included, and
+        # leave the caller's samples alone.  (A multiply by (-1)^m would
+        # not do as reference: (-1 + 0j) * (0 + 0j) is -0 + 0j, not -0 - 0j.)
         def flip(arr):
-            sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
             for axis in range(d):
-                shape = [1] * d
-                shape[axis] = n
-                arr = arr * sign.reshape(shape)
+                odd = (slice(None),) * axis + (slice(1, None, 2),)
+                arr = arr.copy()
+                arr[odd] = -arr[odd]
             return arr
+
+        def bits(arr):
+            return arr.view(np.uint64)
 
         g = Grid(d, n, 3.0)
         rng = np.random.default_rng(d)
-        f = SampledFunction(g, rng.standard_normal(g.shape)
-                            + 1j * rng.standard_normal(g.shape))
-        forward = np.fft.fftshift(flip(np.fft.fftn(f.values)) * g.spacing**d)
-        assert np.array_equal(fourier_transform(f, "forward").values, forward)
-        fhat = SampledFunction(g.dual(), f.values)
+        noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        zeros = np.where(rng.random(g.shape) < 0.5, noise, 0.0)
+        zeros.real[rng.random(g.shape) < 0.3] = -0.0
+        zeros.imag[rng.random(g.shape) < 0.3] = -0.0
         h = g.dual().dual().spacing
-        inverse = np.fft.ifftn(flip(np.fft.ifftshift(f.values))) / h**d
-        assert np.array_equal(fourier_transform(fhat, "inverse").values, inverse)
+        for vals in (noise, zeros, np.full(g.shape, complex(-0.0, -0.0))):
+            f = SampledFunction(g, vals.copy())
+            fhat = SampledFunction(g.dual(), vals.copy())
+            forward = np.fft.fftshift(flip(np.fft.fftn(vals)) * g.spacing**d)
+            inverse = np.fft.ifftn(flip(np.fft.ifftshift(vals))) / h**d
+            assert np.array_equal(bits(fourier_transform(f, "forward").values),
+                                  bits(forward))
+            assert np.array_equal(bits(fourier_transform(fhat, "inverse").values),
+                                  bits(inverse))
+            assert np.array_equal(bits(f.values), bits(vals))
+            assert np.array_equal(bits(fhat.values), bits(vals))
 
     def test_bad_direction(self, grid_1d):
         with pytest.raises(InvalidInputError):

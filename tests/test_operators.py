@@ -194,8 +194,11 @@ class TestFactorSamples:
         g = Grid(1, 64, 4.0)
         s = bessel_multiplier(-1.0)
         dd = dyadic_decompose(s, g, 2)
+        sep = separable_symbol(
+            trig_multiplication(smoothness_coefficients(2, 3), 8.0), s)
         for arr in (s.sampled_factor("xi", g.dual()), dd.symbol_values(),
-                    dd.dual_radius):
+                    dd.dual_radius,
+                    dyadic_decompose(sep, g, 2).symbol_values([0.5])):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -274,6 +277,37 @@ class TestDyadicDecomposition:
         piece = np.abs(dd.piece_values(2))
         outside = (r < 2.0) | (r > 8.0)
         assert np.max(piece[outside]) == 0.0
+
+    def test_x_dependent_sample_kept_for_last_x(self, monkeypatch):
+        g = Grid(2, 32, 4.0)
+        s = separable_symbol(
+            trig_multiplication(smoothness_coefficients(2, 6), 8.0),
+            bessel_multiplier(-1.0))
+        dd = dyadic_decompose(s, g, 3)
+        x = [0.5, -1.0]
+        points = ([0.25, -1.0], [0.0, 0.0], [-0.0, 0.0], x)
+        fresh = [s.eval(np.array(p), dd.dual.coord_stack()) for p in points]
+        calls = []
+        evaluate = Symbol.eval
+
+        def counted(self, x, xi):
+            calls.append(np.array(x, dtype=float).tobytes())
+            return evaluate(self, x, xi)
+
+        monkeypatch.setattr(Symbol, "eval", counted)
+        first = dd.symbol_values(x)
+        for j in range(dd.levels + 1):
+            dd.piece_values(j, x)
+        dd.sum_values(x)
+        dd.truncation_values(x)
+        assert len(calls) == 1 and dd.symbol_values(np.array(x)) is first
+        # a new x replaces the sample; the exact bits of x are the key
+        for p, want in zip(points, fresh):
+            assert np.array_equal(dd.symbol_values(p), want)
+            dd.symbol_values(p)
+        assert calls[1:] == [np.array(p).tobytes() for p in points]
+        # the sample is not part of the decomposition's identity
+        assert dd == dyadic_decompose(s, g, 3) and "_x_sample" not in repr(dd)
 
     def test_level_validation(self):
         g = Grid(1, 64, 16.0)  # nyquist = 2 pi
