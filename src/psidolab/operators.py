@@ -3,13 +3,19 @@ exact discrete adjoint.
 
 The operator acts by  (T f)(x) = (2R)^{-d} sum_m exp(i x.xi_m) sigma(x, xi_m) fhat(xi_m),
 the Riemann-sum realization of symbol quantization on the periodic box.
-Every kind but "general" is a factored product a(x) b(xi) and takes one
-path: an FFT pair around the multiplication by b when xi_factor exists,
-then a pointwise (exact) multiplication by a when x_factor exists.
-General symbols take the O(n^{2d}) quadratic path, capped per dimension.
+Apply and adjoint take one path: the symbol is a sum of terms
+a_r(x) b_r(xi), and each term costs an FFT pair around the multiplication
+by b_r (skipped without b_r) and a pointwise multiplication by a_r
+(skipped without a_r).  Every kind but "general" is one factored term.
+A general symbol is compressed on every call by adaptive cross
+approximation of its sample matrix sigma(x_i, xi_j), to a residual of at
+most 1e-15 of the largest probed entry, so its cost follows its numerical
+rank r: O(r N) evaluations and about 2(r + 1) FFTs for N grid points, not
+N^2.  A rank above min(N, 128, 2^22 / N) raises InvalidInputError.
 
 The adjoint is the conjugate transpose of the discretized operator
-matrix, realized matrix-free, so the pairing identity
+matrix (for a general symbol, of the compressed one), realized
+matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 
 Each factor is sampled once per grid: `Symbol.sampled_factor` memoises
@@ -25,9 +31,8 @@ given immutable inputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -36,8 +41,9 @@ from .errors import InvalidInputError, PreconditionError
 from .grid import (Grid, SampledFunction, compatible_grids, fourier_transform)
 from .symbols import Symbol, SymbolClassParams
 
-_GENERAL_N_CAP = {1: 4096, 2: 128, 3: 32}
-_GENERAL_WARN_OPS = 2**24
+_ACA_TOL = 1e-15        # probe residual / max|probe| at which compression stops
+_ACA_PROBES = 1024      # entries per probe set (two disjoint sets)
+_ACA_RANK_CAP = 128
 SUPPORT_THRESHOLD = 1e-14
 OFFSUPPORT_MARGIN_CELLS = 2
 
@@ -69,99 +75,128 @@ def ring_cutoff(r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator application
 
-def _check_general_cap(grid: Grid):
-    cap = _GENERAL_N_CAP[grid.dim]
-    if grid.points_per_axis > cap:
-        raise InvalidInputError(
-            f"general-symbol path is O(n^(2d)); n = {grid.points_per_axis} exceeds "
-            f"the cap {cap} for d = {grid.dim}")
-    if grid.total_points**2 > _GENERAL_WARN_OPS:
-        warnings.warn(
-            f"general-symbol path runs {grid.total_points}^2 symbol evaluations",
-            RuntimeWarning, stacklevel=3)
+def _general_terms(s: Symbol, grid: Grid) -> list:
+    """Sampled terms (a_r on the x grid, b_r on the dual grid) with
+    S[i, j] = sigma(x_i, xi_j) ~ sum_r a_r[i] b_r[j].
+
+    Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 86, 2000): each step evaluates one residual row sigma(x_i, all
+    xi), pivots on its largest entry and evaluates that residual column,
+    so the cost is O(r N) evaluations for rank r.  The stopping test reads
+    two disjoint sets of probe entries, drawn from a local generator and
+    evaluated once: the approximation stops when the residual on unused
+    rows is at most _ACA_TOL * max|probe| on the first set, and then on
+    the second; otherwise the next pivot row is the row of the worst probe
+    (a row is never pivoted twice).  Deterministic for a given symbol and
+    grid.  A rank above min(N, _ACA_RANK_CAP, 2^22 / N) raises
+    InvalidInputError; the last bound keeps each factor set within 2^22
+    samples.
+    """
+    d, npts = grid.dim, grid.total_points
+    dual = grid.dual()
+    x = grid.coord_stack().reshape(-1, d)
+    xi = dual.coord_stack().reshape(-1, d)
+    count = min(_ACA_PROBES, npts * npts // 2)
+    flat = np.random.default_rng(0).choice(npts * npts, 2 * count, replace=False)
+    rows, cols = np.divmod(flat, npts)
+    probes = np.broadcast_to(s.eval(x[rows], xi[cols]), rows.shape)
+    sets = [slice(0, count), slice(count, 2 * count)]
+    tols = [_ACA_TOL * np.max(np.abs(probes[sl]), initial=0.0) for sl in sets]
+    approx = np.zeros(2 * count, dtype=np.complex128)
+    cap = min(npts, _ACA_RANK_CAP, 2**22 // npts)  # rank N is exact
+    a_terms = np.empty((cap, npts), dtype=np.complex128)
+    b_terms = np.empty((cap, npts), dtype=np.complex128)
+    used = np.zeros(npts, dtype=bool)
+    rank = 0
+    i = int(rows[np.argmax(np.abs(probes[sets[0]]))])
+    while True:
+        used[i] = True
+        a, b = a_terms[:rank], b_terms[:rank]
+        # einsum, not BLAS: the same bits whatever the BLAS threading
+        row = (np.broadcast_to(s.eval(x[i], xi), (npts,))
+               - np.einsum("r,rn->n", a[:, i], b))
+        j = int(np.argmax(np.abs(row)))
+        col = (np.broadcast_to(s.eval(x, xi[j]), (npts,))
+               - np.einsum("r,rn->n", b[:, j], a))
+        if row[j] != 0:
+            if rank == cap:
+                raise InvalidInputError(
+                    f"{s.label}: cross approximation reached rank {rank}, the "
+                    f"cap {cap} for {npts} points, above tolerance {_ACA_TOL:g} "
+                    f"on {grid}")
+            a_terms[rank], b_terms[rank] = col, row / row[j]
+            approx += a_terms[rank, rows] * b_terms[rank, cols]
+            rank += 1
+        err = np.abs(probes - approx)
+        err[used[rows]] = 0.0  # pivot rows are interpolated
+        failing = [sl for sl, tol in zip(sets, tols) if np.max(err[sl]) > tol]
+        if not failing:
+            break
+        i = int(rows[failing[0]][np.argmax(err[failing[0]])])
+    return [(a_terms[r].reshape(grid.shape), b_terms[r].reshape(dual.shape))
+            for r in range(rank)]
 
 
-def _general_apply(s: Symbol, f: SampledFunction) -> SampledFunction:
-    _check_general_cap(f.grid)
-    fhat = fourier_transform(f, "forward")
-    d = f.grid.dim
-    x_flat = f.grid.coord_stack().reshape(-1, d)
-    xi_flat = fhat.grid.coord_stack().reshape(-1, d)
-    fvec = fhat.values.reshape(-1)
-    npts = x_flat.shape[0]
-    out = np.empty(npts, dtype=np.complex128)
-    chunk = max(1, 2**21 // npts)
-    for lo in range(0, npts, chunk):
-        sl = slice(lo, min(lo + chunk, npts))
-        phases = np.exp(1j * (x_flat[sl] @ xi_flat.T))
-        sym = s.eval(x_flat[sl, None, :], xi_flat[None, :, :])
-        out[sl] = (phases * sym) @ fvec
-    out *= (2.0 * f.grid.half_extent) ** (-d)
-    return SampledFunction(f.grid, out.reshape(f.grid.shape))
+def _terms(s: Symbol, grid: Grid) -> list:
+    """The symbol as terms (a_r, b_r) with sigma(x_i, xi_j) ~ sum_r
+    a_r(x_i) b_r(xi_j).  Each factor is a function of the grid it is
+    sampled on (a_r: x grid, b_r: dual grid), or None when absent."""
+    if s.kind != "general":
+        return [(None if s.x_factor is None else partial(s.sampled_factor, "x"),
+                 None if s.xi_factor is None else partial(s.sampled_factor, "xi"))]
+    return [(_given(a), _given(b)) for a, b in _general_terms(s, grid)]
+
+
+def _given(samples: np.ndarray):
+    return lambda grid: samples
 
 
 def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     """Apply the operator with symbol s to the sampled function f.
 
-    A factored symbol a(x) b(xi) multiplies fhat by b between one forward
-    and one inverse FFT (skipped without xi_factor), then multiplies
-    pointwise by a (skipped without x_factor), so a multiplication symbol
-    is exact at grid level.  "general" runs the quadratic-cost double sum
-    (see the per-dimension caps).
+    Each term a_r(x) b_r(xi) of the symbol (see `_terms`) multiplies fhat
+    by b_r before an inverse FFT (skipped without b_r), then multiplies
+    pointwise by a_r (skipped without a_r); the terms share one forward
+    FFT.  A factored symbol is one term, so a multiplication symbol is
+    exact at grid level; a general symbol is its cross approximation.
     """
-    if s.kind == "general":
-        return _general_apply(s, f)
-    out = f
-    if s.xi_factor is not None:
-        fhat = fourier_transform(f, "forward")
-        bvals = s.sampled_factor("xi", fhat.grid)
-        out = fourier_transform(SampledFunction(fhat.grid, bvals * fhat.values),
-                                "inverse")
-    if s.x_factor is not None:
-        out = SampledFunction(f.grid, s.sampled_factor("x", f.grid) * out.values)
-    return out
-
-
-def _general_adjoint(s: Symbol, g: SampledFunction) -> SampledFunction:
-    _check_general_cap(g.grid)
-    d = g.grid.dim
-    dual = g.grid.dual()
-    x_flat = g.grid.coord_stack().reshape(-1, d)
-    xi_flat = dual.coord_stack().reshape(-1, d)
-    gvec = g.values.reshape(-1)
-    npts = x_flat.shape[0]
-    psi = np.empty(npts, dtype=np.complex128)
-    chunk = max(1, 2**21 // npts)
-    for lo in range(0, npts, chunk):
-        sl = slice(lo, min(lo + chunk, npts))
-        phases = np.exp(-1j * (xi_flat[sl] @ x_flat.T))
-        sym = np.conj(s.eval(x_flat[None, :, :], xi_flat[sl, None, :]))
-        psi[sl] = (phases * sym) @ gvec
-    two_r = 2.0 * g.grid.half_extent
-    psi *= two_r ** (-d)
-    back = fourier_transform(SampledFunction(dual, psi.reshape(dual.shape)), "inverse")
-    scale = g.grid.spacing**d * two_r**d
-    return SampledFunction(g.grid, back.values * scale)
+    fhat = total = None
+    for a, b in _terms(s, f.grid):
+        out = f
+        if b is not None:
+            if fhat is None:
+                fhat = fourier_transform(f, "forward")
+            out = fourier_transform(
+                SampledFunction(fhat.grid, b(fhat.grid) * fhat.values), "inverse")
+        if a is not None:
+            out = SampledFunction(f.grid, a(f.grid) * out.values)
+        total = out if total is None else total + out
+    if total is None:
+        return SampledFunction(f.grid, np.zeros(f.grid.shape))
+    return total
 
 
 def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
     """Apply the exact conjugate transpose of the discretized operator.
 
-    Matrix-free: the conjugated factors in reverse order, or the transposed
-    double sum for "general"; the discrete pairing <T u, phi> = <u, T* phi>
-    holds to roundoff by construction.
+    Matrix-free: per term, conj(a_r) g is transformed and multiplied by
+    conj(b_r); the sum takes one inverse FFT.  It is the exact adjoint of
+    what `apply_psido` computes, truncated terms included, so the discrete
+    pairing <T u, phi> = <u, T* phi> holds to roundoff.
     """
-    if s.kind == "general":
-        return _general_adjoint(s, g)
-    out = g
-    if s.x_factor is not None:
-        out = SampledFunction(g.grid, np.conj(s.sampled_factor("x", g.grid)) * g.values)
-    if s.xi_factor is not None:
+    spectrum = None
+    for a, b in _terms(s, g.grid):
+        out = g
+        if a is not None:
+            out = SampledFunction(g.grid, np.conj(a(g.grid)) * g.values)
+        if b is None:
+            return out  # a multiplication symbol: pointwise and exact
         shat = fourier_transform(out, "forward")
-        bvals = s.sampled_factor("xi", shat.grid)
-        out = fourier_transform(
-            SampledFunction(shat.grid, np.conj(bvals) * shat.values), "inverse")
-    return out
+        part = SampledFunction(shat.grid, np.conj(b(shat.grid)) * shat.values)
+        spectrum = part if spectrum is None else spectrum + part
+    if spectrum is None:
+        return SampledFunction(g.grid, np.zeros(g.grid.shape))
+    return fourier_transform(spectrum, "inverse")
 
 
 # ---------------------------------------------------------------------------

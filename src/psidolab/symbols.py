@@ -3,7 +3,13 @@
 A symbol evaluator is a vectorized callable ``fn(x, xi)`` where both
 arguments are float arrays whose last axis is the coordinate axis; the
 result broadcasts against the leading shapes.  Evaluators must be pure
-and reentrant.
+and reentrant, and finite on the grids they are applied on.  A general
+(non-factored) symbol is applied through a cross approximation that
+evaluates full rows sigma(x_i, all xi), full columns sigma(all x, xi_j)
+and a fixed set of probe entries, not every (x, xi) pair: a value that is
+non-finite for every x at some xi (or for every xi at some x) raises
+SymbolEvaluationError naming the point, but one at an isolated (x, xi)
+pair can go unseen.
 
 Class membership (the weighted derivative bound with weight
 ``<xi>^(m - rho|beta| + delta|alpha|)``) is checked by sampling: the
@@ -198,6 +204,10 @@ class Symbol:
             out = np.asarray(self.evaluator(x, xi), dtype=np.complex128)
         bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
         if np.any(bad):
+            # an evaluator may return values that do not depend on x or xi
+            # unbroadcast; name a point of the full broadcast shape
+            bad = np.broadcast_to(bad, np.broadcast_shapes(
+                bad.shape, x.shape[:-1], xi.shape[:-1]))
             xb = np.broadcast_to(x, bad.shape + x.shape[-1:])
             xib = np.broadcast_to(xi, bad.shape + xi.shape[-1:])
             where = tuple(np.argwhere(bad)[0])
@@ -339,7 +349,7 @@ def builtin_symbols(period: float) -> list:
 
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))                  # / (12 s)
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))    # / (12 s^2)
-_EVAL_BLOCK = 2**20  # points per batched Symbol.eval (general-path chunks are 2^21)
+_EVAL_BLOCK = 2**20  # points per batched Symbol.eval of the difference stencils
 _RAW = "raw"         # plan of an order-0 pair: the unshifted sample points
 
 

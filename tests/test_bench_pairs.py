@@ -105,3 +105,27 @@ class TestSummary:
         assert report["claim"]["change_wins"] == 10 - failures
         assert report["claim"]["met"] is met
         assert "--seconds 30 " in report["commands"]["end_to_end"]
+
+    def test_shares_and_time_ratios_kept_apart_from_counts(self):
+        def traced(coverage, floor_ratio):
+            result = json.loads(json.dumps(RESULT))
+            result["metrics"].update({
+                "trace.coverage": {"value": coverage, "unit": "fraction"},
+                "grid.fourier_transform.floor_ratio": {"value": floor_ratio,
+                                                       "unit": "ratio"},
+                "estimates.norm.applies_per_iteration": {"value": 2.0, "unit": "ratio"}})
+            result["selfcheck"] = (0, 0)
+            record = bench_pairs._record(result, 0)
+            record["traced"] = bench_pairs._traced(result, 0)
+            return record
+
+        pairs = [self.pair(traced(0.9, 3.0), traced(0.8, 2.0)),
+                 self.pair(traced(0.7, 2.0), traced(0.6, 1.0)),
+                 self.pair(traced(0.8, 4.0), traced(0.7, 1.5))]
+        summary = bench_pairs._summary(pairs, SPECS)
+        assert summary["traced_shares_median"] == {
+            "trace.coverage": {"parent": 0.8, "change": 0.7},
+            "grid.fourier_transform.floor_ratio": {"parent": 3.0, "change": 1.5}}
+        assert summary["traced_counts_parent_change"] == {
+            "symbols.eval.calls": [[7, 7]] * 3,
+            "estimates.norm.applies_per_iteration": [[2.0, 2.0]] * 3}

@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from psidolab import (Grid, InvalidInputError, PreconditionError,
                       SampledFunction, Symbol, SymbolClassParams,
@@ -17,6 +21,7 @@ from psidolab import (Grid, InvalidInputError, PreconditionError,
                       offsupport_apply, quadrature, random_band_limited,
                       ring_cutoff, separable_symbol, smoothness_coefficients,
                       trig_multiplication, wave_multiplier, with_params)
+from psidolab import operators
 from conftest import gaussian
 
 
@@ -40,6 +45,43 @@ def brute_force_apply_at(symbol, f, x):
     sym = np.array([complex(symbol.eval(np.asarray(x, float), xi)) for xi in xis])
     return np.sum(np.exp(1j * (xis @ np.asarray(x, float))) * sym * fhat) \
         / (2.0 * g.half_extent) ** d
+
+
+def quadratic_apply_adjoint(s, u, phi):
+    """Reference: T u and T* phi by the O(N^2) double sums of the
+    quantization formula, one block of rows of the (x, xi) matrix at a time.
+
+    The phases are reduced exactly.  Per axis x_k = -R + k h and
+    xi_m = m~ pi / R with m~ = m - n/2, so exp(i x_k . xi_m) is
+    (-1)^(sum m~) exp(2 pi i (k . m~ mod n) / n).  exp(1j * (x @ xi))
+    itself loses about |x . xi| ulp, up to 1.6e-14 of max|T u| at d=1
+    n=256 for a symbol of order 0.8: more than the compressed apply's error.
+    """
+    g = u.grid
+    d, n = g.dim, g.points_per_axis
+    k = np.indices(g.shape, dtype=float).reshape(d, -1).T  # k . m~ is exact
+    m = k - n // 2
+    sign = np.where(m.sum(axis=1) % 2, -1.0, 1.0)
+    x_flat = g.coord_stack().reshape(-1, d)
+    xi_flat = g.dual().coord_stack().reshape(-1, d)
+    uhat = fourier_transform(u, "forward").values.reshape(-1)
+    gvec = phi.values.reshape(-1)
+    npts = x_flat.shape[0]
+    out = np.empty(npts, dtype=np.complex128)
+    psi = np.zeros(npts, dtype=np.complex128)
+    chunk = max(1, 2**21 // npts)
+    for lo in range(0, npts, chunk):
+        sl = slice(lo, min(lo + chunk, npts))
+        phases = sign * np.exp((2j * np.pi / n) * ((k[sl] @ m.T) % n))
+        block = phases * s.eval(x_flat[sl, None, :], xi_flat[None, :, :])
+        out[sl] = block @ uhat
+        psi += np.conj(block).T @ gvec[sl]
+    two_r = 2.0 * g.half_extent
+    out *= two_r ** (-d)
+    psi *= two_r ** (-d)
+    back = fourier_transform(SampledFunction(g.dual(), psi.reshape(g.shape)), "inverse")
+    return (SampledFunction(g, out.reshape(g.shape)),
+            SampledFunction(g, back.values * (g.spacing**d * two_r**d)))
 
 
 class TestApplyPaths:
@@ -128,14 +170,24 @@ class TestApplyPaths:
         scale = np.max(np.abs(lhs.values)) + 1
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * scale
 
-    def test_general_cap(self):
+    def test_general_rank_cap(self):
+        # the grid caps the rank of a general symbol, not its size: a
+        # constant applies at rank 1 where the old n cap refused the grid
         g = Grid(2, 256, 4.0)
-        f = SampledFunction(g, np.zeros(g.shape))
-        s = Symbol(lambda x, xi: np.ones(np.broadcast_shapes(
-            x.shape[:-1], xi.shape[:-1]), dtype=complex),
-            SymbolClassParams(m=0.0), "general")
-        with pytest.raises(InvalidInputError, match="cap"):
-            apply_psido(s, f)
+        f = random_band_limited(g, np.random.default_rng(4))
+        ones = lambda x, xi: np.ones(np.broadcast_shapes(  # noqa: E731
+            x.shape[:-1], xi.shape[:-1]), dtype=complex)
+        s = Symbol(ones, SymbolClassParams(m=0.0), "general")
+        assert len(operators._general_terms(s, g)) == 1
+        fast = apply_psido(Symbol(ones, SymbolClassParams(m=0.0), "multiplier"), f)
+        assert np.max(np.abs(apply_psido(s, f).values - fast.values)) <= 1e-12
+        # numerically full rank: the cap of 128 for 512 points stops it
+        noise = Symbol(lambda x, xi: np.sin(1e6 * x[..., 0] * xi[..., 0]) + 0j,
+                       SymbolClassParams(m=0.0), "general", label="noise")
+        g = Grid(1, 512, 4.0)
+        with pytest.raises(InvalidInputError, match=r"noise: .* rank 128, "
+                           r"the cap 128 .*points_per_axis=512"):
+            apply_psido(noise, random_band_limited(g, np.random.default_rng(4)))
 
     def test_overflowing_symbol_raises_typed_error(self):
         # <xi>^120 overflows near the Nyquist frequency 2048 pi
@@ -145,6 +197,116 @@ class TestApplyPaths:
             with np.errstate(over="ignore"), \
                     pytest.raises(SymbolEvaluationError, match="bessel:120"):
                 op(bessel_multiplier(120.0), f)
+
+
+def coupled_symbol(x1_only, weights, amp, freq, order, vary, mix):
+    """(1 + amp cos(freq t)) <xi>^(order + vary sin t) + mix e^(it) <xi>^-2
+    with t = x1 or t = x . weights: x-dependent, no factor split."""
+    def ev(x, xi):
+        t = x[..., 0] if x1_only else x @ np.asarray(weights[:x.shape[-1]])
+        br2 = 1.0 + np.sum(xi**2, axis=-1)
+        return ((1.0 + amp * np.cos(freq * t)) * br2 ** (0.5 * (order + vary * np.sin(t)))
+                + mix * np.exp(1j * t) / br2)
+
+    return Symbol(ev, SymbolClassParams(m=order + abs(vary)), "general",
+                  label="coupled")
+
+
+_SMALL_N = {1: (16, 64, 256), 2: (8, 16, 32), 3: (8,)}  # plus the example at d=3 n=16
+
+
+@st.composite
+def coupled_cases(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(_SMALL_N[d]))
+    grid = Grid(d, n, draw(st.sampled_from((1.0, math.pi, 4.0))))
+    real = st.floats(-1.0, 1.0)
+    symbol = coupled_symbol(
+        draw(st.booleans()), draw(st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3)),
+        draw(st.floats(0.0, 0.5)), draw(st.integers(0, 2)), draw(st.floats(-2.0, 0.5)),
+        draw(st.floats(-0.3, 0.3)), draw(real))
+    return grid, symbol, draw(st.integers(0, 2**32 - 1))
+
+
+def x1_case(d, n):
+    # x-dependence through x1 only: n^(d-1) copies of every row
+    s = coupled_symbol(True, (1.0,) * 3, 0.3, 1, -1.0, 0.2, 0.5)
+    return Grid(d, n, math.pi), s, 7
+
+
+class TestGeneralCompression:
+    @settings(max_examples=12, deadline=None)
+    @given(coupled_cases())
+    @example((Grid(1, 256, 4.0),
+              coupled_symbol(False, (1.0,) * 3, 0.5, 2, 0.5, 0.3, 1.0), 3))
+    @example(x1_case(2, 32))
+    @example(x1_case(3, 16))
+    def test_matches_quadratic_reference(self, case):
+        grid, s, seed = case
+        rng = np.random.default_rng(seed)
+        u, phi = random_band_limited(grid, rng), random_band_limited(grid, rng)
+        ref_apply, ref_adjoint = quadratic_apply_adjoint(s, u, phi)
+        tu, tphi = apply_psido(s, u), discrete_adjoint_apply(s, phi)
+        for got, ref in ((tu, ref_apply), (tphi, ref_adjoint)):
+            err = np.max(np.abs(got.values - ref.values))
+            assert err <= 1e-14 * np.max(np.abs(ref.values))
+        bound = (mixed_norm(u, MixedExponent((2.0,) * grid.dim))
+                 * mixed_norm(phi, MixedExponent((2.0,) * grid.dim)))
+        assert abs(dual_pairing(tu, phi) - dual_pairing(u, tphi)) <= 1e-12 * bound
+
+    def test_zero_symbol_is_rank_zero(self):
+        g = Grid(2, 16, 4.0)
+        zero = Symbol(lambda x, xi: np.zeros(np.broadcast_shapes(
+            x.shape[:-1], xi.shape[:-1]), dtype=complex),
+            SymbolClassParams(m=0.0), "general")
+        f = random_band_limited(g, np.random.default_rng(5))
+        assert operators._general_terms(zero, g) == []
+        for op in (apply_psido, discrete_adjoint_apply):
+            out = op(zero, f)
+            assert out.grid == g and np.array_equal(out.values, np.zeros(g.shape))
+
+    @pytest.mark.parametrize("evaluator, point", [
+        # 1/|xi| is infinite at xi = 0, a dual grid point: every full row sees it
+        (lambda x, xi: 1.0 / np.sqrt(np.sum(xi**2, axis=-1)) + 0j,
+         r"xi=\[0\.0, 0\.0\]"),
+        # 1/x1 is infinite on x1 = 0: every full column sees it
+        (lambda x, xi: 1.0 / x[..., 0] + 0j, r"x=\[0\.0, "),
+        # exp(40 |x|^2) overflows near the corners of the box
+        (lambda x, xi: np.exp(40.0 * np.sum(x**2, axis=-1))
+         / (1.0 + np.sum(xi**2, axis=-1)), r"xi=\["),
+    ], ids=["xi-only", "x-only", "overflow"])
+    def test_non_finite_raises_typed_error(self, evaluator, point):
+        g = Grid(2, 32, 4.0)
+        s = Symbol(evaluator, SymbolClassParams(m=0.0), "general", label="bad")
+        f = random_band_limited(g, np.random.default_rng(6))
+        for op in (apply_psido, discrete_adjoint_apply):
+            with pytest.raises(SymbolEvaluationError,
+                               match="bad: non-finite value at .*" + point):
+                op(s, f)
+
+    def test_deterministic(self):
+        first = determinism_digest()
+        np.random.seed(12345)
+        np.random.random(100)
+        assert determinism_digest() == first
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(here.parent / "src"), str(here)]))
+        code = "import test_operators as t; print(t.determinism_digest())"
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                               capture_output=True, text=True).stdout.strip()
+        assert fresh == first
+
+
+def determinism_digest() -> str:
+    """Rank and output bits of a coupled apply and adjoint at d=2 n=32."""
+    g = Grid(2, 32, math.pi)
+    s = coupled_symbol(False, (1.0, 0.7, 0.45), 0.3, 1, -1.0, 0.2, 0.5)
+    f = random_band_limited(g, np.random.default_rng(8))
+    digest = hashlib.sha256()
+    for op in (apply_psido, discrete_adjoint_apply):
+        digest.update(op(s, f).values.tobytes())
+    return f"{len(operators._general_terms(s, g))} {digest.hexdigest()}"
 
 
 def counting_symbol(calls: dict) -> Symbol:

@@ -18,7 +18,9 @@ run.  The report is rewritten after every pair, so an interrupted session
 keeps the pairs it measured.  The summary holds, per workload and
 end-to-end metric, the median and linear-interpolated quartiles per side
 over the pairs where both untraced runs succeeded, the change's wins, and
-the median change against the metric's bound.
+the median change against the metric's bound; for the traced runs, the
+per-pair work counts and per-side medians of the layer times and of the
+shares and time ratios (``trace.coverage``, ``floor_ratio``, ...).
 """
 
 from __future__ import annotations
@@ -141,10 +143,11 @@ def _summary(pairs: list, metric_specs: list) -> dict:
         name: [[tp["counts"][name], tc["counts"][name]]
                for tp, tc in zip(traced["parent"], traced["change"])]
         for name in traced["parent"][0]["counts"]}
-    out["traced_layer_s_median"] = {
-        name: {side: statistics.median(t["layer_s"][name] for t in traced[side])
-               for side in SIDES}
-        for name in traced["parent"][0]["layer_s"]}
+    for key in ("layer_s", "shares"):
+        out[f"traced_{key}_median"] = {
+            name: {side: statistics.median(t[key][name] for t in traced[side])
+                   for side in SIDES}
+            for name in traced["parent"][0][key]}
     return out
 
 
@@ -169,7 +172,10 @@ def _traced(result: dict, order: int) -> dict:
             "counts": {k: m["value"] for k, m in metrics.items()
                        if m["unit"] in ("count", "ratio")
                        and not k.endswith("floor_ratio")},
-            "layer_s": {k: m["value"] for k, m in metrics.items() if m["unit"] == "s"}}
+            "layer_s": {k: m["value"] for k, m in metrics.items() if m["unit"] == "s"},
+            # shares and time ratios: vary between runs, compared by medians
+            "shares": {k: m["value"] for k, m in metrics.items()
+                       if m["unit"] == "fraction" or k.endswith("floor_ratio")}}
 
 
 def _report(args, argv, bench: dict, commit: str, environment, pairs: list) -> dict:
