@@ -68,12 +68,13 @@ def write_function_csv(path, f: SampledFunction) -> None:
 
 
 def write_radial_decay_csv(path, f: SampledFunction) -> None:
-    """(|z|, |k(z)|) pairs sorted by radius, for decay fitting."""
+    """(|z|, |k(z)|) pairs sorted by radius, for decay fitting.
+
+    Written as one string: the rows csv.writer would write for the same
+    repr pairs (float reprs need no quoting), with its \r\n endings."""
     r = f.grid.radius().reshape(-1)
     mag = np.abs(f.values).reshape(-1)
     order = np.argsort(r, kind="stable")
+    rows = [f"{z!r},{k!r}\r\n" for z, k in zip(r[order].tolist(), mag[order].tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["abs_z", "abs_k"])
-        for i in order:
-            writer.writerow([repr(float(r[i])), repr(float(mag[i]))])
+        fh.write("abs_z,abs_k\r\n" + "".join(rows))

@@ -16,6 +16,14 @@ Because R * (pi/R) = pi, the boundary phase exp(+-i R xi_m) reduces to
 the exact alternating sign (-1)^m per axis; no trigonometric roundoff
 enters the transform beyond the FFT itself.
 
+Grid geometry comes from the 1-D axis.  `squared_radius` broadcasts the
+squared axis, adding in axis order, and `radius` is its square root; both
+give the bits of the full coordinate arrays without building them.  The
+built-in symbol factors sample a Grid the same way (see `Symbol`).  Only
+callers that need every point as a vector (user factor callables, the
+general path, the x-dependent dyadic sample, the support checks) build
+`coord_stack`, of shape (*shape, d).
+
 Cost of a transform: one FFT plus about one pass over the samples, in
 place.  n is even, so fftshift and ifftshift both swap each half-block
 with the opposite one.  The forward direction negates the samples of the
@@ -103,10 +111,24 @@ class Grid:
         """All grid points as an array of shape (*shape, dim)."""
         return np.stack(self.meshgrid(), axis=-1)
 
+    def squared_radius(self) -> np.ndarray:
+        """|x|^2 at every grid point, from the squared 1-D axis.
+
+        The squares add in axis order, ((x1^2 + x2^2) + x3^2), broadcast
+        from per-axis views: the bits of summing the squared coordinate
+        arrays, or the coordinate axis of `coord_stack`, without building
+        either."""
+        square = self.axis_coords() ** 2
+        total = square.reshape((-1,) + (1,) * (self.dim - 1))
+        for axis in range(1, self.dim):
+            total = total + square.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+        return total
+
     def radius(self) -> np.ndarray:
-        """Euclidean distance from the origin at every grid point."""
-        mesh = self.meshgrid()
-        return np.sqrt(sum(c**2 for c in mesh))
+        """Euclidean distance from the origin at every grid point: the
+        square root of `squared_radius`, bit for bit the root of the summed
+        squared coordinate arrays."""
+        return np.sqrt(self.squared_radius())
 
     def dual(self) -> "Grid":
         """The DFT-dual frequency grid (spacing pi/R, Nyquist pi*n/(2R)).

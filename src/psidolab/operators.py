@@ -214,7 +214,8 @@ class DyadicDecomposition:
     Piece 0 is the low-frequency cap sigma * eta(|xi|); piece j >= 1 is
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
     Pieces are evaluated lazily on the dual grid; the dual grid and its
-    radius are computed once per decomposition, the cutoffs per call.
+    radius are computed once per decomposition, the cutoffs per call
+    (`sum_values` computes each dilated low-pass once for all pieces).
     The symbol sample of an x-dependent symbol is kept for the last x
     only, like `Symbol.sampled_factor` keeps the last grid.
     """
@@ -274,11 +275,18 @@ class DyadicDecomposition:
         return self.symbol_values(x) * self.cutoff_values(j)
 
     def sum_values(self, x=None) -> np.ndarray:
-        """Sum of all pieces; equals sigma * eta(2^-J |xi|) up to roundoff."""
+        """Sum of all pieces; equals sigma * eta(2^-J |xi|) up to roundoff.
+
+        Each dilated low-pass L_j = eta(|xi| / 2^j) is computed once: ring
+        j is L_j - L_(j-1), the bits of `cutoff_values(j)`, because
+        2 (|xi| / 2^j) equals |xi| / 2^(j-1) exactly."""
         sym = self.symbol_values(x)
         total = np.zeros(self.dual.shape, dtype=np.complex128)
+        below = None
         for j in range(self.levels + 1):
-            total += sym * self.cutoff_values(j)
+            low = low_pass_cutoff(self.dual_radius / 2.0**j)
+            total += sym * (low if below is None else low - below)
+            below = low
         return total
 
     def truncation_values(self, x=None) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, SymbolEvaluationError
-from .grid import SampledFunction, spectral_derivative
+from .grid import Grid, SampledFunction, spectral_derivative
 
 FD_ORDER_CAP = 8  # mixed central differences degrade beyond this total order
 # evaluators run quietly: the finiteness checks turn overflow into typed errors
@@ -114,6 +114,14 @@ class Symbol:
     or multiplication built without its factor gets one that samples the
     evaluator; any other kind/factor mismatch is rejected.
 
+    A factor is a vectorized callable of points (..., dim) returning the
+    leading shape (or a shape that broadcasts to it).  The built-in
+    factors also take a Grid and return their value at every grid point,
+    sampled from the grid's 1-D axis; they are marked by a true
+    `takes_grid` attribute on the callable itself, so wrappers made with
+    `functools.wraps` keep the mark.  `sampled_factor` passes the Grid to
+    a marked factor and the grid's coordinate stack to any other.
+
     `sampled_factor` memoises the last grid sample of each factor (one
     read-only array per factor).  The memo is not part of the symbol's
     identity: equality, hashing and repr ignore it, and every
@@ -160,18 +168,21 @@ class Symbol:
         concurrent caller sees either entry complete, never one grid
         paired with another's samples (at worst two callers sample the
         same grid).  The returned array is read-only.  A non-finite sample
-        raises SymbolEvaluationError naming the first bad point.
+        raises SymbolEvaluationError naming the first bad point.  A factor
+        marked `takes_grid` samples the grid itself; any other gets every
+        grid point as `grid.coord_stack()`.
         """
         entry = self._samples.get(which)
         if entry is not None and entry[0] == grid:
             return entry[1]
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
-        points = grid.coord_stack()
+        arg = grid if getattr(factor, "takes_grid", False) else grid.coord_stack()
         # a view, so the read-only flag never reaches an array the factor keeps
         with np.errstate(**_QUIET):
-            values = np.asarray(factor(points), dtype=np.complex128).view()
+            values = np.asarray(factor(arg), dtype=np.complex128).view()
         finite = np.isfinite(values)
         if not finite.all():
+            points = grid.coord_stack()
             bad = ~np.broadcast_to(finite, points.shape[:-1])
             where = tuple(np.argwhere(bad)[0])
             raise SymbolEvaluationError(
@@ -237,8 +248,22 @@ def with_params(s: Symbol, **updates) -> Symbol:
 # ---------------------------------------------------------------------------
 # built-in families
 
-def _bracket(xi: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + np.sum(xi**2, axis=-1))
+def _takes_grid(factor: Callable) -> Callable:
+    """Mark a factor of points as also taking a Grid (see `Symbol`)."""
+    factor.takes_grid = True
+    return factor
+
+
+def _radial(profile: Callable) -> Callable:
+    """The factor profile(|p|^2) of points p (..., dim) or of a Grid's points.
+
+    On a grid |p|^2 comes from `Grid.squared_radius`, whose bits equal the
+    sum over the coordinate axis of the points."""
+    def factor(p):
+        return profile(p.squared_radius() if isinstance(p, Grid)
+                       else np.sum(p**2, axis=-1))
+
+    return _takes_grid(factor)
 
 
 def _factored(params: SymbolClassParams, label: str, x_factor=None,
@@ -261,26 +286,31 @@ def _factored(params: SymbolClassParams, label: str, x_factor=None,
 def constant_symbol(c, label: Optional[str] = None) -> Symbol:
     """sigma = c.  Tagged xi-independent so application is exact pointwise."""
     c = complex(c)
+
+    def factor(x):
+        return np.full(x.shape if isinstance(x, Grid) else x.shape[:-1], c)
+
     return _factored(SymbolClassParams(m=0.0), label or f"const:{c}",
-                     x_factor=lambda x: np.full(x.shape[:-1], c))
+                     x_factor=_takes_grid(factor))
 
 
 def bessel_multiplier(m: float, Nprime: int = 4) -> Symbol:
     """sigma(xi) = <xi>^m, the smooth model multiplier of order m."""
     return _factored(SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=Nprime),
-                     f"bessel:{m}", xi_factor=lambda xi: _bracket(xi) ** m + 0j)
+                     f"bessel:{m}",
+                     xi_factor=_radial(lambda r2: np.sqrt(1.0 + r2) ** m + 0j))
 
 
 def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
     """sigma(xi) = exp(i <xi>) <xi>^m; oscillation cancels the decay gain,
     so the honest claim is rho = 0."""
 
-    def factor(xi):
-        br = _bracket(xi)
+    def profile(r2):
+        br = np.sqrt(1.0 + r2)
         return np.exp(1j * br) * br**m
 
     return _factored(SymbolClassParams(m=float(m), rho=0.0, delta=0.0, N=0, Nprime=Nprime),
-                     f"wave:{m}", xi_factor=factor)
+                     f"wave:{m}", xi_factor=_radial(profile))
 
 
 def smoothness_coefficients(smoothness: int, count: int, amplitude: float = 0.4) -> tuple:
@@ -297,15 +327,28 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
 
     The truncated series length and coefficient decay control the effective
     x-smoothness: derivative constants beyond it blow up with the cutoff.
+    The period must be finite and positive and every coefficient finite.
+    On a Grid the series is evaluated once, on the 1-D axis, and the axes
+    multiply in as broadcast views; the points path evaluates it at every
+    point.  Both give the same bits: the series is computed on a 1-D axis,
+    not an (n, 1, 1) open mesh, whose stacked matmul rounds differently.
     """
     coeffs = tuple(float(c) for c in coeffs)
-    if period <= 0:
-        raise InvalidInputError(f"period must be positive, got {period}")
+    if not (math.isfinite(period) and period > 0):
+        raise InvalidInputError(f"period must be finite and positive, got {period}")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise InvalidInputError(f"coefficients must be finite, got {list(coeffs)}")
     ks = np.arange(1, len(coeffs) + 1, dtype=float)
     cs = np.asarray(coeffs)
     omega = 2.0 * math.pi / period
 
     def factor(x):
+        if isinstance(x, Grid):
+            series = 1.0 + np.cos(omega * np.multiply.outer(x.axis_coords(), ks)) @ cs
+            out = np.ones(x.shape, dtype=np.complex128)
+            for axis in range(x.dim):
+                out = out * series.reshape((-1,) + (1,) * (x.dim - 1 - axis))
+            return out
         out = np.ones(x.shape[:-1], dtype=np.complex128)
         for axis in range(x.shape[-1]):
             phases = np.cos(omega * np.multiply.outer(x[..., axis], ks))
@@ -313,7 +356,7 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
         return out
 
     return _factored(SymbolClassParams(m=0.0, rho=1.0, delta=0.0, N=N, Nprime=0),
-                     f"trig:{len(coeffs)}", x_factor=factor)
+                     f"trig:{len(coeffs)}", x_factor=_takes_grid(factor))
 
 
 def separable_symbol(a: Symbol, b: Symbol, label: Optional[str] = None) -> Symbol:

@@ -61,9 +61,10 @@ class TestSummary:
         return {"workload": "symbol-eval",
                 "runs": {"parent": parent, "change": change}}
 
-    def run(self, wall_s):
+    def run(self, wall_s, failed=0):
         result = json.loads(json.dumps(RESULT))
         result["metrics"]["wall_s"]["value"] = wall_s
+        result["failed"] = failed
         result["selfcheck"] = (0, 0)
         record = bench_pairs._record(result, 0)
         record["traced"] = bench_pairs._traced(result, 0)
@@ -129,3 +130,40 @@ class TestSummary:
         assert summary["traced_counts_parent_change"] == {
             "symbols.eval.calls": [[7, 7]] * 3,
             "estimates.norm.applies_per_iteration": [[2.0, 2.0]] * 3}
+
+    def regressions(self, pairs):
+        args = type("Args", (), {"title": "t", "claim": None})
+        bench = {"run_seconds": 30, "end_to_end": SPECS}
+        return bench_pairs._report(args, [], bench, "abc", "env", pairs)["regressions"]
+
+    def test_failed_share_over_untraced_runs(self):
+        pairs = [self.pair(self.run(1.0), self.run(1.0, failed=1)),
+                 self.pair(self.run(1.0), self.run(1.0, failed=2)),
+                 self.pair(self.failed(), self.failed())]
+        # the traced runs' failures are not counted
+        pairs[0]["runs"]["parent"]["traced"]["failed"] = 3
+        summary = bench_pairs._summary(pairs, SPECS)
+        assert summary["failed_share"] == {"parent": 0.0, "change": 0.3}
+        every_run_failed = bench_pairs._summary([pairs[2]], SPECS)
+        assert every_run_failed["failed_share"] == {"parent": None, "change": None}
+
+    def test_clean_session_has_no_regressions(self):
+        pairs = [self.pair(self.run(1.0), self.run(1.1)) for _ in range(3)]
+        assert self.regressions(pairs) == []
+
+    def test_metric_out_of_bound_is_a_regression(self):
+        pairs = [self.pair(self.run(1.0), self.run(1.3)) for _ in range(3)]
+        (found,) = self.regressions(pairs)
+        assert (found["workload"], found["metric"], found["bound"]) == (
+            "symbol-eval", "wall_s", 0.24)
+        assert found["median_change"] == pytest.approx(0.3)
+
+    def test_higher_failed_share_is_a_regression(self):
+        pairs = [self.pair(self.run(1.0), self.run(1.0, failed=1)),
+                 self.pair(self.run(1.0), self.run(1.0))]
+        assert self.regressions(pairs) == [
+            {"workload": "symbol-eval", "metric": "failed_share",
+             "parent": 0.0, "change": 0.1}]
+        # the same share on both sides is no regression
+        pairs = [self.pair(self.run(1.0, failed=1), self.run(1.0, failed=1))]
+        assert self.regressions(pairs) == []

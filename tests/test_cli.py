@@ -26,7 +26,10 @@ class TestSymbolSpecs:
         for bad in ("nosuch:1", "bessel", "trig:x,y", "bessel:-1:junk",
                     "wave:0:junk", {"kind": "bessel", "m": -1, "N": 2.9},
                     {"kind": "bessel", "m": -1, "Nprime": 4.5},
-                    {"kind": "trig", "coeffs": []}):
+                    {"kind": "trig", "coeffs": []},
+                    {"kind": "trig", "smoothness": 2, "terms": 3, "period": "inf"},
+                    {"kind": "trig", "smoothness": 2, "terms": 3, "period": "nan"},
+                    {"kind": "trig", "coeffs": [float("nan"), 0.1]}):
             with pytest.raises(InvalidInputError):
                 parse_symbol_spec(bad, 4.0)
 

@@ -90,6 +90,17 @@ class TestGridValidation:
         assert replaced.dual() == g.dual() and replaced.dual() is not g.dual()
         assert compatible_grids(g.dual().dual(), g)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n, R", [(10, 0.7), (18, math.pi), (64, 6.0)])
+    def test_radius_from_axes_is_bit_identical(self, dim, n, R):
+        for g in (Grid(dim, n, R), Grid(dim, n, R).dual()):
+            old = np.sqrt(sum(c**2 for c in g.meshgrid()))
+            assert g.radius().shape == g.shape
+            assert np.array_equal(g.radius().view(np.uint64), old.view(np.uint64))
+            summed = np.sum(g.coord_stack() ** 2, axis=-1)
+            assert np.array_equal(g.squared_radius().view(np.uint64),
+                                  summed.view(np.uint64))
+
     def test_index_of_rejects_offgrid(self, grid_1d):
         assert grid_1d.index_of([0.0]) == (128,)
         with pytest.raises(InvalidInputError):

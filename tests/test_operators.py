@@ -309,14 +309,19 @@ def determinism_digest() -> str:
     return f"{len(operators._general_terms(s, g))} {digest.hexdigest()}"
 
 
-def counting_symbol(calls: dict) -> Symbol:
-    """A separable symbol whose factors count their calls in `calls`."""
+def counting_symbol(calls: dict, args: list = None) -> Symbol:
+    """A separable symbol whose factors count their calls in `calls`, and
+    append (which, type, shape) of what they are given to `args`."""
     def a(x):
         calls["x"] += 1
+        if args is not None:
+            args.append(("x", type(x), x.shape))
         return 1.0 + 0.25 * np.cos(x[..., 0]) + 0j
 
     def b(xi):
         calls["xi"] += 1
+        if args is not None:
+            args.append(("xi", type(xi), xi.shape))
         return (1.0 + np.sum(xi**2, axis=-1)) ** -0.5 + 0j
 
     return Symbol(lambda x, xi: a(x) * b(xi), SymbolClassParams(m=-1.0),
@@ -337,6 +342,18 @@ class TestFactorSamples:
         other = Grid(2, 32, 5.0)
         apply_psido(s, random_band_limited(other, np.random.default_rng(2)))
         assert calls == {"x": 2, "xi": 2}
+
+    def test_unmarked_factor_gets_coordinate_stack(self):
+        calls, args = {"x": 0, "xi": 0}, []
+        s = counting_symbol(calls, args)
+        g = Grid(2, 16, 3.0)
+        assert not hasattr(s.x_factor, "takes_grid")
+        x_vals = s.sampled_factor("x", g)
+        xi_vals = s.sampled_factor("xi", g.dual())
+        assert args == [("x", np.ndarray, (16, 16, 2)),
+                        ("xi", np.ndarray, (16, 16, 2))]
+        assert np.array_equal(x_vals, s.x_factor(g.coord_stack()))
+        assert np.array_equal(xi_vals, s.xi_factor(g.dual().coord_stack()))
 
     def test_copies_start_empty(self):
         calls = {"x": 0, "xi": 0}
@@ -470,6 +487,21 @@ class TestDyadicDecomposition:
         assert calls[1:] == [np.array(p).tobytes() for p in points]
         # the sample is not part of the decomposition's identity
         assert dd == dyadic_decompose(s, g, 3) and "_x_sample" not in repr(dd)
+
+    @pytest.mark.parametrize("dim, n, R, levels", [
+        (1, 512, 16.0, 5), (2, 64, math.pi, 3), (3, 32, 4.0, 2)])
+    def test_sum_values_matches_piece_accumulation(self, dim, n, R, levels):
+        g = Grid(dim, n, R)
+        for s in (bessel_multiplier(-1.0), separable_symbol(
+                trig_multiplication(smoothness_coefficients(2, 6), 2 * R),
+                wave_multiplier(-0.5))):
+            dd = dyadic_decompose(s, g, levels)
+            x = None if s.x_independent else np.full(dim, 0.375)
+            want = np.zeros(dd.dual.shape, dtype=np.complex128)
+            for j in range(levels + 1):
+                want += dd.symbol_values(x) * dd.cutoff_values(j)
+            got = dd.sum_values(x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s.label
 
     def test_level_validation(self):
         g = Grid(1, 64, 16.0)  # nyquist = 2 pi

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,64 @@ class TestSymbolFactors:
         t = trig_multiplication(smoothness_coefficients(2, 4), 2.0)
         bare = Symbol(t.evaluator, t.params, "multiplication")
         assert np.array_equal(bare.x_factor(xi), t.x_factor(xi))
+
+
+def grid_path_symbols(period: float) -> list:
+    """Every built-in, plus more trig, const and radial instances."""
+    return builtin_symbols(period) + [
+        bessel_multiplier(0.5), wave_multiplier(-1.5),
+        trig_multiplication((0.3, -0.2, 0.05), 0.5 * period),
+        constant_symbol(2.0 - 1.5j)]
+
+
+def points_path(s: Symbol) -> Symbol:
+    """s with unmarked factors, so sampled_factor passes the coordinate stack."""
+    def unmarked(factor):
+        return None if factor is None else (lambda p: factor(p))
+
+    return Symbol(s.evaluator, s.params, s.kind, x_factor=unmarked(s.x_factor),
+                  xi_factor=unmarked(s.xi_factor), label=s.label)
+
+
+class TestGridFactorPath:
+    """Built-in factors sampled from a Grid's axes give the bits of the
+    same factors evaluated at every grid point."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10, 18])
+    @pytest.mark.parametrize("R", [0.7, math.pi])
+    def test_matches_points_path(self, dim, n, R):
+        g = Grid(dim, n, R)
+        for s in grid_path_symbols(2 * R):
+            for which in ("x", "xi"):
+                factor = getattr(s, f"{which}_factor")
+                if factor is None:
+                    continue
+                assert factor.takes_grid is True
+                for grid in (g, g.dual()):
+                    got = s.sampled_factor(which, grid)
+                    want = np.asarray(factor(grid.coord_stack()), dtype=np.complex128)
+                    assert got.shape == want.shape == grid.shape
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                        (s.label, which, grid)
+
+    def test_overflow_names_same_point_as_points_path(self):
+        g = Grid(2, 16, 0.7)
+        # the trig product overflows first at index (1, 1), not at the corner
+        cases = [("x", trig_multiplication((1e160,), 4 * g.half_extent), g),
+                 ("xi", bessel_multiplier(400.0), g.dual()),
+                 ("xi", wave_multiplier(400.0), g.dual()),
+                 ("x", constant_symbol(complex(math.inf, 0.0)), g)]
+        for which, s, grid in cases:
+            messages = []
+            for sym in (s, points_path(s)):
+                with pytest.raises(SymbolEvaluationError) as err:
+                    sym.sampled_factor(which, grid)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], s.label
+        trig_message = f"non-finite x_factor value at x={g.coord_stack()[1, 1].tolist()}"
+        with pytest.raises(SymbolEvaluationError, match=re.escape(trig_message)):
+            cases[0][1].sampled_factor("x", g)
 
 
 class TestFiniteDifference:

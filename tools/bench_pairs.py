@@ -20,7 +20,12 @@ end-to-end metric, the median and linear-interpolated quartiles per side
 over the pairs where both untraced runs succeeded, the change's wins, and
 the median change against the metric's bound; for the traced runs, the
 per-pair work counts and per-side medians of the layer times and of the
-shares and time ratios (``trace.coverage``, ``floor_ratio``, ...).
+shares and time ratios (``trace.coverage``, ``floor_ratio``, ...).  Each
+side's failed-operation share is its failed over attempted operations,
+summed over its untraced runs.  The top-level ``regressions`` list is the
+no-regression verdict: it names every (workload, metric) outside its
+bound and every workload where the change fails a larger share of
+operations than the parent; an empty list is a clean session.
 """
 
 from __future__ import annotations
@@ -115,7 +120,9 @@ def _summary(pairs: list, metric_specs: list) -> dict:
     out = {"pairs": len(pairs), "complete_pairs": len(timed),
            "runs_attempted": {side: len(runs[side]) for side in SIDES},
            "runs_failed": {side: sum("error" in r for r in runs[side]) for side in SIDES},
-           "failed": {side: sum(r.get("failed", 0) for r in runs[side]) for side in SIDES}}
+           "failed": {side: sum(r.get("failed", 0) for r in runs[side]) for side in SIDES},
+           "failed_share": {side: _failed_share([p["runs"][side] for p in pairs])
+                            for side in SIDES}}
     if not timed:
         return out
     for spec in metric_specs:
@@ -149,6 +156,30 @@ def _summary(pairs: list, metric_specs: list) -> dict:
                    for side in SIDES}
             for name in traced["parent"][0][key]}
     return out
+
+
+def _failed_share(untraced: list):
+    """Failed over attempted operations of the runs that reported, or None."""
+    ran = [r for r in untraced if "error" not in r]
+    attempted = sum(r["attempted"] for r in ran)
+    return sum(r["failed"] for r in ran) / attempted if attempted else None
+
+
+def _regressions(summary: dict, specs: list) -> list:
+    """Every (workload, metric) outside its bound, and every workload whose
+    change fails a larger share of operations than its parent."""
+    found = []
+    for workload, s in summary.items():
+        for spec in specs:
+            m = s.get(spec["name"])
+            if m is not None and not m["within_bound"]:
+                found.append({"workload": workload, "metric": spec["name"],
+                              "median_change": m["median_change"],
+                              "bound": m["bound"]})
+        share = s["failed_share"]
+        if (share["change"] or 0.0) > (share["parent"] or 0.0):
+            found.append({"workload": workload, "metric": "failed_share", **share})
+    return found
 
 
 def _record(result: dict, order: int) -> dict:
@@ -197,6 +228,7 @@ def _report(args, argv, bench: dict, commit: str, environment, pairs: list) -> d
         "environment": {"python": platform.python_version(),
                         "numpy": numpy.__version__,
                         "benchmark_reports": environment},
+        "regressions": _regressions(summary, specs),
         "summary": summary,
         "pairs": pairs,
     }
