@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, SymbolEvaluationError
 from .grid import (Grid, SampledFunction, compatible_grids, fourier_transform)
 from .symbols import Symbol, SymbolClassParams
 
@@ -256,11 +256,26 @@ class DyadicDecomposition:
         entry = self._x_sample
         if entry is not None and entry[0] == key:
             return entry[1]
-        # a view, so the read-only flag never reaches an array the evaluator keeps
-        values = self.symbol.eval(x, self.dual.coord_stack()).view()
+        values = self._separable_values(x) if self.symbol.kind == "separable" else None
+        if values is None:
+            # a view, so the read-only flag never reaches an array the evaluator keeps
+            values = self.symbol.eval(x, self.dual.coord_stack()).view()
         values.flags.writeable = False
         object.__setattr__(self, "_x_sample", (key, values))
         return values
+
+    def _separable_values(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """x_factor(x) times the memoised xi factor sample, the evaluator's
+        own product, without the dual grid's coordinate stack; None if a
+        value is not finite, so that Symbol.eval raises its own error."""
+        s = self.symbol
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(s.x_factor(x) * s.sampled_factor("xi", self.dual),
+                                    dtype=np.complex128)
+        except SymbolEvaluationError:
+            return None
+        return values if np.isfinite(values).all() else None
 
     def cutoff_values(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:

@@ -22,6 +22,10 @@ stencil term: all (alpha, beta) pairs share one table of distinct offsets,
 evaluated by one ``Symbol.eval`` per block of about 2^20 points.  Each
 pair then sums its weighted terms in the per-term order, so the result is
 bit-identical to summing ``w * s.eval(x + dx, xi + dxi)`` term by term.
+A factored symbol is evaluated once per distinct point of its factors: a
+multiplier at the samples of the first x only, a separable a(x) b(xi) as
+each factor once per distinct shift of its own variable, every stencil
+point then the product of the two, as its evaluator forms it.
 """
 
 from __future__ import annotations
@@ -330,8 +334,11 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
     The period must be finite and positive and every coefficient finite.
     On a Grid the series is evaluated once, on the 1-D axis, and the axes
     multiply in as broadcast views; the points path evaluates it at every
-    point.  Both give the same bits: the series is computed on a 1-D axis,
-    not an (n, 1, 1) open mesh, whose stacked matmul rounds differently.
+    point.  The two give the same bits at d = 1 and for series of up to 7
+    terms.  At d = 2, 3 a series of 8 or more terms may differ in the last
+    bits (at most 6.8e-16 relative, measured at n = 10 and 18): numpy's
+    matmul rounds the points path's stacked (..., n, K) phases differently
+    from the axis's (n, K) ones.
     """
     coeffs = tuple(float(c) for c in coeffs)
     if not (math.isfinite(period) and period > 0):
@@ -457,18 +464,25 @@ def _fd_plan(s: Symbol, pairs, dim: int, step: float):
     raw = _RAW in plans
     if not stencils:
         return plans, np.zeros((0, 2, dim)), raw
-    flat = np.concatenate([o for o, _, _ in stencils]).reshape(-1, 2 * dim)
+    table, index = _distinct_rows(
+        np.concatenate([o for o, _, _ in stencils]).reshape(-1, 2 * dim))
+    rows = np.split(raw + index, np.cumsum([len(w) for _, w, _ in stencils])[:-1])
+    plans = [(rows[plan], stencils[plan][1], stencils[plan][2])
+             if isinstance(plan, int) else plan for plan in plans]
+    return plans, table.reshape(-1, 2, dim), raw
+
+
+def _distinct_rows(offsets: np.ndarray) -> tuple:
+    """The distinct rows of offsets (k, w) in first-use order, and the index
+    of every row among them."""
+    offsets = np.ascontiguousarray(offsets)
     # byte keys are exact float keys: offsets are sums from 0.0, never -0.0
-    keys = flat.view(np.dtype((np.void, flat.itemsize * 2 * dim))).ravel()
+    keys = offsets.view(np.dtype((np.void, offsets.itemsize * offsets.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_use = np.argsort(first)
     rank = np.empty_like(by_use)
     rank[by_use] = np.arange(len(by_use))
-    rows = np.split(raw + rank[inverse.ravel()],
-                    np.cumsum([len(w) for _, w, _ in stencils])[:-1])
-    plans = [(rows[plan], stencils[plan][1], stencils[plan][2])
-             if isinstance(plan, int) else plan for plan in plans]
-    return plans, flat[first[by_use]].reshape(-1, 2, dim), raw
+    return offsets[first[by_use]], rank[inverse.ravel()]
 
 
 def _fd_sum(plans, vals: np.ndarray, n: int) -> list:
@@ -504,27 +518,65 @@ def _shifted(points: np.ndarray, shifts: np.ndarray, raw: bool) -> np.ndarray:
     return out
 
 
+def _factor_rows(table: np.ndarray, raw: bool) -> tuple:
+    """Per variable, the distinct shifts of the stencil rows and every
+    evaluation row's index among them: ((dx, x_rows), (dxi, xi_rows)).
+
+    The unshifted row is its own first entry when raw (x + 0.0 is not x
+    at x = -0.0)."""
+    out = []
+    for var in (0, 1):
+        shifts, index = _distinct_rows(table[:, var])
+        out.append((shifts, np.concatenate([np.zeros(int(raw), dtype=index.dtype),
+                                            raw + index])))
+    return tuple(out)
+
+
+def _row_values(s: Symbol, x: np.ndarray, xi: np.ndarray, table: np.ndarray,
+                raw: bool, factor_rows) -> np.ndarray:
+    """Symbol values at every evaluation row of the samples x, xi (n, dim).
+
+    With factor_rows (a separable symbol), each factor is sampled once per
+    distinct shift of its own variable and each row is the product
+    a(x + dx) b(xi + dxi), as the evaluator forms it; otherwise, or when
+    that product is not finite, one Symbol.eval of every row, which raises
+    the evaluation error."""
+    if factor_rows is not None:
+        (dx, x_rows), (dxi, xi_rows) = factor_rows
+        n = len(x)
+        with np.errstate(**_QUIET):
+            a = s.x_factor(_shifted(x, dx, raw))
+            b = s.xi_factor(_shifted(xi, dxi, raw))
+            vals = np.asarray(np.broadcast_to(a, (raw + len(dx), n))[x_rows]
+                              * np.broadcast_to(b, (raw + len(dxi), n))[xi_rows],
+                              dtype=np.complex128)
+        if np.isfinite(vals).all():
+            return vals
+    return s.eval(_shifted(x, table[:, 0], raw), _shifted(xi, table[:, 1], raw))
+
+
 def _fd_blocks(s: Symbol, pairs, x: np.ndarray, xi: np.ndarray, step: float):
     """Mixed derivatives of every (alpha, beta) pair at the samples x, xi
     (n, dim), one block of samples at a time: yields (slice, derivatives).
 
     Every distinct stencil point is evaluated once per sample, by one
-    Symbol.eval per block of about _EVAL_BLOCK points.  A non-finite value
-    raises the error the per-term loop would: the first bad sample of the
-    first point it used.
+    Symbol.eval per block of about _EVAL_BLOCK points; a separable symbol
+    samples each factor once per distinct shift of its variable instead.
+    A non-finite value raises the error the per-term loop would: the first
+    bad sample of the first point it used.
     """
     plans, table, raw = _fd_plan(s, pairs, x.shape[-1], step)
     nrows = raw + len(table)
     widest = max((len(p[1]) for p in plans if isinstance(p, tuple)), default=1)
     width = _EVAL_BLOCK // max(nrows, widest)
+    factor_rows = _factor_rows(table, raw) if s.kind == "separable" else None
     for lo in range(0, len(x), width):
         sl = slice(lo, lo + width)
         n = len(x[sl])
         vals = None
         if nrows:
             try:
-                vals = s.eval(_shifted(x[sl], table[:, 0], raw),
-                              _shifted(xi[sl], table[:, 1], raw))
+                vals = _row_values(s, x[sl], xi[sl], table, raw, factor_rows)
             except SymbolEvaluationError:
                 # an earlier point may fail only in another block: rerun in loop order
                 if raw:
@@ -664,7 +716,14 @@ def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> Deriv
 
     Cost: one Symbol.eval point per distinct stencil offset (over all pairs)
     per sample point, in blocks of about 2^20 points, so one or a few
-    Symbol.eval calls in all.  The constants and witnesses are bit-identical
+    Symbol.eval calls in all.  A multiplier is evaluated at the samples of
+    the first x only (48 of 288 at the default SampleSpec): its values
+    repeat at every x, so the first x holds every maximum and its first
+    sample.  A separable symbol calls Symbol.eval only to raise an error:
+    per block, each factor is evaluated at the distinct shifts of its own
+    variable (for sep:2,6:-1 at d = 2, 25 x and 65 xi shifts and the
+    unshifted samples, in place of 1,625 offsets) and each stencil point is
+    the product of the two.  The constants and witnesses are bit-identical
     to evaluating and summing every stencil term on its own; ties go to the
     first sample.
     """
@@ -672,6 +731,10 @@ def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> Deriv
         raise InvalidInputError(f"cap must be positive, got {cap}")
     p = s.params
     x_all, xi_all = sample_spec.points()
+    if s.x_independent:
+        # the samples repeat the xi set at every x, the first x first, so
+        # that x's samples hold every maximum and its first sample
+        x_all, xi_all = x_all[:sample_spec.num_xi], xi_all[:sample_spec.num_xi]
     pairs = [(alpha, beta)
              for alpha in iter_multi_indices(sample_spec.dim, min(p.N, FD_ORDER_CAP))
              for beta in iter_multi_indices(sample_spec.dim, min(p.Nprime, FD_ORDER_CAP))

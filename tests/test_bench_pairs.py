@@ -61,11 +61,12 @@ class TestSummary:
         return {"workload": "symbol-eval",
                 "runs": {"parent": parent, "change": change}}
 
-    def run(self, wall_s, failed=0):
+    def run(self, wall_s, failed=0, problems=0):
         result = json.loads(json.dumps(RESULT))
         result["metrics"]["wall_s"]["value"] = wall_s
         result["failed"] = failed
-        result["selfcheck"] = (0, 0)
+        result["correct"] = problems == 0
+        result["selfcheck"] = (4, problems)
         record = bench_pairs._record(result, 0)
         record["traced"] = bench_pairs._traced(result, 0)
         return record
@@ -167,3 +168,26 @@ class TestSummary:
         # the same share on both sides is no regression
         pairs = [self.pair(self.run(1.0, failed=1), self.run(1.0, failed=1))]
         assert self.regressions(pairs) == []
+
+    def test_self_check_problems_are_a_regression(self):
+        # a broken transform self-check fails the traced run's check only
+        pairs = [self.pair(self.run(1.0), self.run(1.0, problems=2)),
+                 self.pair(self.run(1.0), self.run(1.0))]
+        summary = bench_pairs._summary(pairs, SPECS)
+        assert summary["selfcheck_failed"] == {"parent": 0, "change": 1}
+        assert self.regressions(pairs) == [
+            {"workload": "symbol-eval", "metric": "selfcheck_failed",
+             "parent": 0, "change": 1}]
+        # an incorrect traced result counts too; the same count on both sides does not
+        pairs[1]["runs"]["change"]["traced"]["correct"] = False
+        assert self.regressions(pairs)[0]["change"] == 2
+        pairs[0]["runs"]["parent"]["traced"]["selfcheck_problems"] = 1
+        pairs[1]["runs"]["parent"]["traced"]["correct"] = False
+        assert self.regressions(pairs) == []
+
+    def test_more_failed_runs_is_a_regression(self):
+        pairs = [self.pair(self.run(1.0), self.run(1.0)),
+                 self.pair(self.run(1.0), self.failed())]
+        assert self.regressions(pairs) == [
+            {"workload": "symbol-eval", "metric": "runs_failed",
+             "parent": 0, "change": 2}]

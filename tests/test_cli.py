@@ -8,6 +8,7 @@ from psidolab import Grid, SampledFunction, Symbol, random_band_limited
 from psidolab.cli import main, parse_symbol_spec
 from psidolab.errors import InvalidInputError
 from psidolab.fileio import read_pslb, write_pslb
+from psidolab.operators import DyadicDecomposition
 
 
 def run_cli(*args):
@@ -183,18 +184,24 @@ class TestDyadicCommand:
         assert names == {"reconstruction", "ring_support"}
 
     def test_x_dependent_symbol_evaluated_once(self, tmp_path, monkeypatch):
-        # the reconstruction check and every piece share one sample at x
+        # the reconstruction check and every piece share one sample at x,
+        # which a separable symbol forms from its factors, not its evaluator
         calls = []
-        evaluate = Symbol.eval
 
-        def counted(self, x, xi):
-            calls.append(self.label)
-            return evaluate(self, x, xi)
+        def counted(owner, name):
+            plain = getattr(owner, name)
 
-        monkeypatch.setattr(Symbol, "eval", counted)
+            def wrapped(self, *args):
+                calls.append(name)
+                return plain(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counted(Symbol, "eval")
+        counted(DyadicDecomposition, "_separable_values")
         code = run_cli("dyadic", "--symbol", "sep:2,6:-1", "--d", "2",
                        "--levels", "3", "--out-dir", str(tmp_path))
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == ["_separable_values"]
 
     def test_overflowing_symbol_exits_two(self, tmp_path, capsys):
         # <xi>^120 overflows on this grid: a typed error, not a NaN report,

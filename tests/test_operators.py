@@ -462,18 +462,18 @@ class TestDyadicDecomposition:
         s = separable_symbol(
             trig_multiplication(smoothness_coefficients(2, 6), 8.0),
             bessel_multiplier(-1.0))
-        dd = dyadic_decompose(s, g, 3)
         x = [0.5, -1.0]
         points = ([0.25, -1.0], [0.0, 0.0], [-0.0, 0.0], x)
-        fresh = [s.eval(np.array(p), dd.dual.coord_stack()) for p in points]
+        fresh = [s.eval(np.array(p), g.dual().coord_stack()) for p in points]
         calls = []
-        evaluate = Symbol.eval
+        x_factor = s.x_factor
 
-        def counted(self, x, xi):
+        def counted(x):
             calls.append(np.array(x, dtype=float).tobytes())
-            return evaluate(self, x, xi)
+            return x_factor(x)
 
-        monkeypatch.setattr(Symbol, "eval", counted)
+        s = dataclasses.replace(s, x_factor=counted)
+        dd = dyadic_decompose(s, g, 3)
         first = dd.symbol_values(x)
         for j in range(dd.levels + 1):
             dd.piece_values(j, x)
@@ -487,6 +487,43 @@ class TestDyadicDecomposition:
         assert calls[1:] == [np.array(p).tobytes() for p in points]
         # the sample is not part of the decomposition's identity
         assert dd == dyadic_decompose(s, g, 3) and "_x_sample" not in repr(dd)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_separable_sample_from_factors(self, dim, n, monkeypatch):
+        # x_factor(x) times the memoised xi sample: the bits of the
+        # evaluator on the dual grid's points, with no coordinate stack built
+        g = Grid(dim, n, 4.0)
+        s = separable_symbol(
+            trig_multiplication(smoothness_coefficients(2, 6), 8.0),
+            bessel_multiplier(-1.0))
+        points = [np.full(dim, 0.375), np.full(dim, -0.0), np.linspace(-1.0, 0.5, dim)]
+        want = [s.eval(p, g.dual().coord_stack()) for p in points]
+        stacks = []
+        coord_stack = Grid.coord_stack
+
+        def counted(self):
+            stacks.append(self)
+            return coord_stack(self)
+
+        monkeypatch.setattr(Grid, "coord_stack", counted)
+        dd = dyadic_decompose(s, g, 2)
+        for p, w in zip(points, want):
+            got = dd.symbol_values(p)
+            assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+        assert stacks == []
+
+    def test_separable_overflow_raises_eval_error(self):
+        # a non-finite xi factor, and finite factors whose product overflows
+        g = Grid(1, 64, 4.0)
+        for coeff, m in ((0.3, 400.0), (1e160, 150.0)):
+            s = separable_symbol(trig_multiplication((coeff,), 8.0),
+                                 bessel_multiplier(m), label="big")
+            x = np.array([0.0])
+            with pytest.raises(SymbolEvaluationError) as want:
+                s.eval(x, g.dual().coord_stack())
+            with pytest.raises(SymbolEvaluationError) as got:
+                dyadic_decompose(s, g, 2).symbol_values(x)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("dim, n, R, levels", [
         (1, 512, 16.0, 5), (2, 64, math.pi, 3), (3, 32, 4.0, 2)])

@@ -10,7 +10,7 @@ from psidolab import (Grid, InvalidInputError, SampleSpec, Symbol,
                       SymbolClassParams, SymbolEvaluationError,
                       bessel_multiplier, builtin_symbols, constant_symbol,
                       eval_symbol, finite_diff_derivative, schwartz_seminorm,
-                      trig_multiplication, smoothness_coefficients,
+                      separable_symbol, trig_multiplication, smoothness_coefficients,
                       verify_symbol_class, wave_multiplier, with_params)
 from psidolab.symbols import (FD_ORDER_CAP, DerivativeBoundEntry,
                               DerivativeBoundReport, iter_multi_indices,
@@ -114,6 +114,24 @@ def coupled_symbol(delta=0.25):
 REFERENCE_SYMBOLS = builtin_symbols(2.0) + [coupled_symbol()]
 
 
+def counted_factors(s: Symbol) -> Symbol:
+    """A copy of the separable s recording the point shapes each factor and
+    its evaluator are called with, in `calls`."""
+    calls = {"x": [], "xi": [], "eval": []}
+
+    def counted(which, fn):
+        def wrapped(*args):
+            calls[which].append(np.shape(args[-1]))
+            return fn(*args)
+        return wrapped
+
+    copy = Symbol(counted("eval", s.evaluator), s.params, s.kind,
+                  x_factor=counted("x", s.x_factor),
+                  xi_factor=counted("xi", s.xi_factor), label=s.label)
+    object.__setattr__(copy, "calls", calls)
+    return copy
+
+
 @st.composite
 def _derivative_orders(draw, dim):
     """alpha, beta of the given dimension with |alpha| + |beta| <= FD_ORDER_CAP."""
@@ -204,7 +222,8 @@ def points_path(s: Symbol) -> Symbol:
 
 class TestGridFactorPath:
     """Built-in factors sampled from a Grid's axes give the bits of the
-    same factors evaluated at every grid point."""
+    same factors evaluated at every grid point, but for trig series of 8 or
+    more terms at d >= 2, which agree within a relative bound."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [10, 18])
@@ -223,6 +242,20 @@ class TestGridFactorPath:
                     assert got.shape == want.shape == grid.shape
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
                         (s.label, which, grid)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10, 18])
+    @pytest.mark.parametrize("terms", range(8, 13))
+    def test_long_series_within_bound(self, dim, n, terms):
+        # a series of 8 or more terms may round differently on the axis than
+        # at every point for d >= 2 (measured at most 6.8e-16 relative)
+        g = Grid(dim, n, 0.7)
+        s = trig_multiplication(smoothness_coefficients(2, terms), 2 * g.half_extent)
+        for grid in (g, g.dual()):
+            got = s.sampled_factor("x", grid)
+            want = np.asarray(s.x_factor(grid.coord_stack()), dtype=np.complex128)
+            assert got.shape == want.shape == grid.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
 
     def test_overflow_names_same_point_as_points_path(self):
         g = Grid(2, 16, 0.7)
@@ -307,6 +340,36 @@ class TestMatchesPerTermReference:
         assert (_bits(verify_symbol_class(s, spec, cap=10.0))
                 == _bits(_ref_verify(s, spec, cap=10.0)))
 
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 3), terms=st.integers(8, 12),
+           claim=st.sampled_from([(2, 0), (2, 2), (0, 2)]),
+           num_x=st.integers(1, 3), num_xi=st.integers(2, 6),
+           seed=st.integers(0, 2**16), step=st.floats(1e-3, 0.2))
+    def test_verify_separable_long_series(self, dim, terms, claim, num_x, num_xi,
+                                          seed, step):
+        trig = trig_multiplication(smoothness_coefficients(2, terms), 2.0)
+        s = with_params(separable_symbol(trig, bessel_multiplier(-1.0)),
+                        N=claim[0], Nprime=claim[1])
+        spec = SampleSpec(dim=dim, xi_max=64.0, num_x=num_x, num_xi=num_xi,
+                          seed=seed, step=step)
+        assert (_bits(verify_symbol_class(s, spec, cap=10.0))
+                == _bits(_ref_verify(s, spec, cap=10.0)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3),
+           s=st.sampled_from([bessel_multiplier(-1.0), bessel_multiplier(0.5),
+                              wave_multiplier(0.0)]),
+           Nprime=st.sampled_from([0, 2, 4]), num_x=st.integers(2, 6),
+           num_xi=st.integers(2, 8), seed=st.integers(0, 2**16),
+           step=st.floats(1e-3, 0.2))
+    def test_verify_multiplier_over_several_x(self, dim, s, Nprime, num_x, num_xi,
+                                              seed, step):
+        s = with_params(s, N=2, Nprime=Nprime)
+        spec = SampleSpec(dim=dim, xi_max=64.0, num_x=num_x, num_xi=num_xi,
+                          seed=seed, step=step)
+        assert (_bits(verify_symbol_class(s, spec, cap=10.0))
+                == _bits(_ref_verify(s, spec, cap=10.0)))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_every_builtin_at_its_claim(self, dim):
         for s in REFERENCE_SYMBOLS:
@@ -373,30 +436,59 @@ class TestVerifySymbolClass:
         assert report.entry((4,), (0,)).fitted_constant > 50.0
         assert not report.global_pass
 
-    def test_blocks_match_reference(self, monkeypatch):
-        # 2^14 samples, 18 evaluation rows and 625 terms at beta = (8,):
-        # the samples are split over several blocks of about 2^20 points
+    def test_blocks_match_reference(self):
+        # 1,152 samples and 2,000 terms at (alpha, beta) = ((1,), (7,)): the
+        # samples are split over several blocks of about 2^20 points
+        trig = trig_multiplication((0.3, -0.1), 2.0)
+        s = counted_factors(with_params(
+            separable_symbol(trig, bessel_multiplier(-1.0)), Nprime=8))
+        spec = SampleSpec(dim=1, xi_max=64.0, num_x=24, num_xi=48, seed=3)
+        report = verify_symbol_class(s, spec, cap=10.0)
+        assert len(s.calls["x"]) >= 2
+        assert _bits(report) == _bits(_ref_verify(s, spec, cap=10.0))
+
+    def test_multiplier_evaluated_once_per_xi(self, monkeypatch):
+        # 1,944 evaluation rows (the unshifted point and 1,943 distinct
+        # offsets), each at the 48 xi samples of the first x, not at all 288
         s = with_params(bessel_multiplier(-1.0), Nprime=8)
-        spec = SampleSpec(dim=1, xi_max=64.0, num_x=341, num_xi=48, seed=3)
+        spec = SampleSpec(dim=3, xi_max=64.0, seed=11)
         calls = []
         plain_eval = Symbol.eval
 
         def counted_eval(self, x, xi):
-            calls.append(np.shape(x))
+            calls.append(np.shape(xi))
             return plain_eval(self, x, xi)
 
         monkeypatch.setattr(Symbol, "eval", counted_eval)
         report = verify_symbol_class(s, spec, cap=10.0)
-        monkeypatch.undo()
-        assert len(calls) >= 2
-        reference = _ref_verify(s, spec, cap=10.0)
-        assert _bits(report) == _bits(reference)
-        # flat in x, so every maximum is tied across the x cloud (one x per
-        # block or more): the witness is the first sample, at x = 0
-        assert all(e.witness_x == (0.0,) for e in report.entries)
+        assert calls == [(1944, 48, 3)]
+        # flat in x, so every maximum is tied across the x cloud: the
+        # witness is the first sample, at x = 0
+        assert all(e.witness_x == (0.0, 0.0, 0.0) for e in report.entries)
+
+    def test_separable_factors_once_per_shift(self):
+        # sep:2,6:-1 at d = 2: 1,626 evaluation rows, but 25 distinct x
+        # shifts and 65 distinct xi shifts, each factor also at the
+        # unshifted samples; the evaluator itself is not called
+        trig = trig_multiplication(smoothness_coefficients(2, 6), 2.0)
+        s = counted_factors(separable_symbol(trig, bessel_multiplier(-1.0)))
+        verify_symbol_class(s, SampleSpec(dim=2, xi_max=64.0, seed=11), cap=10.0)
+        assert s.calls == {"x": [(26, 288, 2)], "xi": [(66, 288, 2)], "eval": []}
 
     def test_overflow_raises_like_reference(self):
         s = with_params(bessel_multiplier(120.0), Nprime=4)
+        spec = SampleSpec(dim=1, xi_max=1024.0)
+        with pytest.raises(SymbolEvaluationError) as got:
+            verify_symbol_class(s, spec, cap=10.0)
+        with pytest.raises(SymbolEvaluationError) as want:
+            _ref_verify(s, spec, cap=10.0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("x_coeff, m", [(0.3, 120.0), (1e160, 60.0)])
+    def test_separable_overflow_raises_like_reference(self, x_coeff, m):
+        # a non-finite xi factor, and finite factors whose product overflows
+        trig = trig_multiplication((x_coeff,), 2.0)
+        s = with_params(separable_symbol(trig, bessel_multiplier(m)), Nprime=4)
         spec = SampleSpec(dim=1, xi_max=1024.0)
         with pytest.raises(SymbolEvaluationError) as got:
             verify_symbol_class(s, spec, cap=10.0)

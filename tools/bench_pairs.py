@@ -24,8 +24,10 @@ shares and time ratios (``trace.coverage``, ``floor_ratio``, ...).  Each
 side's failed-operation share is its failed over attempted operations,
 summed over its untraced runs.  The top-level ``regressions`` list is the
 no-regression verdict: it names every (workload, metric) outside its
-bound and every workload where the change fails a larger share of
-operations than the parent; an empty list is a clean session.
+bound, and every workload where the change fails a larger share of
+operations, has more failed runs, or has more traced runs whose self-check
+reports problems or whose result is not correct than the parent; an empty
+list means no regression.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def _summary(pairs: list, metric_specs: list) -> dict:
            "runs_failed": {side: sum("error" in r for r in runs[side]) for side in SIDES},
            "failed": {side: sum(r.get("failed", 0) for r in runs[side]) for side in SIDES},
            "failed_share": {side: _failed_share([p["runs"][side] for p in pairs])
-                            for side in SIDES}}
+                            for side in SIDES},
+           "selfcheck_failed": {side: sum(_selfcheck_failed(p["runs"][side]["traced"])
+                                          for p in pairs) for side in SIDES}}
     if not timed:
         return out
     for spec in metric_specs:
@@ -165,9 +169,16 @@ def _failed_share(untraced: list):
     return sum(r["failed"] for r in ran) / attempted if attempted else None
 
 
+def _selfcheck_failed(traced: dict) -> bool:
+    """A traced run that reported self-check problems or an incorrect result."""
+    return "error" not in traced and (traced["selfcheck_problems"] > 0
+                                      or not traced["correct"])
+
+
 def _regressions(summary: dict, specs: list) -> list:
     """Every (workload, metric) outside its bound, and every workload whose
-    change fails a larger share of operations than its parent."""
+    change fails a larger share of operations, more runs, or more traced
+    self-checks than its parent."""
     found = []
     for workload, s in summary.items():
         for spec in specs:
@@ -179,6 +190,9 @@ def _regressions(summary: dict, specs: list) -> list:
         share = s["failed_share"]
         if (share["change"] or 0.0) > (share["parent"] or 0.0):
             found.append({"workload": workload, "metric": "failed_share", **share})
+        for key in ("runs_failed", "selfcheck_failed"):
+            if s[key]["change"] > s[key]["parent"]:
+                found.append({"workload": workload, "metric": key, **s[key]})
     return found
 
 
