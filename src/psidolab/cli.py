@@ -107,17 +107,23 @@ def _spec_mapping(spec: str) -> dict:
     return {"kind": kind, "m": float(fields[1]), "x_part": x_part}
 
 
-def _floats(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+def _floats(text, count=None) -> tuple:
+    """Numbers from a comma list or a config list; exactly `count` if given."""
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError:
+        values = tuple(float(v) for v in items)
+    except (TypeError, ValueError):
         raise InvalidInputError(f"expected a comma list of numbers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise InvalidInputError(f"expected {count} numbers, got {text!r}")
+    return values
 
 
-def _ints(text) -> tuple:
-    return tuple(int(v) for v in _floats(text))
+def _ints(text, count=None) -> tuple:
+    values = _floats(text, count)
+    if not all(v.is_integer() for v in values):
+        raise InvalidInputError(f"expected integers, got {text!r}")
+    return tuple(int(v) for v in values)
 
 
 def _grid_from(params: dict) -> Grid:
@@ -186,7 +192,9 @@ def _decomposition(params):
     """The dyadic decomposition to run on, and the x its pieces are taken at."""
     grid = _grid_from(params)
     sym = _symbol_for_grid(params, grid)
-    dd = dyadic_decompose(sym, grid, int(params.get("levels") or default_levels(grid)))
+    levels = params.get("levels")
+    levels = default_levels(grid) if levels is None else _ints(levels, 1)[0]
+    dd = dyadic_decompose(sym, grid, levels)
     return dd, None if sym.x_independent else _x_point(params, grid)
 
 
@@ -216,20 +224,23 @@ def _run_dyadic(params):
 def _run_kernel_decay(params):
     dd, x = _decomposition(params)
     grid = dd.grid
-    kern = kernel_sum(dd, x)
-    window = _floats(params.get("window", (4 * grid.spacing, grid.half_extent / 2)))
+    window = _floats(params.get("window", (4 * grid.spacing, grid.half_extent / 2)), 2)
+    slope_range = params.get("slope_range")
+    if slope_range is not None:
+        slope_range = _floats(slope_range, 2)
     alpha = _ints(params.get("alpha", "0," * (grid.dim - 1) + "0"))
     beta = _ints(params.get("beta", "0," * (grid.dim - 1) + "0"))
     dparams = KernelDecayParams(alpha=alpha, beta=beta,
                                 L=float(params.get("L", 0.0)))
+    kern = kernel_sum(dd, x)
     fit = decay_fit(kern, window, dparams,
                     num_shells=int(params.get("shells", 16)))
     checks = [reporting.make_check(
         "envelope_finite", fit.passed, envelope=fit.envelope_constant,
         slope=fit.slope, predicted_exponent=fit.predicted_exponent,
         degenerate=fit.degenerate)]
-    if params.get("slope_range") is not None and fit.slope is not None:
-        lo, hi = _floats(params["slope_range"])
+    if slope_range is not None and fit.slope is not None:
+        lo, hi = slope_range
         checks.append(reporting.make_check(
             "slope_in_range", lo <= fit.slope <= hi, slope=fit.slope,
             range=[lo, hi]))

@@ -25,15 +25,19 @@ general path, the x-dependent dyadic sample, the support checks) build
 `coord_stack`, of shape (*shape, d).
 
 Cost of a transform: one FFT plus about one pass over the samples, in
-place.  n is even, so fftshift and ifftshift both swap each half-block
-with the opposite one.  The forward direction negates the samples of the
-fresh FFT output whose index sum is odd, then swaps the half-blocks and
-scales them by h^d in one pass through a single block-sized temporary
-(2^-d of the array).  The inverse copies the caller's samples into
-shifted order once, negates, runs the inverse FFT and divides by h^d in
-place.  Both give the bits of the out-of-place fftshift formulation,
-signed zeros included.  Wrapping the result in a SampledFunction adds one
-reduction, the finiteness sum, and each grid computes its dual grid once.
+place, and one result array.  n is even, so fftshift and ifftshift both
+swap each half-block with the opposite one.  The forward direction runs
+every FFT axis pass in a fresh output array (numpy's `out=`), flips the
+sign of the samples whose index sum is odd in one contiguous pass, then
+swaps the half-blocks and scales them by h^d in one pass through a single
+block-sized temporary (2^-d of the array).  The inverse copies the
+caller's samples into shifted order once, flips the signs, runs the
+inverse FFT in that copy and divides by h^d in place.  The sign flip
+multiplies the real and imaginary parts by a cached +-1.0 pattern of
+shape (2, n, ..., n, 2), which is exact.  Both directions give the bits
+of the out-of-place fftshift formulation, signed zeros included.
+Wrapping the result in a SampledFunction adds one reduction, the
+finiteness sum, and each grid computes its dual grid once.
 """
 
 from __future__ import annotations
@@ -229,21 +233,26 @@ def _require_same_grid(a: Grid, b: Grid):
 def _apply_alternating_sign(arr: np.ndarray) -> np.ndarray:
     # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis,
     # so the sample at index m gets the sign (-1)^(m_1 + ... + m_d).
-    # Negates the samples with an odd index sum in place: exact, and the
-    # same bits as negating the odd slices axis by axis, since a second
-    # negation restores the bits.  Callers must pass an array they own:
-    # both pass a fresh fftn output or shifted copy.
-    for index in _odd_index_sum(arr.ndim):
-        np.negative(arr[index], out=arr[index])
+    # One contiguous in-place pass over the real and imaginary parts:
+    # multiplying a float by +-1.0 is exact, signed zeros included, so
+    # this gives the bits of negating the odd-sum samples (a complex
+    # product with -1 + 0j would not: it turns 0 into -0 + 0j).  Callers
+    # must pass a C-contiguous array they own: both pass a fresh fftn
+    # output or shifted copy.
+    pattern = _sign_pattern(arr.ndim, arr.shape[0])
+    parts = arr.view(np.float64).reshape((arr.shape[0] // 2,) + pattern.shape)
+    np.multiply(parts, pattern, out=parts)
     return arr
 
 
-@functools.lru_cache(maxsize=None)
-def _odd_index_sum(ndim: int) -> tuple:
-    """Strided indices that together cover the indices with an odd sum."""
-    even, odd = slice(0, None, 2), slice(1, None, 2)
-    return tuple(index for index in itertools.product((even, odd), repeat=ndim)
-                 if index.count(odd) % 2)
+@functools.lru_cache(maxsize=64)
+def _sign_pattern(ndim: int, n: int) -> np.ndarray:
+    """Read-only +-1.0 of shape (2, n, ..., n, 2): the sign of an index pair
+    (2k + i, m_2, ..., m_d) for either float of its sample, any k."""
+    parity = np.indices((2,) + (n,) * (ndim - 1)).sum(axis=0) % 2
+    pattern = np.repeat((1.0 - 2.0 * parity)[..., np.newaxis], 2, axis=-1)
+    pattern.flags.writeable = False
+    return pattern
 
 
 @functools.lru_cache(maxsize=64)
@@ -278,7 +287,8 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
         scale = f.grid.spacing**d
-        spectrum = _apply_alternating_sign(np.fft.fftn(f.values))
+        spectrum = np.fft.fftn(f.values, out=np.empty(f.grid.shape, np.complex128))
+        _apply_alternating_sign(spectrum)
         # fftshift and the h^d scaling in one in-place pass; the sign flip
         # stays a negation, as a -h^d factor would turn -0.0 into +0.0
         block = np.empty((n // 2,) * d, dtype=spectrum.dtype)
@@ -294,9 +304,9 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]
-        vals = np.fft.ifftn(_apply_alternating_sign(spectrum))
-        np.divide(vals, out_grid.spacing**d, out=vals)
-        return SampledFunction(out_grid, vals)
+        np.fft.ifftn(_apply_alternating_sign(spectrum), out=spectrum)
+        np.divide(spectrum, out_grid.spacing**d, out=spectrum)
+        return SampledFunction(out_grid, spectrum)
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

@@ -294,13 +294,17 @@ class DyadicDecomposition:
 
         Each dilated low-pass L_j = eta(|xi| / 2^j) is computed once: ring
         j is L_j - L_(j-1), the bits of `cutoff_values(j)`, because
-        2 (|xi| / 2^j) equals |xi| / 2^(j-1) exactly."""
+        2 (|xi| / 2^j) equals |xi| / 2^(j-1) exactly.  Ring j overwrites
+        L_(j-1), which no later ring needs, and every term sigma * ring
+        goes through one buffer before it is added."""
         sym = self.symbol_values(x)
         total = np.zeros(self.dual.shape, dtype=np.complex128)
+        term = np.empty_like(total)
         below = None
         for j in range(self.levels + 1):
             low = low_pass_cutoff(self.dual_radius / 2.0**j)
-            total += sym * (low if below is None else low - below)
+            ring = low if below is None else np.subtract(low, below, out=below)
+            total += np.multiply(sym, ring, out=term)
             below = low
         return total
 

@@ -227,3 +227,43 @@ class TestKernelDecayCommand:
                        "0.1,0.5", "--L", "0", "--slope-range=-0.2,-0.1",
                        "--out-dir", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--window", "0.5"), ("--window", "1,2,3"), ("--slope-range", "1"),
+        ("--slope-range", "1,2,3"), ("--alpha", "0.7,0"), ("--beta", "0,1.5")])
+    def test_malformed_numbers_exit_two(self, tmp_path, capsys, flags):
+        # window and slope range take exactly two numbers, multi-indices
+        # integers: an error line, not a traceback, a dropped number or a
+        # truncated order
+        code = run_cli("kernel-decay", "--symbol", "bessel:-1", "--d", "2",
+                       "--n", "64", "--R", "8", *flags, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "kernel-decay-report.json").exists()
+
+
+class TestLevels:
+    @pytest.mark.parametrize("levels", [0, 2.5])
+    def test_bad_config_levels_exit_two(self, tmp_path, capsys, levels):
+        # only a missing level count takes the default
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"levels": levels}))
+        code = run_cli("dyadic", "--symbol", "bessel:-1", "--d", "2", "--n", "64",
+                       "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("levels", ["0", "2.5"])
+    def test_bad_flag_levels_exit_two(self, tmp_path, levels):
+        code = run_cli("dyadic", "--symbol", "bessel:-1", "--d", "2", "--n", "64",
+                       "--levels", levels, "--out-dir", str(tmp_path))
+        assert code == 2
+
+    def test_integral_config_levels_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"levels": 3.0}))
+        code = run_cli("dyadic", "--symbol", "bessel:-1", "--d", "2", "--n", "64",
+                       "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "dyadic-report.json").read_text())
+        assert len(report["tables"]["pieces"]) == 4

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from psidolab import (Grid, InvalidInputError, SampledFunction, dual_pairing,
                       fourier_transform, japanese_bracket, quadrature,
                       random_band_limited, spectral_derivative, vector_pnorm)
-from psidolab.grid import compatible_grids
+from psidolab.grid import _sign_pattern, compatible_grids
 from conftest import gaussian
 
 
@@ -181,6 +182,34 @@ class TestFourierTransform:
                                   bits(inverse))
             assert np.array_equal(bits(f.values), bits(vals))
             assert np.array_equal(bits(fhat.values), bits(vals))
+
+    def test_transforms_run_in_place(self):
+        # the FFT passes write into one array the transform owns: no
+        # d-dimensional temporary per axis pass, no copy beside the result
+        g = Grid(3, 64, 4.0)
+        rng = np.random.default_rng(3)
+        f = SampledFunction(g, rng.standard_normal(g.shape)
+                            + 1j * rng.standard_normal(g.shape))
+        fhat = SampledFunction(g.dual(), f.values)
+        for _ in range(2):  # fill the dual grid and sign pattern caches
+            fourier_transform(f, "forward")
+            fourier_transform(fhat, "inverse")
+        for arr, direction, bound in ((f, "forward", 1.25), (fhat, "inverse", 1.1)):
+            tracemalloc.start()
+            try:
+                fourier_transform(arr, direction)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * f.values.nbytes, direction
+
+    def test_sign_pattern_read_only(self):
+        for d, n in ((1, 10), (2, 16), (3, 8)):
+            pattern = _sign_pattern(d, n)
+            assert pattern.shape == (2,) + (n,) * (d - 1) + (2,)
+            assert not pattern.flags.writeable
+            with pytest.raises(ValueError):
+                pattern[(0,) * (d + 1)] = 1.0
 
     def test_bad_direction(self, grid_1d):
         with pytest.raises(InvalidInputError):
