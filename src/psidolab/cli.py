@@ -1,10 +1,13 @@
 """Configuration-driven experiment runner (console script ``psido-lab``).
 
-One experiment per invocation.  Parameters come from an optional JSON
-config file plus command-line flags; flags win.  Every experiment writes
-a JSON report (and CSV sweep tables unless disabled) into --out-dir and
-exits 0 when all enabled assertions pass, 1 on an assertion failure, and
-2 on invalid input.
+One experiment per invocation, stated once in `_COMMANDS` as its handler
+and flags.  Parameters come from an optional JSON config file plus
+command-line flags; flags win.  Every number is read where it arrives, by
+`_int` / `_float` or the list readers `_ints` / `_floats`: integers must be
+whole (3.0 is 3, 2.5 an error) and booleans are not numbers.  Every
+experiment writes a JSON report (and CSV sweep tables unless disabled) into
+--out-dir and exits 0 when all enabled assertions pass, 1 on an assertion
+failure, and 2 on invalid input or an unreadable or unwritable path.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +36,6 @@ from .symbols import (Symbol, bessel_multiplier, constant_symbol,
                       SampleSpec, trig_multiplication, verify_symbol_class,
                       wave_multiplier, with_params)
 
-EXPERIMENTS = ("apply", "verify-symbol", "dyadic", "kernel-decay", "cz-check",
-               "norm-estimate", "budget", "conditions", "probe")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    params: dict
-
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -58,33 +51,37 @@ def parse_symbol_spec(spec, period: float) -> Symbol:
     sep:S,K:M is {"kind": "sep", "m": M, "x_part": {"smoothness": S, "terms": K}}.
     Mappings may add trig "coeffs" and "period", and a class claim (m, rho,
     delta, N, Nprime) overriding the family's; a trig factor claims
-    N = S - S % 2 unless N is given.
+    N = S - S % 2 unless N is given.  S and K must be whole numbers.
     """
     try:
         cfg = spec if isinstance(spec, dict) else _spec_mapping(str(spec))
         kind = cfg.get("kind")
         if kind == "const":
-            sym = constant_symbol(complex(cfg.get("value", 1.0)))
+            value = cfg.get("value", 1.0)
+            if isinstance(value, bool):
+                raise InvalidInputError(f"value: expected a number, got {value!r}")
+            sym = constant_symbol(complex(value))
         elif kind == "bessel":
-            sym = bessel_multiplier(float(cfg["m"]))
+            sym = bessel_multiplier(_floats(cfg["m"], "m", 1)[0])
         elif kind == "wave":
-            sym = wave_multiplier(float(cfg.get("m", 0.0)))
+            sym = wave_multiplier(_float(cfg, "m", 0.0))
         elif kind == "trig":
-            smoothness = int(cfg.get("smoothness", 2))
+            smoothness = _int(cfg, "smoothness", 2)
             coeffs = cfg.get("coeffs")
             if coeffs is None:
-                coeffs = smoothness_coefficients(smoothness, int(cfg.get("terms", 6)))
+                coeffs = smoothness_coefficients(smoothness, _int(cfg, "terms", 6))
             elif len(coeffs) == 0:
                 raise InvalidInputError("coeffs must list at least one coefficient")
-            sym = trig_multiplication(coeffs, float(cfg.get("period", period)),
+            sym = trig_multiplication(_floats(coeffs, "coeffs"),
+                                      _float(cfg, "period", period),
                                       N=smoothness - smoothness % 2)
         elif kind == "sep":
             x_part = parse_symbol_spec({**cfg.get("x_part", {}), "kind": "trig"}, period)
-            sym = separable_symbol(x_part, bessel_multiplier(float(cfg["m"])))
+            sym = separable_symbol(x_part, bessel_multiplier(_floats(cfg["m"], "m", 1)[0]))
         else:
             raise InvalidInputError(f"unknown symbol kind {kind!r}")
         # N and Nprime pass unconverted, so SymbolClassParams rejects fractions
-        claim = {k: cfg[k] if k in ("N", "Nprime") else float(cfg[k])
+        claim = {k: cfg[k] if k in ("N", "Nprime") else _floats(cfg[k], k, 1)[0]
                  for k in ("m", "rho", "delta", "N", "Nprime") if k in cfg}
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad symbol spec {spec!r}: {exc}") from None
@@ -99,50 +96,68 @@ def _spec_mapping(spec: str) -> dict:
     if kind == "const":
         return {"kind": kind, "value": complex(fields[0])}
     if kind in ("bessel", "wave"):
-        return {"kind": kind, "m": float(fields[0])}
-    s, k = (int(v) for v in fields[0].split(","))
+        return {"kind": kind, "m": _floats(fields[0], "M", 1)[0]}
+    s, k = _ints(fields[0], "S,K", 2)
     x_part = {"smoothness": s, "terms": k}
     if kind == "trig":
         return {"kind": kind, **x_part}
-    return {"kind": kind, "m": float(fields[1]), "x_part": x_part}
+    return {"kind": kind, "m": _floats(fields[1], "M", 1)[0], "x_part": x_part}
 
 
-def _floats(text, count=None) -> tuple:
-    """Numbers from a comma list or a config list; exactly `count` if given."""
+def _floats(text, key: str, count=None) -> tuple:
+    """Numbers from a comma list or a config list; exactly `count` if given.
+
+    Booleans and NaN are not numbers: JSON true is not 1."""
     items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    want = "numbers" if count is None else "a number" if count == 1 else f"{count} numbers"
     try:
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError
         values = tuple(float(v) for v in items)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"expected a comma list of numbers, got {text!r}") from None
-    if count is not None and len(values) != count:
-        raise InvalidInputError(f"expected {count} numbers, got {text!r}")
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or any(map(math.isnan, values)) or count not in (None, len(values)):
+        raise InvalidInputError(f"{key}: expected {want}, got {text!r}")
     return values
 
 
-def _ints(text, count=None) -> tuple:
-    values = _floats(text, count)
+def _ints(text, key: str, count=None) -> tuple:
+    """Whole numbers, read as `_floats` reads them: 3.0 is 3, 2.5 an error."""
+    values = _floats(text, key, count)
     if not all(v.is_integer() for v in values):
-        raise InvalidInputError(f"expected integers, got {text!r}")
+        want = "a whole number" if count == 1 else "whole numbers"
+        raise InvalidInputError(f"{key}: expected {want}, got {text!r}")
     return tuple(int(v) for v in values)
 
 
+def _float(params: dict, key: str, default) -> float:
+    """The number params[key]; `default` when it is missing or null."""
+    value = params.get(key)
+    return default if value is None else _floats(value, key, 1)[0]
+
+
+def _int(params: dict, key: str, default) -> int:
+    """The whole number params[key]; `default` when it is missing or null.
+    An int passes as it is, so seeds beyond 2^53 stay exact."""
+    value = params.get(key)
+    return default if value is None else (
+        value if type(value) is int else _ints(value, key, 1)[0])
+
+
 def _grid_from(params: dict) -> Grid:
-    d = int(params.get("d", 1))
-    n = int(params.get("n", 256))
-    R = float(params.get("R", 8.0))
-    return Grid(d, n, R)
+    return Grid(_int(params, "d", 1), _int(params, "n", 256),
+                _float(params, "R", 8.0))
 
 
-def _symbol_for_grid(params: dict, grid: Grid) -> Symbol:
-    spec = params.get("symbol")
-    if spec is None:
+def _symbol(params: dict, half_extent: float) -> Symbol:
+    if params.get("symbol") is None:
         raise InvalidInputError("--symbol is required for this experiment")
-    return parse_symbol_spec(spec, period=2.0 * grid.half_extent)
+    return parse_symbol_spec(params["symbol"], period=2.0 * half_extent)
 
 
 def _x_point(params: dict, grid: Grid):
     if params.get("x") is not None:
-        return np.asarray(_floats(params["x"]))
+        return np.asarray(_floats(params["x"], "x"))
     return np.zeros(grid.dim)
 
 
@@ -153,7 +168,7 @@ def _run_apply(params):
     if not params.get("input") or not params.get("output"):
         raise InvalidInputError("apply needs --input and --output PSLB paths")
     f = fileio.read_pslb(params["input"])
-    sym = _symbol_for_grid(params, f.grid)
+    sym = _symbol(params, f.grid.half_extent)
     out = apply_psido(sym, f)
     fileio.write_pslb(params["output"], out)
     sup = float(np.max(np.abs(out.values)))
@@ -163,21 +178,18 @@ def _run_apply(params):
 
 
 def _run_verify_symbol(params):
-    d = int(params.get("d", 1))
-    x_extent = float(params.get("x_extent", 1.0))
+    x_extent = _float(params, "x_extent", 1.0)
     spec = SampleSpec(
-        dim=d,
-        xi_max=float(params.get("xi_max", 64.0)),
+        dim=_int(params, "d", 1),
+        xi_max=_float(params, "xi_max", 64.0),
         x_extent=x_extent,
-        num_x=int(params.get("num_x", 6)),
-        num_xi=int(params.get("num_xi", 48)),
-        seed=int(params.get("seed", 0)),
-        step=float(params.get("step", 0.05)),
+        num_x=_int(params, "num_x", 6),
+        num_xi=_int(params, "num_xi", 48),
+        seed=_int(params, "seed", 0),
+        step=_float(params, "step", 0.05),
     )
-    if params.get("symbol") is None:
-        raise InvalidInputError("--symbol is required for this experiment")
-    sym = parse_symbol_spec(params["symbol"], period=2.0 * x_extent)
-    cap = float(params.get("cap", 10.0))
+    sym = _symbol(params, x_extent)
+    cap = _float(params, "cap", 10.0)
     report = verify_symbol_class(sym, spec, cap)
     rows = [reporting.sweep_row(
         f"a={' '.join(map(str, e.alpha))};b={' '.join(map(str, e.beta))}",
@@ -191,10 +203,8 @@ def _run_verify_symbol(params):
 def _decomposition(params):
     """The dyadic decomposition to run on, and the x its pieces are taken at."""
     grid = _grid_from(params)
-    sym = _symbol_for_grid(params, grid)
-    levels = params.get("levels")
-    levels = default_levels(grid) if levels is None else _ints(levels, 1)[0]
-    dd = dyadic_decompose(sym, grid, levels)
+    sym = _symbol(params, grid.half_extent)
+    dd = dyadic_decompose(sym, grid, _int(params, "levels", default_levels(grid)))
     return dd, None if sym.x_independent else _x_point(params, grid)
 
 
@@ -224,17 +234,15 @@ def _run_dyadic(params):
 def _run_kernel_decay(params):
     dd, x = _decomposition(params)
     grid = dd.grid
-    window = _floats(params.get("window", (4 * grid.spacing, grid.half_extent / 2)), 2)
-    slope_range = params.get("slope_range")
-    if slope_range is not None:
-        slope_range = _floats(slope_range, 2)
-    alpha = _ints(params.get("alpha", "0," * (grid.dim - 1) + "0"))
-    beta = _ints(params.get("beta", "0," * (grid.dim - 1) + "0"))
-    dparams = KernelDecayParams(alpha=alpha, beta=beta,
-                                L=float(params.get("L", 0.0)))
+    window = _floats(params.get("window", (4 * grid.spacing, grid.half_extent / 2)),
+                     "window", 2)
+    slope_range = (None if params.get("slope_range") is None
+                   else _floats(params["slope_range"], "slope_range", 2))
+    alpha = _ints(params.get("alpha", (0,) * grid.dim), "alpha")
+    beta = _ints(params.get("beta", (0,) * grid.dim), "beta")
+    dparams = KernelDecayParams(alpha=alpha, beta=beta, L=_float(params, "L", 0.0))
     kern = kernel_sum(dd, x)
-    fit = decay_fit(kern, window, dparams,
-                    num_shells=int(params.get("shells", 16)))
+    fit = decay_fit(kern, window, dparams, num_shells=_int(params, "shells", 16))
     checks = [reporting.make_check(
         "envelope_finite", fit.passed, envelope=fit.envelope_constant,
         slope=fit.slope, predicted_exponent=fit.predicted_exponent,
@@ -257,22 +265,23 @@ def _run_kernel_decay(params):
 def _run_cz_check(params):
     loaded = fileio.read_pslb(params["input"]) if params.get("input") else None
     grid = loaded.grid if loaded is not None else _grid_from(params)
-    sym = _symbol_for_grid(params, grid)
-    l = int(params.get("l", 0))
-    x0prime = _floats(params.get("x0prime", ",".join("0" * (grid.dim - l))))
-    Nconst = float(params.get("Nconst", grid.dim + 1))
-    inner = _floats(params.get("pbar", "")) if params.get("pbar") else ()
+    sym = _symbol(params, grid.half_extent)
+    l = _int(params, "l", 0)
+    x0prime = _floats(params.get("x0prime", ",".join("0" * (grid.dim - l))), "x0prime")
+    Nconst = _float(params, "Nconst", grid.dim + 1.0)
+    factor = _float(params, "max_median_factor", 10.0)
+    inner = _floats(params["pbar"], "pbar") if params.get("pbar") else ()
     if len(inner) != l:
         raise InvalidInputError(f"--pbar must list {l} inner exponents")
     full = MixedExponent(tuple(inner) + (2.0,) * (grid.dim - l), split=l)
     apply_fn = lambda f: apply_psido(sym, f)  # noqa: E731
     if loaded is not None:
-        ts = _floats(params.get("t", "1"))
-        cfg = CZCheckConfig(l=l, t=float(ts[0]), x0prime=x0prime,
+        ts = _floats(params.get("t", "1"), "t")
+        cfg = CZCheckConfig(l=l, t=ts[0], x0prime=x0prime,
                             Nconst=Nconst, pbar=full)
         reports = [cz_condition_check(apply_fn, cfg, loaded)]
     else:
-        ts = _floats(params.get("t", "0.5,1"))
+        ts = _floats(params.get("t", "0.5,1"), "t")
         reports = cz_sweep(apply_fn, grid, l, x0prime, Nconst, full, ts,
                            inner_profile=params.get("inner_profile", "gaussian"),
                            outer_profile=params.get("outer_profile", "bump"))
@@ -281,7 +290,6 @@ def _run_cz_check(params):
     checks = [reporting.make_check("ratios_finite", finite, ratios=ratios)]
     if len(ratios) >= 2:
         med = float(np.median(ratios))
-        factor = float(params.get("max_median_factor", 10.0))
         ok = max(ratios) <= factor * med if med > 0 else max(ratios) == 0.0
         checks.append(reporting.make_check(
             "sweep_stability", ok, max_ratio=max(ratios), median=med,
@@ -292,16 +300,16 @@ def _run_cz_check(params):
 
 def _run_norm_estimate(params):
     grid = _grid_from(params)
-    sym = _symbol_for_grid(params, grid)
-    pvals = _floats(params.get("p", "2"))
+    sym = _symbol(params, grid.half_extent)
+    pvals = _floats(params.get("p", "2"), "p")
     if len(pvals) == 1:
         p = MixedExponent.uniform(pvals[0], grid.dim)
     else:
         p = MixedExponent(pvals)
     est = operator_norm_estimate(sym, grid, p,
                                  method=params.get("method", "random_ascent"),
-                                 budget=int(params.get("budget", 300)),
-                                 seed=int(params.get("seed", 0)))
+                                 budget=_int(params, "budget", 300),
+                                 seed=_int(params, "seed", 0))
     checks = []
     rows = [reporting.sweep_row(grid.points_per_axis, est.value, None, None,
                                 est.converged)]
@@ -310,11 +318,14 @@ def _run_norm_estimate(params):
     return checks, {"estimate": rows}, lines
 
 
+def _order_triple(params) -> tuple:
+    """The class order (m, rho, delta) of the budget and conditions runs."""
+    return (_float(params, "m", 0.0), _float(params, "rho", 1.0),
+            _float(params, "delta", 0.0))
+
+
 def _run_budget(params):
-    budget = smoothness_budget(int(params.get("d", 1)),
-                               float(params.get("m", 0.0)),
-                               float(params.get("rho", 1.0)),
-                               float(params.get("delta", 0.0)))
+    budget = smoothness_budget(_int(params, "d", 1), *_order_triple(params))
     line = f"N={budget.N} N'={budget.Nprime} M={budget.M} M'={budget.Mprime}"
     rows = [reporting.sweep_row(name, lhs, rhs, None, ok)
             for name, lhs, _op, rhs, ok in budget.verify()]
@@ -325,12 +336,9 @@ def _run_budget(params):
 
 
 def _run_conditions(params):
-    pvals = _floats(params.get("p", "2"))
+    pvals = _floats(params.get("p", "2"), "p")
     p = pvals[0] if len(pvals) == 1 else MixedExponent(pvals)
-    rep = condition_report(float(params.get("m", 0.0)),
-                           float(params.get("rho", 1.0)),
-                           float(params.get("delta", 0.0)),
-                           int(params.get("d", 1)), p)
+    rep = condition_report(*_order_triple(params), _int(params, "d", 1), p)
     rows = [reporting.sweep_row(f"necessary_p{i + 1}", m, r, None, m >= 0)
             for i, (m, r) in enumerate(zip(rep.necessary_margins, rep.necessary_rhs))]
     rows.append(reporting.sweep_row("sufficient", rep.sufficient_margin,
@@ -341,27 +349,29 @@ def _run_conditions(params):
 
 
 def _run_probe(params):
-    half_extent = float(params.get("R", 32.0))
+    expect = params.get("expect", "report")
+    if expect not in ("report", "growth", "stable"):
+        raise InvalidInputError(f"expect: expected report, growth or stable, got {expect!r}")
+    tol = _float(params, "stable_tolerance", 0.05)
+    half_extent = _float(params, "R", 32.0)
     sym = parse_symbol_spec(params.get("symbol", "wave:0"),
                             period=2.0 * half_extent)
     rep = necessary_condition_probe(
         sym,
-        p=float(params.get("p", 4.0)),
-        resolutions=_ints(params.get("resolutions", "64,128,256,512")),
+        p=_float(params, "p", 4.0),
+        resolutions=_ints(params.get("resolutions", "64,128,256,512"), "resolutions"),
         half_extent=half_extent,
-        dim=int(params.get("d", 1)),
-        budget=int(params.get("budget", 300)),
-        seed=int(params.get("seed", 0)),
-        growth_threshold=float(params.get("growth_threshold", 0.2)),
+        dim=_int(params, "d", 1),
+        budget=_int(params, "budget", 300),
+        seed=_int(params, "seed", 0),
+        growth_threshold=_float(params, "growth_threshold", 0.2),
     )
-    expect = params.get("expect", "report")
     checks = []
     if expect == "growth":
         checks.append(reporting.make_check("norm_growth", rep.grows,
                                            growth=rep.growth,
                                            threshold=rep.growth_threshold))
     elif expect == "stable":
-        tol = float(params.get("stable_tolerance", 0.05))
         checks.append(reporting.make_check("norm_stability",
                                            rep.variation <= tol,
                                            variation=rep.variation, tolerance=tol))
@@ -373,42 +383,48 @@ def _run_probe(params):
     return checks, {"estimates": rows}, lines
 
 
-_HANDLERS = {
-    "apply": _run_apply,
-    "verify-symbol": _run_verify_symbol,
-    "dyadic": _run_dyadic,
-    "kernel-decay": _run_kernel_decay,
-    "cz-check": _run_cz_check,
-    "norm-estimate": _run_norm_estimate,
-    "budget": _run_budget,
-    "conditions": _run_conditions,
-    "probe": _run_probe,
+# every experiment once: its handler and the flags beyond the common ones
+_COMMANDS = {
+    "apply": (_run_apply, "--symbol --input --output"),
+    "verify-symbol": (_run_verify_symbol, "--symbol --xi-max --x-extent --cap "
+                      "--num-x --num-xi --step"),
+    "dyadic": (_run_dyadic, "--symbol --levels --x"),
+    "kernel-decay": (_run_kernel_decay, "--symbol --levels --x --window --L "
+                     "--alpha --beta --shells --slope-range --decay-csv"),
+    "cz-check": (_run_cz_check, "--symbol --l --t --x0prime --Nconst --pbar "
+                 "--input --max-median-factor --inner-profile --outer-profile"),
+    "norm-estimate": (_run_norm_estimate, "--symbol --p --method --budget"),
+    "budget": (_run_budget, "--m --rho --delta"),
+    "conditions": (_run_conditions, "--m --rho --delta --p"),
+    "probe": (_run_probe, "--symbol --p --resolutions --budget "
+              "--growth-threshold --stable-tolerance --expect"),
 }
 
 
-def run(config: ExperimentConfig) -> int:
+def run(kind: str, params: dict) -> int:
     """Execute one experiment; writes report files and returns the exit code."""
-    params = config.params
-    checks, tables, lines = _HANDLERS[config.kind](params)
+    checks, tables, lines = _COMMANDS[kind][0](params)
     for line in lines:
         print(line)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}")
     out_dir = Path(params.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # echo only the experiment parameters; output plumbing does not affect
     # the numbers and would break byte-for-byte determinism across out-dirs
     echo = {k: v for k, v in params.items()
             if k not in ("out_dir", "json", "csv", "config")}
-    report = reporting.build_report(config.kind, echo,
-                                    params.get("seed", 0), checks, tables)
-    if params.get("json", True):
-        path = reporting.write_json_report(
-            report, out_dir / f"{config.kind}-report.json")
-        print(f"report: {path}")
-    if params.get("csv", True):
-        for name, rows in tables.items():
-            reporting.write_sweep_csv(out_dir / f"{config.kind}-{name}.csv", rows)
+    report = reporting.build_report(kind, echo, params.get("seed", 0), checks, tables)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if params.get("json", True):
+            path = reporting.write_json_report(report, out_dir / f"{kind}-report.json")
+            print(f"report: {path}")
+        if params.get("csv", True):
+            for name, rows in tables.items():
+                reporting.write_sweep_csv(out_dir / f"{kind}-{name}.csv", rows)
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot write to out-dir {out_dir}: {exc.strerror or exc}") from None
     return 0 if reporting.all_passed(checks) else 1
 
 
@@ -416,6 +432,7 @@ def run(config: ExperimentConfig) -> int:
 # argument parsing
 
 def _add_common(sub):
+    # typed, so reports echo the common numbers as numbers
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--R", type=float, default=None)
@@ -431,28 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="psido-lab",
         description="numerical experiments with pseudodifferential operators")
     subs = parser.add_subparsers(dest="kind", required=True)
-
-    def sub(name, *flags):
-        s = subs.add_parser(name)
-        _add_common(s)
-        for flag in flags:
-            s.add_argument(flag, default=None)
-        return s
-
-    sub("apply", "--symbol", "--input", "--output")
-    sub("verify-symbol", "--symbol", "--xi-max", "--x-extent", "--cap",
-        "--num-x", "--num-xi", "--step")
-    sub("dyadic", "--symbol", "--levels", "--x")
-    sub("kernel-decay", "--symbol", "--levels", "--x", "--window", "--L",
-        "--alpha", "--beta", "--shells", "--slope-range", "--decay-csv")
-    sub("cz-check", "--symbol", "--l", "--t", "--x0prime", "--Nconst",
-        "--pbar", "--input", "--max-median-factor", "--inner-profile",
-        "--outer-profile")
-    sub("norm-estimate", "--symbol", "--p", "--method", "--budget")
-    sub("budget", "--m", "--rho", "--delta")
-    sub("conditions", "--m", "--rho", "--delta", "--p")
-    sub("probe", "--symbol", "--p", "--resolutions", "--budget",
-        "--growth-threshold", "--stable-tolerance", "--expect")
+    for name, (_handler, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name)
+        _add_common(sub)
+        for flag in flags.split():
+            sub.add_argument(flag, default=None)
     return parser
 
 
@@ -474,11 +474,9 @@ def _merge_params(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(kind=args.kind, params=_merge_params(args))
-        return run(config)
+        return run(args.kind, _merge_params(args))
     except (InvalidInputError, SymbolEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

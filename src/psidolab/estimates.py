@@ -162,11 +162,7 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
                 + multi_index_order(beta) - p.rho * M)
     radius = dd.grid.radius()
     weight = radius**M if M else np.ones(dd.grid.shape)
-    xi_mesh = dd.dual.meshgrid()
-    deriv_mult = np.ones(dd.dual.shape, dtype=np.complex128)
-    for axis, b in enumerate(beta):
-        if b:
-            deriv_mult = deriv_mult * (1j * xi_mesh[axis]) ** b
+    deriv_mult = dd.dual.derivative_multiplier(beta)
     sups, ratios = [], []
     for j in range(dd.levels + 1):
         if multi_index_order(alpha) > 0:
@@ -667,13 +663,17 @@ def smoothness_budget(d: int, m: float, rho: float, delta: float) -> SmoothnessB
         raise InvalidInputError(f"rho must lie in (0, 1], got {rho}")
     if not 0.0 <= delta < 1.0:
         raise InvalidInputError(f"delta must lie in [0, 1), got {delta}")
+    kernel_order = (d + m + 1.0) / rho
+    if not math.isfinite(kernel_order):
+        raise InvalidInputError(
+            f"(d + m + 1) / rho must be finite, got {kernel_order} (m = {m}, rho = {rho})")
     fe = _even_floor(d)
     n_threshold = ((3.0 - delta) * d + (5.0 - delta) * (1.0 - delta)) / (1.0 - delta) ** 2
     N = _even_greater(n_threshold)
     nprime_lowers = {
         "Nprime_main": _even_greater(6.0 * d + 12.0),
         "Nprime_order": _even_at_least(d + 1.0),
-        "Nprime_kernel": _even_greater((d + m + 1.0) / rho),
+        "Nprime_kernel": _even_greater(kernel_order),
     }
     Nprime = max(nprime_lowers.values())
     M = 0
@@ -684,7 +684,7 @@ def smoothness_budget(d: int, m: float, rho: float, delta: float) -> SmoothnessB
             f"M = 0 violates the N - M gap: N = {N}, need > {gap_strict} and >= {gap_weak}")
     mprime_lowers = {
         "Mprime_order": _even_at_least(d + 1.0),
-        "Mprime_kernel": _even_greater((d + m + 1.0) / rho),
+        "Mprime_kernel": _even_greater(kernel_order),
         "Mprime_duality": _even_at_least(float(d)),
     }
     mprime_upper = Nprime - (fe + 2)

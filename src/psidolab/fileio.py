@@ -8,6 +8,9 @@ Array file layout ("PSLB" format, version 1, all little-endian):
     n       u32      points per axis
     R       f64      half extent
     payload n^d * 2 f64 values, (re, im) pairs, row-major (x1 slowest)
+
+A path that cannot be opened, for reading or writing, raises
+InvalidInputError naming it.
 """
 
 from __future__ import annotations
@@ -25,19 +28,27 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIId")
 
 
+def _open(path, mode: str, **kwargs):
+    """open(), with an OSError on the caller's path as InvalidInputError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot open {path}: {exc.strerror or exc}") from None
+
+
 def write_pslb(path, f: SampledFunction) -> None:
     g = f.grid
     payload = np.empty((g.total_points, 2), dtype="<f8")
     flat = f.values.reshape(-1)
     payload[:, 0] = flat.real
     payload[:, 1] = flat.imag
-    with open(path, "wb") as fh:
+    with _open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.dim, g.points_per_axis, g.half_extent))
         fh.write(payload.tobytes())
 
 
 def read_pslb(path) -> SampledFunction:
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise InvalidInputError(f"{path}: truncated header")
@@ -58,7 +69,7 @@ def read_pslb(path) -> SampledFunction:
 def write_function_csv(path, f: SampledFunction) -> None:
     """Index columns plus re/im, one row per grid point."""
     g = f.grid
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"i{k + 1}" for k in range(g.dim)] + ["re", "im"])
         flat = f.values.reshape(-1)
@@ -76,5 +87,5 @@ def write_radial_decay_csv(path, f: SampledFunction) -> None:
     mag = np.abs(f.values).reshape(-1)
     order = np.argsort(r, kind="stable")
     rows = [f"{z!r},{k!r}\r\n" for z, k in zip(r[order].tolist(), mag[order].tolist())]
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         fh.write("abs_z,abs_k\r\n" + "".join(rows))

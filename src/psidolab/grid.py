@@ -128,6 +128,20 @@ class Grid:
             total = total + square.reshape((-1,) + (1,) * (self.dim - 1 - axis))
         return total
 
+    def derivative_multiplier(self, beta) -> np.ndarray:
+        """(i xi)^beta at every point of this frequency grid, the Fourier
+        multiplier of d^beta.
+
+        Ones times per-axis views of (i xi_k)^beta_k, built from the 1-D
+        axis as in `squared_radius`: the bits of the same loop over the
+        `meshgrid` arrays, without building them."""
+        ax = 1j * self.axis_coords()
+        mult = np.ones(self.shape, dtype=np.complex128)
+        for axis, b in enumerate(beta):
+            if b:
+                mult = mult * (ax**b).reshape((-1,) + (1,) * (self.dim - 1 - axis))
+        return mult
+
     def radius(self) -> np.ndarray:
         """Euclidean distance from the origin at every grid point: the
         square root of `squared_radius`, bit for bit the root of the summed
@@ -327,11 +341,7 @@ def spectral_derivative(f: SampledFunction, beta) -> SampledFunction:
     if len(beta) != f.grid.dim or any(b < 0 for b in beta):
         raise InvalidInputError(f"bad derivative multi-index {beta} for dim {f.grid.dim}")
     fhat = fourier_transform(f, "forward")
-    mult = np.ones(fhat.grid.shape, dtype=np.complex128)
-    mesh = fhat.grid.meshgrid()
-    for axis, b in enumerate(beta):
-        if b:
-            mult = mult * (1j * mesh[axis]) ** b
+    mult = fhat.grid.derivative_multiplier(beta)
     return fourier_transform(SampledFunction(fhat.grid, fhat.values * mult), "inverse")
 
 

@@ -30,7 +30,14 @@ class TestSymbolSpecs:
                     {"kind": "trig", "coeffs": []},
                     {"kind": "trig", "smoothness": 2, "terms": 3, "period": "inf"},
                     {"kind": "trig", "smoothness": 2, "terms": 3, "period": "nan"},
-                    {"kind": "trig", "coeffs": [float("nan"), 0.1]}):
+                    {"kind": "trig", "coeffs": [float("nan"), 0.1]},
+                    # series sizes are whole numbers; booleans are not numbers
+                    "trig:2.5,6", {"kind": "trig", "smoothness": 2.5},
+                    {"kind": "trig", "terms": 6.7},
+                    {"kind": "sep", "m": -1, "x_part": {"smoothness": 2.5}},
+                    {"kind": "trig", "smoothness": True},
+                    {"kind": "trig", "coeffs": [True, 0.1]},
+                    {"kind": "bessel", "m": True}, {"kind": "const", "value": True}):
             with pytest.raises(InvalidInputError):
                 parse_symbol_spec(bad, 4.0)
 
@@ -55,6 +62,7 @@ class TestSymbolSpecs:
             ("trig:3,4", {"kind": "trig", "smoothness": 3, "terms": 4}),
             ("sep:4,6:-1", {"kind": "sep", "m": -1,
                             "x_part": {"smoothness": 4, "terms": 6}}),
+            ("trig:4.0,6", {"kind": "trig", "smoothness": 4.0, "terms": 6.0}),
         ]
         for text, mapping in pairs:
             a = parse_symbol_spec(text, 4.0)
@@ -267,3 +275,99 @@ class TestLevels:
         assert code == 0
         report = json.loads((tmp_path / "dyadic-report.json").read_text())
         assert len(report["tables"]["pieces"]) == 4
+
+
+def _config(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    return ("--config", str(path))
+
+
+KERNEL_DECAY = ("kernel-decay", "--symbol", "bessel:-1", "--n", "64", "--R", "8")
+VERIFY = ("verify-symbol", "--symbol", "bessel:-1")
+CZ = ("cz-check", "--symbol", "bessel:-1", "--d", "2", "--n", "32")
+
+
+class TestMalformedParameters:
+    # every number is read where it arrives, from a flag or a config file:
+    # one error line naming the parameter, exit 2, no traceback, no report
+    @pytest.mark.parametrize("argv, config, name", [
+        (VERIFY + ("--xi-max", "abc"), None, "xi_max"),
+        (VERIFY + ("--num-x", "2.5"), None, "num_x"),
+        (VERIFY + ("--cap", "abc"), None, "cap"),
+        (VERIFY + ("--cap", "nan"), None, "cap"),
+        (("conditions", "--m", "nan"), None, "m"),
+        (("budget", "--m", "abc"), None, "m"),
+        (("conditions", "--m", "abc"), None, "m"),
+        (("probe", "--p", "x"), None, "p"),
+        (("probe", "--budget", "x"), None, "budget"),
+        (("probe", "--expect", "bogus"), None, "expect"),
+        (CZ + ("--Nconst", "q"), None, "Nconst"),
+        (CZ + ("--l", "1.5"), None, "l"),
+        (KERNEL_DECAY + ("--L", "abc"), None, "L"),
+        (KERNEL_DECAY + ("--shells", "2.5"), None, "shells"),
+        (("norm-estimate", "--symbol", "bessel:-1", "--n", "32"),
+         {"seed": "abc"}, "seed"),
+        (KERNEL_DECAY[:3] + ("--R", "8"), {"d": 2.7, "n": 64.9, "shells": 16.5}, "d"),
+        (KERNEL_DECAY[:3] + ("--R", "8"), {"n": 64.9}, "n"),
+        (KERNEL_DECAY, {"shells": 16.5}, "shells"),
+        (VERIFY, {"num_x": 3.9}, "num_x"),
+        (("verify-symbol",),
+         {"symbol": {"kind": "trig", "smoothness": 2.5, "terms": 6.7}}, "smoothness"),
+        (("verify-symbol",),
+         {"symbol": {"kind": "trig", "smoothness": 2, "terms": 6.7}}, "terms"),
+        (("dyadic", "--symbol", "bessel:-1"), {"n": True}, "n"),
+        (("norm-estimate", "--symbol", "bessel:-1", "--n", "32"),
+         {"budget": True}, "budget"),
+        (KERNEL_DECAY, {"alpha": [True, 0]}, "alpha"),
+        (("probe",), {"expect": "bogus"}, "expect"),
+    ])
+    def test_exit_two_naming_the_parameter(self, tmp_path, capsys, argv,
+                                           config, name):
+        out_dir = tmp_path / "out"
+        extra = _config(tmp_path, config) if config is not None else ()
+        code = run_cli(*argv, *extra, "--out-dir", str(out_dir))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name}: expected" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_integral_values_accepted(self, tmp_path):
+        # 64.0 is 64 and 1e3 is 1000; the report echoes the raw values
+        code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--R", "8",
+                       "--method", "power_iteration_p2", "--budget", "1e3",
+                       *_config(tmp_path, {"n": 64.0}), "--out-dir", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "norm-estimate-report.json").read_text())
+        assert report["config"]["n"] == 64.0 and report["config"]["budget"] == "1e3"
+        assert report["tables"]["estimate"][0]["j_or_t"] == 64
+
+
+class TestPaths:
+    # an unreadable input or unwritable output path is invalid input;
+    # {src} is a PSLB file, {missing} and {unwritable} paths that are not
+    @pytest.mark.parametrize("argv, named", [
+        (("apply", "--symbol", "bessel:-1", "--input", "{missing}",
+          "--output", "{tmp}/g.pslb", "--out-dir", "{tmp}/out"), "{missing}"),
+        (("apply", "--symbol", "bessel:-1", "--input", "{src}",
+          "--output", "{unwritable}", "--out-dir", "{tmp}/out"), "{unwritable}"),
+        (("cz-check", "--symbol", "bessel:-1", "--input", "{missing}",
+          "--out-dir", "{tmp}/out"), "{missing}"),
+        (KERNEL_DECAY + ("--d", "2", "--decay-csv", "{unwritable}",
+                         "--out-dir", "{tmp}/out"), "{unwritable}"),
+        (("budget", "--out-dir", "{src}/out"), "{src}/out"),
+    ])
+    def test_exit_two_naming_the_path(self, tmp_path, capsys, argv, named):
+        paths = {"tmp": tmp_path, "src": tmp_path / "f.pslb",
+                 "missing": tmp_path / "nope.pslb",
+                 "unwritable": tmp_path / "no-such-dir" / "g.out"}
+        write_pslb(paths["src"], random_band_limited(Grid(1, 64, 8.0),
+                                                     np.random.default_rng(0)))
+        code = run_cli(*(a.format(**paths) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(**paths) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "g.pslb").exists()

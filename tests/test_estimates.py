@@ -413,5 +413,9 @@ class TestSmoothnessBudget:
             smoothness_budget(1, 0.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             smoothness_budget(1, 0.0, 1.0, 1.0)
+        # an infinite order or a vanishing rho: an error, not an OverflowError
+        for m, rho in ((math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, 1e-320)):
+            with pytest.raises(InvalidInputError):
+                smoothness_budget(1, m, rho, 0.0)
         with pytest.raises(InvalidInputError):
             smoothness_budget(0, 0.0, 1.0, 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -101,6 +102,21 @@ class TestGridValidation:
             summed = np.sum(g.coord_stack() ** 2, axis=-1)
             assert np.array_equal(g.squared_radius().view(np.uint64),
                                   summed.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 18, 32])
+    def test_derivative_multiplier_from_axes_is_bit_identical(self, dim, n):
+        # every beta <= 2 per axis against the loop over meshgrid arrays
+        g = Grid(dim, n, 3.0).dual()
+        mesh = g.meshgrid()
+        for beta in itertools.product(range(3), repeat=dim):
+            old = np.ones(g.shape, dtype=np.complex128)
+            for axis, b in enumerate(beta):
+                if b:
+                    old = old * (1j * mesh[axis]) ** b
+            new = g.derivative_multiplier(beta)
+            assert new.shape == g.shape
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64)), beta
 
     def test_index_of_rejects_offgrid(self, grid_1d):
         assert grid_1d.index_of([0.0]) == (128,)
