@@ -26,7 +26,6 @@ from .operators import (DyadicDecomposition, Kernel, apply_psido,
 from .symbols import Symbol, as_multi_index, multi_index_order
 
 ZERO_MEAN_TOL = 1e-12
-SUPPORT_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +41,8 @@ class KernelDecayParams:
     L: float = 0.0
 
     def __post_init__(self):
-        if self.L < 0:
-            raise InvalidInputError(f"L must be >= 0, got {self.L}")
+        if not (math.isfinite(self.L) and self.L >= 0):
+            raise InvalidInputError(f"L must be finite and >= 0, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,12 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
               num_shells: int = 16) -> DecayFitResult:
     """Fit the radial decay of |k| on a window 2h <= z_lo < z_hi <= R/2.
 
-    Returns the least-squares slope of log max|k| over log-spaced radial
-    shells and the smallest envelope constant C with
+    Returns the least-squares slope of log max|k| over num_shells >= 2
+    log-spaced radial shells and the smallest envelope constant C with
     |k(z)| <= C |z|^predicted on the window.
     """
+    if num_shells < 2:
+        raise InvalidInputError(f"num_shells must be at least 2, got {num_shells}")
     d = kernel.grid.dim
     p = kernel.symbol_params
     alpha = as_multi_index(params.alpha, d)
@@ -160,20 +161,19 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
             "alpha > 0 envelopes are only available for x-independent symbols")
     exponent = (d + p.m + p.delta * multi_index_order(alpha)
                 + multi_index_order(beta) - p.rho * M)
-    radius = dd.grid.radius()
-    weight = radius**M if M else np.ones(dd.grid.shape)
-    deriv_mult = dd.dual.derivative_multiplier(beta)
-    sups, ratios = [], []
-    for j in range(dd.levels + 1):
-        if multi_index_order(alpha) > 0:
-            sups.append(0.0)
-            ratios.append(0.0)
-            continue
-        piece = dd.piece_values(j, x) * deriv_mult
-        kj = fourier_transform(SampledFunction(dd.dual, piece), "inverse")
-        sup = float(np.max(weight * np.abs(kj.values)))
-        sups.append(sup)
-        ratios.append(sup / 2.0 ** (j * exponent))
+    if multi_index_order(alpha) > 0:
+        sups = ratios = [0.0] * (dd.levels + 1)
+    else:
+        weight = dd.grid.radius()**M if M else np.ones(dd.grid.shape)
+        deriv_mult = dd.dual.derivative_multiplier(beta)
+        sym = dd.symbol_values(x)
+        sups, ratios = [], []
+        for j, ring in enumerate(dd.rings()):
+            kj = fourier_transform(
+                SampledFunction(dd.dual, sym * ring * deriv_mult), "inverse")
+            sup = float(np.max(weight * np.abs(kj.values)))
+            sups.append(sup)
+            ratios.append(sup / 2.0 ** (j * exponent))
     ring = [r for r in ratios[1:] if r > 0.0]
     if len(ring) >= 2:
         spread = max(ring) / min(ring)
@@ -301,7 +301,7 @@ class CZReport:
 
 def _verify_cancellation_class(f: SampledFunction, l: int, t: float, x0prime):
     d = f.grid.dim
-    mask = support_mask(f, SUPPORT_TOL)
+    mask = support_mask(f)
     if not mask.any():
         raise PreconditionError("test function vanishes identically")
     trailing = f.grid.coord_stack()[mask][:, l:]

@@ -99,10 +99,6 @@ class Grid:
         """Largest representable frequency magnitude per axis."""
         return math.pi * self.points_per_axis / (2.0 * self.half_extent)
 
-    @property
-    def freq_spacing(self) -> float:
-        return math.pi / self.half_extent
-
     def axis_coords(self) -> np.ndarray:
         return -self.half_extent + self.spacing * np.arange(self.points_per_axis)
 

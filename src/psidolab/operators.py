@@ -19,27 +19,26 @@ matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 
 Each factor is sampled once per grid: `Symbol.sampled_factor` memoises
-the last grid sample of each factor on the symbol, and a decomposition
-computes its dual grid and dual radius once and keeps the symbol sample
-at the last x.  These memos and the grid's own dual-grid memo are the
-only shared mutable state.  Each memo entry is written whole and
-read-only, so concurrent evaluation stays safe: a racing caller at worst
-samples the same grid again.  Apart from them, operators and decompositions are pure
-given immutable inputs.
+the last grid sample of each factor on the symbol, and `_terms` hands the
+sampled arrays to apply and adjoint.  That memo and the grid's dual-grid
+memo are the only shared mutable state.  Each memo entry is written whole
+and read-only, so concurrent evaluation stays safe: a racing caller at
+worst samples the same grid again.  Apart from them, operators and
+decompositions are pure given immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, SymbolEvaluationError
 from .grid import (Grid, SampledFunction, compatible_grids, fourier_transform)
-from .symbols import Symbol, SymbolClassParams
+from .symbols import Symbol, SymbolClassParams, factor_product
 
 _ACA_TOL = 1e-15        # probe residual / max|probe| at which compression stops
 _ACA_PROBES = 1024      # entries per probe set (two disjoint sets)
@@ -138,17 +137,14 @@ def _general_terms(s: Symbol, grid: Grid) -> list:
 
 
 def _terms(s: Symbol, grid: Grid) -> list:
-    """The symbol as terms (a_r, b_r) with sigma(x_i, xi_j) ~ sum_r
-    a_r(x_i) b_r(xi_j).  Each factor is a function of the grid it is
-    sampled on (a_r: x grid, b_r: dual grid), or None when absent."""
-    if s.kind != "general":
-        return [(None if s.x_factor is None else partial(s.sampled_factor, "x"),
-                 None if s.xi_factor is None else partial(s.sampled_factor, "xi"))]
-    return [(_given(a), _given(b)) for a, b in _general_terms(s, grid)]
-
-
-def _given(samples: np.ndarray):
-    return lambda grid: samples
+    """The symbol as sampled terms (a_r, b_r), sigma(x_i, xi_j) ~ sum_r
+    a_r[i] b_r[j], a_r on the x grid and b_r on the dual grid (None when
+    absent); a factored symbol's term is its memoised factor samples."""
+    if s.kind == "general":
+        return _general_terms(s, grid)
+    b = None if s.xi_factor is None else s.sampled_factor("xi", grid.dual())
+    a = None if s.x_factor is None else s.sampled_factor("x", grid)
+    return [(a, b)]
 
 
 def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
@@ -167,9 +163,9 @@ def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
             if fhat is None:
                 fhat = fourier_transform(f, "forward")
             out = fourier_transform(
-                SampledFunction(fhat.grid, b(fhat.grid) * fhat.values), "inverse")
+                SampledFunction(fhat.grid, b * fhat.values), "inverse")
         if a is not None:
-            out = SampledFunction(f.grid, a(f.grid) * out.values)
+            out = SampledFunction(f.grid, a * out.values)
         total = out if total is None else total + out
     if total is None:
         return SampledFunction(f.grid, np.zeros(f.grid.shape))
@@ -188,11 +184,11 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
     for a, b in _terms(s, g.grid):
         out = g
         if a is not None:
-            out = SampledFunction(g.grid, np.conj(a(g.grid)) * g.values)
+            out = SampledFunction(g.grid, np.conj(a) * g.values)
         if b is None:
             return out  # a multiplication symbol: pointwise and exact
         shat = fourier_transform(out, "forward")
-        part = SampledFunction(shat.grid, np.conj(b(shat.grid)) * shat.values)
+        part = SampledFunction(shat.grid, np.conj(b) * shat.values)
         spectrum = part if spectrum is None else spectrum + part
     if spectrum is None:
         return SampledFunction(g.grid, np.zeros(g.grid.shape))
@@ -214,18 +210,15 @@ class DyadicDecomposition:
     Piece 0 is the low-frequency cap sigma * eta(|xi|); piece j >= 1 is
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
     Pieces are evaluated lazily on the dual grid; the dual grid and its
-    radius are computed once per decomposition, the cutoffs per call
-    (`sum_values` computes each dilated low-pass once for all pieces).
-    The symbol sample of an x-dependent symbol is kept for the last x
-    only, like `Symbol.sampled_factor` keeps the last grid.
+    radius are computed once per decomposition, the cutoffs per call.
+    `symbol_values` samples an x-dependent symbol afresh on every call, so
+    a caller walking all pieces at one x takes one sample and multiplies
+    it by each cutoff of `rings()`, as `sum_values` does.
     """
 
     symbol: Symbol
     grid: Grid
     levels: int
-    # (x bytes, read-only samples) of the last x; replaced, never mutated
-    _x_sample: Optional[tuple] = field(default=None, init=False, compare=False,
-                                       repr=False)
 
     @cached_property
     def dual(self) -> Grid:
@@ -242,7 +235,7 @@ class DyadicDecomposition:
         """The raw symbol sampled on the dual grid (at x if x-dependent).
 
         Read-only: the symbol's memoised factor sample for an x-independent
-        symbol, else the sample at the last x, evaluated once per x."""
+        symbol, else a sample evaluated at x on every call."""
         if self.symbol.x_independent:
             return self.symbol.sampled_factor("xi", self.dual)
         if x is None:
@@ -251,17 +244,11 @@ class DyadicDecomposition:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.grid.dim,):
             raise InvalidInputError(f"x has shape {x.shape}, expected ({self.grid.dim},)")
-        # keyed by the exact bits, so x = -0.0 is not served the sample at +0.0
-        key = x.tobytes()
-        entry = self._x_sample
-        if entry is not None and entry[0] == key:
-            return entry[1]
         values = self._separable_values(x) if self.symbol.kind == "separable" else None
         if values is None:
             # a view, so the read-only flag never reaches an array the evaluator keeps
             values = self.symbol.eval(x, self.dual.coord_stack()).view()
         values.flags.writeable = False
-        object.__setattr__(self, "_x_sample", (key, values))
         return values
 
     def _separable_values(self, x: np.ndarray) -> Optional[np.ndarray]:
@@ -271,11 +258,10 @@ class DyadicDecomposition:
         s = self.symbol
         try:
             with np.errstate(all="ignore"):
-                values = np.asarray(s.x_factor(x) * s.sampled_factor("xi", self.dual),
-                                    dtype=np.complex128)
+                a = s.x_factor(x)
+            return factor_product(a, s.sampled_factor("xi", self.dual))
         except SymbolEvaluationError:
             return None
-        return values if np.isfinite(values).all() else None
 
     def cutoff_values(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:
@@ -285,6 +271,18 @@ class DyadicDecomposition:
             return low_pass_cutoff(r)
         return ring_cutoff(r / 2.0**j)
 
+    def rings(self):
+        """The cutoffs of pieces 0..levels, from one dilated low-pass
+        L_j = eta(|xi| / 2^j) per level: ring j is L_j - L_(j-1), the bits
+        of `cutoff_values(j)`, as 2 (|xi| / 2^j) is |xi| / 2^(j-1) exactly.
+        Ring j is written over L_(j-1), so ring 1 overwrites ring 0 (L_0):
+        use each ring before drawing the next."""
+        below = None
+        for j in range(self.levels + 1):
+            low = low_pass_cutoff(self.dual_radius / 2.0**j)
+            yield low if below is None else np.subtract(low, below, out=below)
+            below = low
+
     def piece_values(self, j: int, x=None) -> np.ndarray:
         """sigma_j sampled on the dual grid (at the given x if x-dependent)."""
         return self.symbol_values(x) * self.cutoff_values(j)
@@ -292,20 +290,13 @@ class DyadicDecomposition:
     def sum_values(self, x=None) -> np.ndarray:
         """Sum of all pieces; equals sigma * eta(2^-J |xi|) up to roundoff.
 
-        Each dilated low-pass L_j = eta(|xi| / 2^j) is computed once: ring
-        j is L_j - L_(j-1), the bits of `cutoff_values(j)`, because
-        2 (|xi| / 2^j) equals |xi| / 2^(j-1) exactly.  Ring j overwrites
-        L_(j-1), which no later ring needs, and every term sigma * ring
-        goes through one buffer before it is added."""
+        One symbol sample times each of `rings()`, every term through one
+        buffer before it is added."""
         sym = self.symbol_values(x)
         total = np.zeros(self.dual.shape, dtype=np.complex128)
         term = np.empty_like(total)
-        below = None
-        for j in range(self.levels + 1):
-            low = low_pass_cutoff(self.dual_radius / 2.0**j)
-            ring = low if below is None else np.subtract(low, below, out=below)
+        for ring in self.rings():
             total += np.multiply(sym, ring, out=term)
-            below = low
         return total
 
     def truncation_values(self, x=None) -> np.ndarray:

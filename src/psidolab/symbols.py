@@ -184,14 +184,9 @@ class Symbol:
         # a view, so the read-only flag never reaches an array the factor keeps
         with np.errstate(**_QUIET):
             values = np.asarray(factor(arg), dtype=np.complex128).view()
-        finite = np.isfinite(values)
-        if not finite.all():
-            points = grid.coord_stack()
-            bad = ~np.broadcast_to(finite, points.shape[:-1])
-            where = tuple(np.argwhere(bad)[0])
-            raise SymbolEvaluationError(
-                f"{self.label}: non-finite {which}_factor value at "
-                f"{which}={points[where].tolist()}")
+        if not np.isfinite(values).all():
+            raise _nonfinite_error(values, f"{self.label}: non-finite {which}_factor value",
+                                   **{which: grid.coord_stack()})
         values.flags.writeable = False
         self._samples[which] = (grid, values)
         return values
@@ -217,19 +212,30 @@ class Symbol:
                 f"x has dimension {x.shape[-1]}, xi has {xi.shape[-1]}")
         with np.errstate(**_QUIET):
             out = np.asarray(self.evaluator(x, xi), dtype=np.complex128)
-        bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
-        if np.any(bad):
-            # an evaluator may return values that do not depend on x or xi
-            # unbroadcast; name a point of the full broadcast shape
-            bad = np.broadcast_to(bad, np.broadcast_shapes(
-                bad.shape, x.shape[:-1], xi.shape[:-1]))
-            xb = np.broadcast_to(x, bad.shape + x.shape[-1:])
-            xib = np.broadcast_to(xi, bad.shape + xi.shape[-1:])
-            where = tuple(np.argwhere(bad)[0])
-            raise SymbolEvaluationError(
-                f"{self.label}: non-finite value at x={xb[where].tolist()}, "
-                f"xi={xib[where].tolist()}")
+        if not np.isfinite(out).all():
+            raise _nonfinite_error(out, f"{self.label}: non-finite value", x=x, xi=xi)
         return out
+
+
+def _nonfinite_error(values: np.ndarray, message: str,
+                     **points) -> SymbolEvaluationError:
+    """The message, then ``name=point`` of each point array (..., dim) at
+    the first non-finite entry of values, which may be unbroadcast against
+    the points (an evaluator may return values that do not depend on x)."""
+    finite = np.isfinite(values)
+    shape = np.broadcast_shapes(finite.shape, *(p.shape[:-1] for p in points.values()))
+    where = tuple(np.argwhere(~np.broadcast_to(finite, shape))[0])
+    named = ", ".join(f"{name}={np.broadcast_to(p, shape + p.shape[-1:])[where].tolist()}"
+                      for name, p in points.items())
+    return SymbolEvaluationError(f"{message} at {named}")
+
+
+def factor_product(a, b) -> Optional[np.ndarray]:
+    """a * b as complex128, the product a factored evaluator forms, or None
+    when a value is not finite (Symbol.eval then names the point)."""
+    with np.errstate(**_QUIET):
+        values = np.asarray(a * b, dtype=np.complex128)
+    return values if np.isfinite(values).all() else None
 
 
 def _samples_evaluator(factor) -> bool:
@@ -547,10 +553,9 @@ def _row_values(s: Symbol, x: np.ndarray, xi: np.ndarray, table: np.ndarray,
         with np.errstate(**_QUIET):
             a = s.x_factor(_shifted(x, dx, raw))
             b = s.xi_factor(_shifted(xi, dxi, raw))
-            vals = np.asarray(np.broadcast_to(a, (raw + len(dx), n))[x_rows]
-                              * np.broadcast_to(b, (raw + len(dxi), n))[xi_rows],
-                              dtype=np.complex128)
-        if np.isfinite(vals).all():
+        vals = factor_product(np.broadcast_to(a, (raw + len(dx), n))[x_rows],
+                              np.broadcast_to(b, (raw + len(dxi), n))[xi_rows])
+        if vals is not None:
             return vals
     return s.eval(_shifted(x, table[:, 0], raw), _shifted(xi, table[:, 1], raw))
 
@@ -639,8 +644,10 @@ class SampleSpec:
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
             raise InvalidInputError(f"dim must be 1..3, got {self.dim}")
-        if self.xi_max <= 0 or self.x_extent <= 0:
-            raise InvalidInputError("xi_max and x_extent must be positive")
+        for name in ("xi_max", "x_extent", "step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
         if self.num_x < 1 or self.num_xi < 2:
             raise InvalidInputError("need num_x >= 1 and num_xi >= 2")
         if self.num_x * self.num_xi > 2**14:

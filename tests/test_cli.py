@@ -155,6 +155,18 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "budget-report.json").read_text())
         assert report["checks"][0]["N"] == 12
 
+    @pytest.mark.parametrize("flags", [
+        ("--xi-max", "inf"), ("--x-extent", "inf"), ("--step", "0"),
+        ("--step", "-0.05")])
+    def test_sample_set_needs_finite_positive_sizes(self, tmp_path, capsys, flags):
+        code = run_cli(*VERIFY, "--d", "1", "--cap", "10", *flags,
+                       "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and positive" in err
+        assert not (tmp_path / "verify-symbol-report.json").exists()
+
 
 class TestDeterminism:
     @staticmethod
@@ -247,6 +259,19 @@ class TestKernelDecayCommand:
                        "--n", "64", "--R", "8", *flags, "--out-dir", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "kernel-decay-report.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--L", "inf"), "L must be finite"),
+        (("--shells", "0"), "at least 2"), (("--shells", "1"), "at least 2")])
+    def test_degenerate_fit_parameters_exit_two(self, tmp_path, capsys, flags,
+                                                message):
+        # an infinite extra decay and a fit over fewer than two shells
+        # are invalid input, not a failed or a passing check
+        code = run_cli(*KERNEL_DECAY, "--d", "2", *flags, "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "kernel-decay-report.json").exists()
 
 

@@ -16,12 +16,12 @@ from psidolab import (Grid, InvalidInputError, PreconditionError,
                       SymbolEvaluationError, apply_psido, bessel_multiplier,
                       builtin_symbols, constant_symbol, default_levels,
                       discrete_adjoint_apply, dual_pairing, dyadic_decompose,
-                      fourier_transform, kernel_piece, kernel_sum,
-                      low_pass_cutoff, mixed_norm, MixedExponent,
+                      dyadic_envelope_check, fourier_transform, kernel_piece,
+                      kernel_sum, low_pass_cutoff, mixed_norm, MixedExponent,
                       offsupport_apply, quadrature, random_band_limited,
                       ring_cutoff, separable_symbol, smoothness_coefficients,
                       trig_multiplication, wave_multiplier, with_params)
-from psidolab import operators
+from psidolab import cli, operators
 from conftest import gaussian
 
 
@@ -457,36 +457,55 @@ class TestDyadicDecomposition:
         outside = (r < 2.0) | (r > 8.0)
         assert np.max(piece[outside]) == 0.0
 
-    def test_x_dependent_sample_kept_for_last_x(self, monkeypatch):
-        g = Grid(2, 32, 4.0)
-        s = separable_symbol(
-            trig_multiplication(smoothness_coefficients(2, 6), 8.0),
-            bessel_multiplier(-1.0))
-        x = [0.5, -1.0]
-        points = ([0.25, -1.0], [0.0, 0.0], [-0.0, 0.0], x)
-        fresh = [s.eval(np.array(p), g.dual().coord_stack()) for p in points]
-        calls = []
-        x_factor = s.x_factor
+    @pytest.mark.parametrize("dim, n, R, levels", [
+        (1, 512, 16.0, 5), (2, 64, math.pi, 3), (3, 32, 4.0, 2)])
+    def test_rings_are_the_cutoffs(self, dim, n, R, levels):
+        dd = dyadic_decompose(bessel_multiplier(-1.0), Grid(dim, n, R), levels)
+        # compared as drawn: ring 1 is written over ring 0
+        for j, ring in enumerate(dd.rings()):
+            want = dd.cutoff_values(j)
+            assert np.array_equal(ring.view(np.uint64), want.view(np.uint64)), j
+        assert j == levels
 
-        def counted(x):
-            calls.append(np.array(x, dtype=float).tobytes())
-            return x_factor(x)
+    @pytest.mark.parametrize("kind", ["sep", "trig", "general"])
+    def test_one_sample_per_x(self, kind, monkeypatch, tmp_path):
+        # walking every piece at one x samples an x-dependent symbol once:
+        # the CLI dyadic and kernel-decay handlers and the envelope check
+        samples = []
+        plain_eval = Symbol.eval
 
-        s = dataclasses.replace(s, x_factor=counted)
-        dd = dyadic_decompose(s, g, 3)
-        first = dd.symbol_values(x)
-        for j in range(dd.levels + 1):
-            dd.piece_values(j, x)
-        dd.sum_values(x)
-        dd.truncation_values(x)
-        assert len(calls) == 1 and dd.symbol_values(np.array(x)) is first
-        # a new x replaces the sample; the exact bits of x are the key
-        for p, want in zip(points, fresh):
-            assert np.array_equal(dd.symbol_values(p), want)
-            dd.symbol_values(p)
-        assert calls[1:] == [np.array(p).tobytes() for p in points]
-        # the sample is not part of the decomposition's identity
-        assert dd == dyadic_decompose(s, g, 3) and "_x_sample" not in repr(dd)
+        def counted_eval(self, x, xi):
+            samples.append("eval")
+            return plain_eval(self, x, xi)
+
+        monkeypatch.setattr(Symbol, "eval", counted_eval)
+        trig = trig_multiplication(smoothness_coefficients(2, 6), 8.0)
+        s = {"sep": separable_symbol(trig, bessel_multiplier(-1.0)),
+             "trig": trig,
+             "general": Symbol(
+                 lambda x, xi: np.exp(0.1j * np.sum(x * xi, axis=-1))
+                 / (1.0 + np.sum(xi**2, axis=-1)),
+                 SymbolClassParams(m=0.0), "general", label="coupled")}[kind]
+        if s.x_factor is not None:
+            x_factor = s.x_factor
+
+            def counted_factor(x):
+                samples.append("x_factor")
+                return x_factor(x)
+
+            s = dataclasses.replace(s, x_factor=counted_factor)
+        one = ["x_factor"] if kind == "sep" else ["eval"]
+        monkeypatch.setattr(cli, "parse_symbol_spec", lambda spec, period: s)
+        for command in ("dyadic", "kernel-decay"):
+            samples.clear()
+            code = cli.main([command, "--symbol", kind, "--d", "2", "--n", "32",
+                             "--R", "4", "--levels", "3", "--x", "0.5,-0.0",
+                             "--out-dir", str(tmp_path)])
+            assert code == 0 and samples == one, command
+        samples.clear()
+        rep = dyadic_envelope_check(dyadic_decompose(s, Grid(2, 32, 4.0), 3),
+                                    0, (0, 0), (0, 0), x=[0.5, -0.0])
+        assert len(rep.ratios) == 4 and samples == one
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
     def test_separable_sample_from_factors(self, dim, n, monkeypatch):
