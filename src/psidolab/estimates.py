@@ -139,6 +139,24 @@ class EnvelopeReport:
     degenerate: bool
 
 
+def _over_power_of_two(value: float, power: float) -> float:
+    """value / 2^power.  Where 2^power is a nonzero float this is that
+    quotient; where it overflows or underflows to zero the quotient is
+    scaled by ldexp instead, so it stays representable (inf only if the
+    quotient itself overflows)."""
+    try:
+        scale = 2.0 ** power
+    except OverflowError:
+        scale = 0.0
+    if scale > 0.0:
+        return value / scale
+    whole = math.floor(power)
+    try:
+        return math.ldexp(value / 2.0 ** (power - whole), -whole)
+    except OverflowError:
+        return math.inf
+
+
 def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
                           x=None, pass_factor: float = 3.0) -> EnvelopeReport:
     """Check that ring kernels scale like 2^(j (d + m + delta|alpha| + |beta| - rho M)).
@@ -173,7 +191,7 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
                 SampledFunction(dd.dual, sym * ring * deriv_mult), "inverse")
             sup = float(np.max(weight * np.abs(kj.values)))
             sups.append(sup)
-            ratios.append(sup / 2.0 ** (j * exponent))
+            ratios.append(_over_power_of_two(sup, j * exponent))
     ring = [r for r in ratios[1:] if r > 0.0]
     if len(ring) >= 2:
         spread = max(ring) / min(ring)

@@ -7,21 +7,24 @@ Apply and adjoint take one path: the symbol is a sum of terms
 a_r(x) b_r(xi), and each term costs an FFT pair around the multiplication
 by b_r (skipped without b_r) and a pointwise multiplication by a_r
 (skipped without a_r).  Every kind but "general" is one factored term.
-A general symbol is compressed on every call by adaptive cross
-approximation of its sample matrix sigma(x_i, xi_j), to a residual of at
-most 1e-15 of the largest probed entry, so its cost follows its numerical
-rank r: O(r N) evaluations and about 2(r + 1) FFTs for N grid points, not
-N^2.  A rank above min(N, 128, 2^22 / N) raises InvalidInputError.
+A general symbol is compressed by adaptive cross approximation of its
+sample matrix sigma(x_i, xi_j), to a residual of at most 1e-15 of the
+largest probed entry, once per symbol and grid: apply and adjoint reuse
+the terms until another grid replaces them.  Its cost follows its
+numerical rank r: O(r N) evaluations once, and about 2(r + 1) FFTs per
+call for N grid points, not N^2.  A rank above min(N, 128, 2^22 / N)
+raises InvalidInputError.
 
 The adjoint is the conjugate transpose of the discretized operator
 matrix (for a general symbol, of the compressed one), realized
 matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 
-Each factor is sampled once per grid: `Symbol.sampled_factor` memoises
-the last grid sample of each factor on the symbol, and `_terms` hands the
-sampled arrays to apply and adjoint.  That memo and the grid's dual-grid
-memo are the only shared mutable state.  Each memo entry is written whole
+Each factor is sampled, and a general symbol compressed, once per grid:
+`Symbol.grid_memo` keeps the last grid's factor samples and
+cross-approximation terms on the symbol, and `_terms` hands those arrays
+to apply and adjoint.  That memo and the grid's dual-grid memo are the
+only shared mutable state.  Each memo entry is written whole
 and read-only, so concurrent evaluation stays safe: a racing caller at
 worst samples the same grid again.  Apart from them, operators and
 decompositions are pure given immutable inputs.
@@ -30,6 +33,7 @@ decompositions are pure given immutable inputs.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -38,7 +42,8 @@ import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, SymbolEvaluationError
 from .grid import (Grid, SampledFunction, compatible_grids, fourier_transform)
-from .symbols import Symbol, SymbolClassParams, factor_product
+from .symbols import (Symbol, SymbolClassParams, factor_product,
+                      nonfinite_product_error)
 
 _ACA_TOL = 1e-15        # probe residual / max|probe| at which compression stops
 _ACA_PROBES = 1024      # entries per probe set (two disjoint sets)
@@ -132,6 +137,9 @@ def _general_terms(s: Symbol, grid: Grid) -> list:
         if not failing:
             break
         i = int(rows[failing[0]][np.argmax(err[failing[0]])])
+    # the rank rows only, so the cap-sized buffers are freed
+    a_terms, b_terms = a_terms[:rank].copy(), b_terms[:rank].copy()
+    a_terms.flags.writeable = b_terms.flags.writeable = False
     return [(a_terms[r].reshape(grid.shape), b_terms[r].reshape(dual.shape))
             for r in range(rank)]
 
@@ -139,12 +147,22 @@ def _general_terms(s: Symbol, grid: Grid) -> list:
 def _terms(s: Symbol, grid: Grid) -> list:
     """The symbol as sampled terms (a_r, b_r), sigma(x_i, xi_j) ~ sum_r
     a_r[i] b_r[j], a_r on the x grid and b_r on the dual grid (None when
-    absent); a factored symbol's term is its memoised factor samples."""
+    absent), all read-only and memoised on the symbol for the last grid: a
+    factored symbol's term is its factor samples, a general symbol's terms
+    are its cross approximation."""
     if s.kind == "general":
-        return _general_terms(s, grid)
+        return s.grid_memo("terms", grid, lambda: _general_terms(s, grid))
     b = None if s.xi_factor is None else s.sampled_factor("xi", grid.dual())
     a = None if s.x_factor is None else s.sampled_factor("x", grid)
     return [(a, b)]
+
+
+def _quiet(s: Symbol):
+    """numpy's floating-point warnings off while a separable symbol is
+    applied: its factors are checked finite one by one, but their product
+    can overflow, and `nonfinite_product_error` names it instead.  No other
+    kind multiplies two symbol factors, and a plain context costs less."""
+    return np.errstate(all="ignore") if s.kind == "separable" else nullcontext()
 
 
 def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
@@ -155,18 +173,25 @@ def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     pointwise by a_r (skipped without a_r); the terms share one forward
     FFT.  A factored symbol is one term, so a multiplication symbol is
     exact at grid level; a general symbol is its cross approximation.
+    A separable symbol whose factor product a(x) b(xi) is not finite
+    somewhere on the grid raises SymbolEvaluationError naming the first
+    such (x, xi), if the result is not finite.
     """
-    fhat = total = None
-    for a, b in _terms(s, f.grid):
-        out = f
-        if b is not None:
-            if fhat is None:
-                fhat = fourier_transform(f, "forward")
-            out = fourier_transform(
-                SampledFunction(fhat.grid, b * fhat.values), "inverse")
-        if a is not None:
-            out = SampledFunction(f.grid, a * out.values)
-        total = out if total is None else total + out
+    try:
+        with _quiet(s):
+            fhat = total = None
+            for a, b in _terms(s, f.grid):
+                out = f
+                if b is not None:
+                    if fhat is None:
+                        fhat = fourier_transform(f, "forward")
+                    out = fourier_transform(
+                        SampledFunction(fhat.grid, b * fhat.values), "inverse")
+                if a is not None:
+                    out = SampledFunction(f.grid, a * out.values)
+                total = out if total is None else total + out
+    except InvalidInputError as exc:  # a non-finite sample: name its cause
+        raise nonfinite_product_error(s, f.grid) or exc
     if total is None:
         return SampledFunction(f.grid, np.zeros(f.grid.shape))
     return total
@@ -178,21 +203,26 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
     Matrix-free: per term, conj(a_r) g is transformed and multiplied by
     conj(b_r); the sum takes one inverse FFT.  It is the exact adjoint of
     what `apply_psido` computes, truncated terms included, so the discrete
-    pairing <T u, phi> = <u, T* phi> holds to roundoff.
+    pairing <T u, phi> = <u, T* phi> holds to roundoff.  A non-finite
+    result raises as in `apply_psido`.
     """
-    spectrum = None
-    for a, b in _terms(s, g.grid):
-        out = g
-        if a is not None:
-            out = SampledFunction(g.grid, np.conj(a) * g.values)
-        if b is None:
-            return out  # a multiplication symbol: pointwise and exact
-        shat = fourier_transform(out, "forward")
-        part = SampledFunction(shat.grid, np.conj(b) * shat.values)
-        spectrum = part if spectrum is None else spectrum + part
-    if spectrum is None:
-        return SampledFunction(g.grid, np.zeros(g.grid.shape))
-    return fourier_transform(spectrum, "inverse")
+    try:
+        with _quiet(s):
+            spectrum = None
+            for a, b in _terms(s, g.grid):
+                out = g
+                if a is not None:
+                    out = SampledFunction(g.grid, np.conj(a) * g.values)
+                if b is None:
+                    return out  # a multiplication symbol: pointwise and exact
+                shat = fourier_transform(out, "forward")
+                part = SampledFunction(shat.grid, np.conj(b) * shat.values)
+                spectrum = part if spectrum is None else spectrum + part
+            if spectrum is None:
+                return SampledFunction(g.grid, np.zeros(g.grid.shape))
+            return fourier_transform(spectrum, "inverse")
+    except InvalidInputError as exc:  # a non-finite sample: name its cause
+        raise nonfinite_product_error(s, g.grid) or exc
 
 
 # ---------------------------------------------------------------------------

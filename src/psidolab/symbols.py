@@ -19,7 +19,8 @@ not proven.
 The derivatives are composed 4th-order central differences.  Their cost is
 one evaluation per distinct stencil point per sample point, not one per
 stencil term: all (alpha, beta) pairs share one table of distinct offsets,
-evaluated by one ``Symbol.eval`` per block of about 2^20 points.  Each
+found from integer ids of the exact float offsets and evaluated by one
+``Symbol.eval`` per block of about 2^20 points.  Each
 pair then sums its weighted terms in the per-term order, so the result is
 bit-identical to summing ``w * s.eval(x + dx, xi + dxi)`` term by term.
 A factored symbol is evaluated once per distinct point of its factors: a
@@ -126,10 +127,13 @@ class Symbol:
     `functools.wraps` keep the mark.  `sampled_factor` passes the Grid to
     a marked factor and the grid's coordinate stack to any other.
 
-    `sampled_factor` memoises the last grid sample of each factor (one
-    read-only array per factor).  The memo is not part of the symbol's
-    identity: equality, hashing and repr ignore it, and every
-    `dataclasses.replace` / `with_params` copy starts without it.
+    `grid_memo` keeps one entry per name for the last grid only:
+    `sampled_factor` the sample of each factor (one read-only array), and
+    the operators a general symbol's cross-approximation terms (read-only
+    arrays of its rank), so apply and adjoint on one grid compress once.
+    The memo is not part of the symbol's identity: equality, hashing and
+    repr ignore it, and every `dataclasses.replace` / `with_params` copy
+    starts without it.
     """
 
     evaluator: Callable
@@ -138,7 +142,7 @@ class Symbol:
     x_factor: Optional[Callable] = None
     xi_factor: Optional[Callable] = None
     label: str = "symbol"
-    # which ("x" / "xi") -> (grid, read-only samples); replaced, never mutated
+    # name -> (grid, read-only value); replaced, never mutated
     _samples: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
@@ -164,21 +168,33 @@ class Symbol:
     def xi_independent(self) -> bool:
         return self.kind == "multiplication"
 
-    def sampled_factor(self, which: str, grid) -> np.ndarray:
-        """x_factor ("x") or xi_factor ("xi") sampled at every point of grid.
+    def grid_memo(self, name: str, grid, compute: Callable):
+        """compute(), kept under name for this grid until another replaces it.
 
-        Only the last grid is kept per factor, as one (grid, array) tuple
+        Only the last grid is kept per name, as one (grid, value) tuple
         that a new grid replaces whole: memory stays bounded, and a
         concurrent caller sees either entry complete, never one grid
-        paired with another's samples (at worst two callers sample the
-        same grid).  The returned array is read-only.  A non-finite sample
-        raises SymbolEvaluationError naming the first bad point.  A factor
-        marked `takes_grid` samples the grid itself; any other gets every
-        grid point as `grid.coord_stack()`.
-        """
-        entry = self._samples.get(which)
+        paired with another's value (at worst two callers compute the same
+        grid).  compute must return read-only data."""
+        entry = self._samples.get(name)
         if entry is not None and entry[0] == grid:
             return entry[1]
+        value = compute()
+        self._samples[name] = (grid, value)
+        return value
+
+    def sampled_factor(self, which: str, grid) -> np.ndarray:
+        """x_factor ("x") or xi_factor ("xi") sampled at every point of grid,
+        memoised for the last grid (`grid_memo`).
+
+        The returned array is read-only.  A non-finite sample raises
+        SymbolEvaluationError naming the first bad point.  A factor marked
+        `takes_grid` samples the grid itself; any other gets every grid
+        point as `grid.coord_stack()`.
+        """
+        return self.grid_memo(which, grid, lambda: self._sample_factor(which, grid))
+
+    def _sample_factor(self, which: str, grid) -> np.ndarray:
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
         arg = grid if getattr(factor, "takes_grid", False) else grid.coord_stack()
         # a view, so the read-only flag never reaches an array the factor keeps
@@ -188,7 +204,6 @@ class Symbol:
             raise _nonfinite_error(values, f"{self.label}: non-finite {which}_factor value",
                                    **{which: grid.coord_stack()})
         values.flags.writeable = False
-        self._samples[which] = (grid, values)
         return values
 
     def _sample_x(self, x) -> np.ndarray:
@@ -236,6 +251,31 @@ def factor_product(a, b) -> Optional[np.ndarray]:
     with np.errstate(**_QUIET):
         values = np.asarray(a * b, dtype=np.complex128)
     return values if np.isfinite(values).all() else None
+
+
+def nonfinite_product_error(s: Symbol, grid: Grid) -> Optional[SymbolEvaluationError]:
+    """The error naming the first (x, xi), x on grid (slowest) and xi on its
+    dual, whose factor product a(x) b(xi) is not finite, as Symbol.eval
+    words it; None when s is not separable or every product is finite.
+
+    Only the x rows that can overflow are multiplied out: both parts of a
+    product are at most (|Re a| + |Im a|)(|Re b| + |Im b|), so a row whose
+    bound stays below 2^1023 is finite throughout.
+    """
+    if s.kind != "separable":
+        return None
+    dual = grid.dual()
+    a = s.sampled_factor("x", grid).ravel()
+    b = s.sampled_factor("xi", dual).ravel()
+    with np.errstate(**_QUIET):
+        bound = (np.abs(a.real) + np.abs(a.imag)) * np.max(np.abs(b.real) + np.abs(b.imag))
+        for i in np.flatnonzero(~(bound < 2.0**1023)):
+            row = a[i] * b
+            if not np.isfinite(row).all():
+                x = grid.axis_coords()[list(np.unravel_index(i, grid.shape))]
+                return _nonfinite_error(row, f"{s.label}: non-finite value", x=x,
+                                        xi=dual.coord_stack().reshape(-1, grid.dim))
+    return None
 
 
 def _samples_evaluator(factor) -> bool:
@@ -409,55 +449,54 @@ _EVAL_BLOCK = 2**20  # points per batched Symbol.eval of the difference stencils
 _RAW = "raw"         # plan of an order-0 pair: the unshifted sample points
 
 
-def _axis_stencil(stencils, step) -> np.ndarray:
-    """(offset, weight) rows of 1-D stencils composed along one axis.
+def _axis_stencil(order: int, step: float) -> tuple:
+    """The 1-D stencil of one derivative order along one axis: second
+    differences, then an odd first difference, composed.
 
-    Rows come in expansion order (the first stencil varies slowest), and
-    each offset adds its shifts left to right from 0.0, as a coordinate
-    shifted by one stencil at a time would.
+    Returns the (offset, weight) rows, in expansion order (the first
+    stencil varies slowest), each offset adding its shifts left to right
+    from 0.0 as a coordinate shifted by one stencil at a time would; and
+    the denominator's factors, one per stencil.
     """
+    stencils = [_D2] * (order // 2) + [_D1] * (order % 2)
     terms = [(0.0, 1.0)]
     for stencil in stencils:
         terms = [(off + o * step, w * c) for off, w in terms for o, c in stencil]
-    return np.array(terms)
+    return np.array(terms), [12.0 * step ** (2 if st is _D2 else 1) for st in stencils]
 
 
-def _fd_stencil(alpha, beta, dim, step):
-    """The composed 4th-order stencil of d_x^alpha d_xi^beta.
-
-    Returns the offsets (terms, 2, dim), x shifts in [:, 0] and xi shifts
-    in [:, 1]; the integer-valued weights (terms,); and the denominator.
-    The stencil is the tensor product of one 1-D stencil per (variable,
-    axis), x axes first, second differences before an odd first
-    difference; terms come in the order of expanding those one at a time.
-    """
-    offsets, weights, denom = np.zeros((1, 2, dim)), np.ones(1), 1.0
-    for var, mi in enumerate((alpha, beta)):
-        for axis, order in enumerate(mi):
-            if not order:
-                continue
-            stencils = [_D2] * (order // 2) + [_D1] * (order % 2)
-            for stencil in stencils:
-                denom *= 12.0 * step ** (2 if stencil is _D2 else 1)
-            axis_terms = _axis_stencil(stencils, step)
-            offsets = np.repeat(offsets, len(axis_terms), axis=0)
-            offsets[:, var, axis] = np.tile(axis_terms[:, 0], len(weights))
-            weights = np.outer(weights, axis_terms[:, 1]).ravel()
-    return offsets, weights, denom
+def _first_use(keys: np.ndarray) -> tuple:
+    """The position of each distinct key's first use, in first-use order,
+    and the rank of every key among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    return first[by_use], rank[inverse.ravel()]
 
 
 def _fd_plan(s: Symbol, pairs, dim: int, step: float):
     """Stencils of the mixed derivatives of every (alpha, beta) pair, over
     one table of distinct evaluation points.
 
-    Returns (plans, table, raw).  The points are rows: row 0 is the
-    unshifted point when raw (some pair has order 0), then one row per
-    distinct offset in `table` (offsets, 2, dim), in the order the per-term
-    loop first uses them.  plans[j] is None for a derivative the kind tag
-    rules out (identically zero, not stencil noise), _RAW for order 0, or
-    (rows, weights, denom) of the pair's terms in term order.
+    The stencil of d_x^alpha d_xi^beta is the tensor product of one 1-D
+    stencil per (variable, axis), x axes first; its terms come in the
+    order of expanding those one at a time.  Each order's 1-D stencil is
+    built once, and every distinct offset gets an integer id keyed by its
+    exact float bits (distinct sums of the same integer shifts stay
+    distinct), so a term's x shift and its xi shift each have an integer
+    id, and a term's point is the pair of the two.
+
+    Returns (plans, table, raw, shift_ids).  The points are rows: row 0 is
+    the unshifted point when raw (some pair has order 0), then one row per
+    distinct offset in `table` (offsets, 2, dim), x shifts in [:, 0] and xi
+    shifts in [:, 1], in the order the per-term loop first uses them;
+    shift_ids (offsets, 2) holds the ids of each table row's x and xi
+    shift.  plans[j] is None for a derivative the kind tag rules out
+    (identically zero, not stencil noise), _RAW for order 0, or (rows,
+    weights, denom) of the pair's terms in term order, the weights integer.
     """
-    plans, stencils = [], []
+    plans, pairs_used, axis_stencils = [], [], {}
     for alpha, beta in pairs:
         a, b = multi_index_order(alpha), multi_index_order(beta)
         if (a and s.x_independent) or (b and s.xi_independent):
@@ -465,30 +504,56 @@ def _fd_plan(s: Symbol, pairs, dim: int, step: float):
         elif a + b == 0:
             plans.append(_RAW)
         else:
-            plans.append(len(stencils))
-            stencils.append(_fd_stencil(alpha, beta, dim, step))
+            plans.append(len(pairs_used))
+            pairs_used.append((alpha, beta))
+            for order in alpha + beta:
+                if order and order not in axis_stencils:
+                    axis_stencils[order] = _axis_stencil(order, step)
     raw = _RAW in plans
-    if not stencils:
-        return plans, np.zeros((0, 2, dim)), raw
-    table, index = _distinct_rows(
-        np.concatenate([o for o, _, _ in stencils]).reshape(-1, 2 * dim))
-    rows = np.split(raw + index, np.cumsum([len(w) for _, w, _ in stencils])[:-1])
-    plans = [(rows[plan], stencils[plan][1], stencils[plan][2])
-             if isinstance(plan, int) else plan for plan in plans]
-    return plans, table.reshape(-1, 2, dim), raw
-
-
-def _distinct_rows(offsets: np.ndarray) -> tuple:
-    """The distinct rows of offsets (k, w) in first-use order, and the index
-    of every row among them."""
-    offsets = np.ascontiguousarray(offsets)
-    # byte keys are exact float keys: offsets are sums from 0.0, never -0.0
-    keys = offsets.view(np.dtype((np.void, offsets.itemsize * offsets.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_use = np.argsort(first)
-    rank = np.empty_like(by_use)
-    rank[by_use] = np.arange(len(by_use))
-    return offsets[first[by_use]], rank[inverse.ravel()]
+    if not pairs_used:
+        return plans, np.zeros((0, 2, dim)), raw, np.zeros((0, 2), dtype=np.int64)
+    # offset ids keyed by bits, 0.0 (the shift of an axis left alone) as id 0
+    bits = np.concatenate([[0]] + [st[:, 0].view(np.int64)
+                                   for st, _ in axis_stencils.values()])
+    first, ids = _first_use(bits)
+    offsets = bits[first].view(np.float64)
+    order_ids = dict(zip(axis_stencils, np.split(ids[1:], np.cumsum(
+        [len(st) for st, _ in axis_stencils.values()])[:-1])))
+    # a shift's id has one base-K digit, K = len(offsets), per (variable,
+    # axis) some pair differentiates: x digits below xi digits, so the sum
+    # of the two ids keys the point.  At most 2 dim digits and K <= 1,405
+    # (every offset of orders 1..8) keep it below 2^63 for dim <= 3.
+    used = np.zeros((2, dim), dtype=bool)
+    for alpha, beta in pairs_used:
+        used |= np.array([alpha, beta], dtype=bool)
+    scale = np.zeros((2, dim), dtype=np.int64)
+    scale[used] = len(offsets) ** np.arange(used.sum(), dtype=np.int64)
+    ids, weights, denoms = [], [], []
+    for alpha, beta in pairs_used:
+        pair_ids, weight, denom = np.zeros((1, 2), dtype=np.int64), np.ones(1), 1.0
+        for var, mi in enumerate((alpha, beta)):
+            for axis, order in enumerate(mi):
+                if not order:
+                    continue
+                stencil, factors = axis_stencils[order]
+                for factor in factors:
+                    denom *= factor
+                pair_ids = np.repeat(pair_ids, len(stencil), axis=0)
+                pair_ids[:, var] += np.tile(order_ids[order] * scale[var, axis],
+                                            len(weight))
+                weight = np.outer(weight, stencil[:, 1]).ravel()
+        ids.append(pair_ids)
+        weights.append(weight)
+        denoms.append(denom)
+    shift_ids = np.concatenate(ids)
+    first, index = _first_use(shift_ids.sum(axis=1))
+    shift_ids = shift_ids[first]
+    digits = shift_ids[:, :, None] // np.maximum(scale, 1) % len(offsets)
+    table = np.where(used, offsets[digits], 0.0)
+    rows = np.split(raw + index, np.cumsum([len(w) for w in weights])[:-1])
+    plans = [(rows[p], weights[p], denoms[p]) if isinstance(p, int) else p
+             for p in plans]
+    return plans, table, raw, shift_ids
 
 
 def _fd_sum(plans, vals: np.ndarray, n: int) -> list:
@@ -524,17 +589,18 @@ def _shifted(points: np.ndarray, shifts: np.ndarray, raw: bool) -> np.ndarray:
     return out
 
 
-def _factor_rows(table: np.ndarray, raw: bool) -> tuple:
+def _factor_rows(table: np.ndarray, shift_ids: np.ndarray, raw: bool) -> tuple:
     """Per variable, the distinct shifts of the stencil rows and every
-    evaluation row's index among them: ((dx, x_rows), (dxi, xi_rows)).
+    evaluation row's index among them: ((dx, x_rows), (dxi, xi_rows)),
+    read from the rows' shift ids.
 
     The unshifted row is its own first entry when raw (x + 0.0 is not x
     at x = -0.0)."""
     out = []
     for var in (0, 1):
-        shifts, index = _distinct_rows(table[:, var])
-        out.append((shifts, np.concatenate([np.zeros(int(raw), dtype=index.dtype),
-                                            raw + index])))
+        first, index = _first_use(shift_ids[:, var])
+        out.append((table[first, var],
+                    np.concatenate([np.zeros(int(raw), dtype=index.dtype), raw + index])))
     return tuple(out)
 
 
@@ -570,11 +636,11 @@ def _fd_blocks(s: Symbol, pairs, x: np.ndarray, xi: np.ndarray, step: float):
     A non-finite value raises the error the per-term loop would: the first
     bad sample of the first point it used.
     """
-    plans, table, raw = _fd_plan(s, pairs, x.shape[-1], step)
+    plans, table, raw, shift_ids = _fd_plan(s, pairs, x.shape[-1], step)
     nrows = raw + len(table)
     widest = max((len(p[1]) for p in plans if isinstance(p, tuple)), default=1)
     width = _EVAL_BLOCK // max(nrows, widest)
-    factor_rows = _factor_rows(table, raw) if s.kind == "separable" else None
+    factor_rows = _factor_rows(table, shift_ids, raw) if s.kind == "separable" else None
     for lo in range(0, len(x), width):
         sl = slice(lo, lo + width)
         n = len(x[sl])
@@ -616,7 +682,7 @@ def finite_diff_derivative(s: Symbol, alpha, beta, x, xi, step: float) -> comple
     if total >= 4 and step < 1e-4:
         raise InvalidInputError(
             f"step {step} too small for order {total} (cancellation guard)")
-    plans, table, raw = _fd_plan(s, [(alpha, beta)], dim, step)
+    plans, table, raw, _ = _fd_plan(s, [(alpha, beta)], dim, step)
     vals = [s.eval(x, xi)] * raw + [s.eval(x + dx, xi + dxi) for dx, dxi in table]
     (deriv,) = _fd_sum(plans, np.reshape(vals, (len(vals), 1)), 1)
     return complex(deriv[0])
@@ -723,7 +789,10 @@ def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> Deriv
 
     Cost: one Symbol.eval point per distinct stencil offset (over all pairs)
     per sample point, in blocks of about 2^20 points, so one or a few
-    Symbol.eval calls in all.  A multiplier is evaluated at the samples of
+    Symbol.eval calls in all.  The table of distinct offsets is found once
+    per call from integer ids of the offsets, one sort of one int64 key per
+    stencil term (106,374 terms for bessel N'=8 at d = 3), with each
+    order's 1-D stencil built once.  A multiplier is evaluated at the samples of
     the first x only (48 of 288 at the default SampleSpec): its values
     repeat at every x, so the first x holds every maximum and its first
     sample.  A separable symbol calls Symbol.eval only to raise an error:

@@ -191,3 +191,22 @@ class TestSummary:
         assert self.regressions(pairs) == [
             {"workload": "symbol-eval", "metric": "runs_failed",
              "parent": 0, "change": 2}]
+
+
+class TestClaimValidation:
+    @pytest.mark.parametrize("claim, message", [
+        ("symbol-eval:wal_s", "'wal_s' is not an end-to-end metric"),
+        ("grid-large:wall_s", "workload 'grid-large' is not run"),
+        ("symbol-eval", "'' is not an end-to-end metric"),
+    ])
+    def test_bad_claim_exits_two_before_any_tree(self, monkeypatch, capsys,
+                                                 claim, message):
+        def no_tree(*args):
+            raise AssertionError("a tree was extracted")
+
+        monkeypatch.setattr(bench_pairs, "_extract_parent", no_tree)
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(["--parent", "HEAD", "--run", "symbol-eval", "1",
+                              "--out", "unused.json", "--claim", claim])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err

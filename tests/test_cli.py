@@ -106,6 +106,25 @@ class TestApplyCommand:
         assert run_cli("apply", "--symbol", "const:1",
                        "--out-dir", str(tmp_path)) == 2
 
+    def test_overflowing_factor_product_exits_two(self, tmp_path, capsys):
+        # finite factors, about 1e160 and <xi>^150 <= 1e210, whose product
+        # overflows: the symbol's error naming the point, no numpy warning
+        src = tmp_path / "f.pslb"
+        write_pslb(src, random_band_limited(Grid(1, 64, 4.0), np.random.default_rng(0)))
+        config = tmp_path / "sep.json"
+        config.write_text(json.dumps({"symbol": {
+            "kind": "sep", "m": 150, "x_part": {"coeffs": [1e160, 1e160]}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("apply", "--config", str(config), "--input", str(src),
+                           "--output", str(tmp_path / "g.pslb"),
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sep(trig:2,bessel:150.0): non-finite value at x=[-3.875], "
+            "xi=[-25.132741228718345]\n")
+        assert not (tmp_path / "g.pslb").exists()
+
 
 class TestCzCommand:
     def test_nonzero_mean_input_exits_two(self, tmp_path, capsys):

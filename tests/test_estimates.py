@@ -102,6 +102,25 @@ class TestDyadicEnvelope:
             slopes.append(np.mean(np.log2(sups[1:] / sups[:-1])))
         assert slopes[1] - slopes[0] == pytest.approx(-2.0, abs=0.3)
 
+    def test_ratio_beyond_the_float_range_of_2_je(self):
+        # 2^(3 * 346) overflows a float, 2^(3 * -399) underflows to zero;
+        # every supremum is finite and so is every ratio
+        g = Grid(1, 64, 16.0)
+        high = dyadic_envelope_check(
+            dyadic_decompose(bessel_multiplier(345.0), g, 3), 0, (0,), (0,))
+        assert high.exponent == 346.0
+        assert high.ratios[3] == math.ldexp(high.suprema[3], -1038)
+        assert high.ratios[3] == pytest.approx(1.25e-37, rel=1e-2)
+        low = dyadic_envelope_check(
+            dyadic_decompose(bessel_multiplier(-400.0), g, 3), 0, (0,), (0,))
+        assert low.exponent == -399.0
+        assert low.ratios[3] == math.ldexp(low.suprema[3], 1197)
+        for rep in (high, low):
+            assert all(math.isfinite(r) and r > 0.0 for r in rep.ratios)
+            # the ratios 2^(j e) holds as a float keep the plain quotient's bits
+            for j in range(3):
+                assert rep.ratios[j] == rep.suprema[j] / 2.0 ** (j * rep.exponent)
+
     def test_validation(self):
         g = Grid(1, 512, 16.0)
         dd = dyadic_decompose(bessel_multiplier(-1.0), g, 3)

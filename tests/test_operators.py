@@ -18,9 +18,10 @@ from psidolab import (Grid, InvalidInputError, PreconditionError,
                       discrete_adjoint_apply, dual_pairing, dyadic_decompose,
                       dyadic_envelope_check, fourier_transform, kernel_piece,
                       kernel_sum, low_pass_cutoff, mixed_norm, MixedExponent,
-                      offsupport_apply, quadrature, random_band_limited,
-                      ring_cutoff, separable_symbol, smoothness_coefficients,
-                      trig_multiplication, wave_multiplier, with_params)
+                      offsupport_apply, operator_norm_estimate, quadrature,
+                      random_band_limited, ring_cutoff, separable_symbol,
+                      smoothness_coefficients, trig_multiplication,
+                      wave_multiplier, with_params)
 from psidolab import cli, operators
 from conftest import gaussian
 
@@ -189,6 +190,23 @@ class TestApplyPaths:
                            r"the cap 128 .*points_per_axis=512"):
             apply_psido(noise, random_band_limited(g, np.random.default_rng(4)))
 
+    @pytest.mark.parametrize("d, n, coeffs, m", [
+        (1, 64, (1e160, 1e160), 150.0), (2, 16, (1e150,), 140.0)])
+    def test_overflowing_factor_product_names_first_point(self, d, n, coeffs, m):
+        # finite factors whose product overflows at some (x, xi): the error
+        # Symbol.eval raises on the whole (x, xi) matrix, x slowest
+        g = Grid(d, n, 4.0)
+        s = separable_symbol(trig_multiplication(coeffs, 8.0), bessel_multiplier(m))
+        x = g.coord_stack().reshape(-1, 1, d)
+        xi = g.dual().coord_stack().reshape(1, -1, d)
+        with pytest.raises(SymbolEvaluationError) as want:
+            s.eval(x, xi)
+        f = random_band_limited(g, np.random.default_rng(9))
+        for op in (apply_psido, discrete_adjoint_apply):
+            with pytest.raises(SymbolEvaluationError) as got:
+                op(s, f)
+            assert str(got.value) == str(want.value)
+
     def test_overflowing_symbol_raises_typed_error(self):
         # <xi>^120 overflows near the Nyquist frequency 2048 pi
         g = Grid(1, 4096, 1.0)
@@ -253,6 +271,63 @@ class TestGeneralCompression:
         bound = (mixed_norm(u, MixedExponent((2.0,) * grid.dim))
                  * mixed_norm(phi, MixedExponent((2.0,) * grid.dim)))
         assert abs(dual_pairing(tu, phi) - dual_pairing(u, tphi)) <= 1e-12 * bound
+
+    def compressions(self, monkeypatch) -> list:
+        """The grid of every cross approximation from here on."""
+        grids = []
+        compress = operators._general_terms
+
+        def counted(s, grid):
+            grids.append(grid)
+            return compress(s, grid)
+
+        monkeypatch.setattr(operators, "_general_terms", counted)
+        return grids
+
+    def test_one_compression_per_symbol_and_grid(self, monkeypatch):
+        grid, s, _ = x1_case(2, 16)
+        other = Grid(2, 16, 4.0)
+        f, g = (random_band_limited(grid, np.random.default_rng(i)) for i in (1, 2))
+        want = (apply_psido(dataclasses.replace(s), f).values,
+                discrete_adjoint_apply(dataclasses.replace(s), g).values)
+        grids = self.compressions(monkeypatch)
+        got = (apply_psido(s, f).values, discrete_adjoint_apply(s, g).values)
+        apply_psido(s, f)
+        assert grids == [grid]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # the last grid only: a new grid compresses, and so does the old one again
+        apply_psido(s, random_band_limited(other, np.random.default_rng(3)))
+        discrete_adjoint_apply(s, g)
+        assert grids == [grid, other, grid]
+        # copies start empty, and are not the symbol's memo
+        for copy in (dataclasses.replace(s), with_params(s, rho=0.5)):
+            apply_psido(copy, f)
+        apply_psido(s, f)
+        assert grids == [grid, other, grid, grid, grid]
+
+    def test_power_iteration_compresses_once(self, monkeypatch):
+        grid, s, _ = x1_case(2, 16)
+        grids = self.compressions(monkeypatch)
+        est = operator_norm_estimate(s, grid, MixedExponent((2.0, 2.0)),
+                                     "power_iteration_p2", budget=40)
+        assert est.iterations > 1
+        assert grids == [grid]
+
+    def test_memo_terms_read_only_and_compact(self):
+        grid, s, _ = x1_case(2, 16)
+        terms = operators._terms(s, grid)
+        assert operators._terms(s, grid) is terms
+        assert len(terms) >= 2
+        for a, b in terms:
+            for arr in (a, b):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+                # the rank rows alone, not the cap-sized buffer they came from
+                root = arr
+                while root.base is not None:
+                    root = root.base
+                assert root.nbytes == len(terms) * grid.total_points * 16
 
     def test_zero_symbol_is_rank_zero(self):
         g = Grid(2, 16, 4.0)

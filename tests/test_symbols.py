@@ -12,6 +12,7 @@ from psidolab import (Grid, InvalidInputError, SampleSpec, Symbol,
                       eval_symbol, finite_diff_derivative, schwartz_seminorm,
                       separable_symbol, trig_multiplication, smoothness_coefficients,
                       verify_symbol_class, wave_multiplier, with_params)
+from psidolab import symbols
 from psidolab.symbols import (FD_ORDER_CAP, DerivativeBoundEntry,
                               DerivativeBoundReport, iter_multi_indices,
                               multi_index_order)
@@ -96,6 +97,81 @@ def _bits(report):
     return [(e.alpha, e.beta, e.fitted_constant.hex(),
              [v.hex() for v in e.witness_x], [v.hex() for v in e.witness_xi],
              e.passed) for e in report.entries]
+
+
+# ---------------------------------------------------------------------------
+# reference: the stencil plan with each pair's 1-D stencils rebuilt and the
+# distinct offsets found by sorting whole float rows as void keys (the plan
+# before offsets got integer ids)
+
+def _ref_axis_stencil(stencils, step):
+    terms = [(0.0, 1.0)]
+    for stencil in stencils:
+        terms = [(off + o * step, w * c) for off, w in terms for o, c in stencil]
+    return np.array(terms)
+
+
+def _ref_fd_stencil(alpha, beta, dim, step):
+    offsets, weights, denom = np.zeros((1, 2, dim)), np.ones(1), 1.0
+    for var, mi in enumerate((alpha, beta)):
+        for axis, order in enumerate(mi):
+            if not order:
+                continue
+            stencils = [_D2] * (order // 2) + [_D1] * (order % 2)
+            for stencil in stencils:
+                denom *= 12.0 * step ** (2 if stencil is _D2 else 1)
+            axis_terms = _ref_axis_stencil(stencils, step)
+            offsets = np.repeat(offsets, len(axis_terms), axis=0)
+            offsets[:, var, axis] = np.tile(axis_terms[:, 0], len(weights))
+            weights = np.outer(weights, axis_terms[:, 1]).ravel()
+    return offsets, weights, denom
+
+
+def _ref_distinct_rows(offsets):
+    offsets = np.ascontiguousarray(offsets)
+    keys = offsets.view(np.dtype((np.void, offsets.itemsize * offsets.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(by_use))
+    return offsets[first[by_use]], rank[inverse.ravel()]
+
+
+def _ref_fd_plan(s, pairs, dim, step):
+    plans, stencils = [], []
+    for alpha, beta in pairs:
+        a, b = multi_index_order(alpha), multi_index_order(beta)
+        if (a and s.x_independent) or (b and s.xi_independent):
+            plans.append(None)
+        elif a + b == 0:
+            plans.append(symbols._RAW)
+        else:
+            plans.append(len(stencils))
+            stencils.append(_ref_fd_stencil(alpha, beta, dim, step))
+    raw = symbols._RAW in plans
+    if not stencils:
+        return plans, np.zeros((0, 2, dim)), raw
+    table, index = _ref_distinct_rows(
+        np.concatenate([o for o, _, _ in stencils]).reshape(-1, 2 * dim))
+    rows = np.split(raw + index, np.cumsum([len(w) for _, w, _ in stencils])[:-1])
+    plans = [(rows[plan], stencils[plan][1], stencils[plan][2])
+             if isinstance(plan, int) else plan for plan in plans]
+    return plans, table.reshape(-1, 2, dim), raw
+
+
+def _ref_factor_rows(table, raw):
+    out = []
+    for var in (0, 1):
+        shifts, index = _ref_distinct_rows(table[:, var])
+        out.append((shifts, np.concatenate([np.zeros(int(raw), dtype=index.dtype),
+                                            raw + index])))
+    return tuple(out)
+
+
+def _all_pairs(dim, N=FD_ORDER_CAP, Nprime=FD_ORDER_CAP):
+    return [(alpha, beta) for alpha in iter_multi_indices(dim, N)
+            for beta in iter_multi_indices(dim, Nprime)
+            if multi_index_order(alpha) + multi_index_order(beta) <= FD_ORDER_CAP]
 
 
 def coupled_symbol(delta=0.25):
@@ -380,6 +456,71 @@ class TestMatchesPerTermReference:
             spec = SampleSpec(dim=dim, xi_max=64.0, num_x=2, num_xi=12, seed=dim)
             assert (_bits(verify_symbol_class(s, spec, cap=10.0))
                     == _bits(_ref_verify(s, spec, cap=10.0)))
+
+
+class TestStencilPlan:
+    """The plan over integer offset ids is the float-row plan bit for bit."""
+
+    # 0.1 / 2^k share one pattern of float sums; 1/3 has another.  At each,
+    # some shifts with equal integer sums have distinct float sums, which
+    # integer keys would merge
+    STEPS = (0.1, 0.05, 0.025, 1 / 3)
+    # all pairs up to the order cap at d = 1, 2; at d = 3 all 3,003 pairs
+    # make 5.2M reference rows (about 3 s and 1.2 GB to sort per step), so
+    # the claims the lab verifies there instead: the benchmark's bessel
+    # N' = 8, its mirror in x, and the mixed (N, N') = (2, 4) and (4, 2)
+    PAIRS = {1: [_all_pairs(1)], 2: [_all_pairs(2)],
+             3: [_all_pairs(3, 0, 8), _all_pairs(3, 8, 0), _all_pairs(3, 2, 4),
+                 _all_pairs(3, 4, 2)]}
+    GENERAL = Symbol(lambda x, xi: np.sum(x + xi, axis=-1) + 0j,
+                     SymbolClassParams(m=0.0), "general")
+
+    def test_a_step_where_integer_keys_merge_float_distinct_offsets(self):
+        merging = []
+        for step in self.STEPS:
+            _, table, _, _ = symbols._fd_plan(self.GENERAL, _all_pairs(2), 2, step)
+            integer = np.rint(table / step).reshape(len(table), -1)
+            if len(np.unique(integer, axis=0)) < len(table):
+                merging.append(step)
+        assert 1 / 3 in merging and 0.1 in merging
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_float_row_plan(self, dim, step):
+        multiplier = with_params(bessel_multiplier(-1.0), N=8, Nprime=8)
+        for pairs in self.PAIRS[dim]:
+            for s in (self.GENERAL, multiplier):
+                plans, table, raw, shift_ids = symbols._fd_plan(s, pairs, dim, step)
+                want_plans, want_table, want_raw = _ref_fd_plan(s, pairs, dim, step)
+                assert raw == want_raw
+                assert table.shape == want_table.shape
+                assert table.tobytes() == want_table.tobytes()
+                assert len(plans) == len(want_plans)
+                for got, want in zip(plans, want_plans):
+                    if not isinstance(want, tuple):
+                        assert got is want
+                        continue
+                    rows, weights, denom = got
+                    assert np.array_equal(rows, want[0])
+                    assert weights.tobytes() == want[1].tobytes()
+                    assert denom.hex() == want[2].hex()
+                for raw in (False, True):
+                    got = symbols._factor_rows(table, shift_ids, raw)
+                    for (shifts, index), (want_shifts, want_index) in zip(
+                            got, _ref_factor_rows(want_table, raw)):
+                        assert shifts.tobytes() == want_shifts.tobytes()
+                        assert np.array_equal(index, want_index)
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_finite_diff_derivative_bits(self, step):
+        x, xi = np.array([0.3, -0.7]), np.array([5.0, -11.0])
+        for s in REFERENCE_SYMBOLS:
+            for alpha, beta in [((0, 0), (0, 0)), ((1, 0), (0, 3)), ((2, 1), (1, 0)),
+                                ((0, 0), (4, 4)), ((3, 1), (2, 2)), ((0, 8), (0, 0))]:
+                got = finite_diff_derivative(s, alpha, beta, x, xi, step)
+                want = complex(_ref_derivative(s, alpha, beta, x, xi, step))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                            want.imag.hex())
 
 
 class TestVerifySymbolClass:

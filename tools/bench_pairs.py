@@ -273,8 +273,15 @@ def main(argv=None) -> int:
     parser.add_argument("--title", default="before/after benchmark pairs")
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
-
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in (w for w, _ in args.run):
+            parser.error(f"--claim {args.claim}: workload {workload!r} is not run")
+        if metric not in (m["name"] for m in bench["end_to_end"]):
+            parser.error(f"--claim {args.claim}: {metric!r} is not an end-to-end "
+                         f"metric of BENCHMARK.json")
+
     order, pairs, environment = 0, [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
