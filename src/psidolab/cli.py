@@ -13,6 +13,7 @@ failure, and 2 on invalid input or an unreadable or unwritable path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -446,7 +447,10 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="JSON config file; flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged and
+    every flag defaults to None, so no run's values reach the next."""
     parser = argparse.ArgumentParser(
         prog="psido-lab",
         description="numerical experiments with pseudodifferential operators")

@@ -431,6 +431,8 @@ class NormEstimate:
 
 def _dual_map(v: np.ndarray, q: float) -> np.ndarray:
     a = np.abs(v)
+    if a.all():  # no zero sample: the same operations without the gathers
+        return a ** (q - 1.0) * (v / a)
     out = np.zeros_like(v)
     nz = a > 0
     out[nz] = a[nz] ** (q - 1.0) * (v[nz] / a[nz])

@@ -38,13 +38,12 @@ def _open(path, mode: str, **kwargs):
 
 def write_pslb(path, f: SampledFunction) -> None:
     g = f.grid
-    payload = np.empty((g.total_points, 2), dtype="<f8")
-    flat = f.values.reshape(-1)
-    payload[:, 0] = flat.real
-    payload[:, 1] = flat.imag
+    # a little-endian complex128 sample is its (re, im) f8 pair: the samples
+    # are the payload, written without a copy
+    payload = np.ascontiguousarray(f.values, dtype="<c16")
     with _open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.dim, g.points_per_axis, g.half_extent))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_pslb(path) -> SampledFunction:

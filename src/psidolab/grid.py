@@ -25,19 +25,23 @@ general path, the x-dependent dyadic sample, the support checks) build
 `coord_stack`, of shape (*shape, d).
 
 Cost of a transform: one FFT plus about one pass over the samples, in
-place, and one result array.  n is even, so fftshift and ifftshift both
-swap each half-block with the opposite one.  The forward direction runs
-every FFT axis pass in a fresh output array (numpy's `out=`), flips the
-sign of the samples whose index sum is odd in one contiguous pass, then
-swaps the half-blocks and scales them by h^d in one pass through a single
-block-sized temporary (2^-d of the array).  The inverse copies the
-caller's samples into shifted order once, flips the signs, runs the
-inverse FFT in that copy and divides by h^d in place.  The sign flip
-multiplies the real and imaginary parts by a cached +-1.0 pattern of
-shape (2, n, ..., n, 2), which is exact.  Both directions give the bits
-of the out-of-place fftshift formulation, signed zeros included.
-Wrapping the result in a SampledFunction adds one reduction, the
-finiteness sum, and each grid computes its dual grid once.
+place, and one result array.  The FFT is numpy's 1-D `fft` / `ifft` per
+axis, last axis first, into one array (`out=`): what `fftn` / `ifftn` run,
+without their argument handling.  n is even, so fftshift and ifftshift
+both swap each half-block with the opposite one.  The forward direction
+runs the FFT into a fresh array, flips the sign of the samples whose index
+sum is odd in one contiguous pass, then swaps the half-blocks and scales
+them by h^d in one pass through a single block-sized temporary (2^-d of
+the array).  The inverse copies the caller's samples into shifted order
+once, flips the signs, runs the inverse FFT in that copy and scales by
+h^-d in place.  The sign flip multiplies the real and imaginary parts by
+a cached +-1.0 pattern, which is exact.  numpy divides a + bi by c + 0j as
+(a + b*0) * (1/c) and (b - a*0) * (1/c), so where no float is zero a
+real multiply by 1/c gives the same bits; the inverse divides only when a
+float is zero, keeping its signed zeros.  Both directions give the bits of
+the out-of-place fftshift formulation, signed zeros included.  Wrapping
+the result in a SampledFunction adds one reduction, the finiteness dot
+product, and each grid computes its dual grid once.
 """
 
 from __future__ import annotations
@@ -227,12 +231,12 @@ class SampledFunction:
         return SampledFunction(self.grid, np.conj(self.values))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _all_finite(vals: np.ndarray) -> bool:
-    # a non-finite sample makes the sum non-finite, so a finite sum proves
-    # every sample finite in one reduction; only a non-finite sum (which
-    # finite samples can reach by overflow, quietly) checks each sample
-    return cmath.isfinite(vals.sum()) or bool(np.isfinite(vals).all())
+    # a non-finite sample makes sum |v|^2 non-finite, so a finite dot
+    # product proves every sample finite in one BLAS call (which raises no
+    # numpy warning); only a non-finite one, which finite samples can reach
+    # by overflow, checks each sample
+    return cmath.isfinite(np.vdot(vals, vals)) or bool(np.isfinite(vals).all())
 
 
 def _require_same_grid(a: Grid, b: Grid):
@@ -247,19 +251,21 @@ def _apply_alternating_sign(arr: np.ndarray) -> np.ndarray:
     # multiplying a float by +-1.0 is exact, signed zeros included, so
     # this gives the bits of negating the odd-sum samples (a complex
     # product with -1 + 0j would not: it turns 0 into -0 + 0j).  Callers
-    # must pass a C-contiguous array they own: both pass a fresh fftn
+    # must pass a C-contiguous array they own: both pass a fresh FFT
     # output or shifted copy.
     pattern = _sign_pattern(arr.ndim, arr.shape[0])
-    parts = arr.view(np.float64).reshape((arr.shape[0] // 2,) + pattern.shape)
+    parts = arr.view(np.float64).reshape((-1,) + pattern.shape)
     np.multiply(parts, pattern, out=parts)
     return arr
 
 
 @functools.lru_cache(maxsize=64)
 def _sign_pattern(ndim: int, n: int) -> np.ndarray:
-    """Read-only +-1.0 of shape (2, n, ..., n, 2): the sign of an index pair
-    (2k + i, m_2, ..., m_d) for either float of its sample, any k."""
-    parity = np.indices((2,) + (n,) * (ndim - 1)).sum(axis=0) % 2
+    """Read-only +-1.0 for either float of a sample: the sign of index m
+    at d = 1, shape (n, 2); of (2k + i, m_2, ..., m_d), any k, at d >= 2,
+    shape (2, n, ..., n, 2)."""
+    lead = n if ndim == 1 else 2
+    parity = np.indices((lead,) + (n,) * (ndim - 1)).sum(axis=0) % 2
     pattern = np.repeat((1.0 - 2.0 * parity)[..., np.newaxis], 2, axis=-1)
     pattern.flags.writeable = False
     return pattern
@@ -297,7 +303,10 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
         scale = f.grid.spacing**d
-        spectrum = np.fft.fftn(f.values, out=np.empty(f.grid.shape, np.complex128))
+        # fftn's 1-D passes: the last axis into a fresh array, then in place
+        spectrum = np.fft.fft(f.values, out=np.empty(f.grid.shape, np.complex128))
+        for axis in range(d - 2, -1, -1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
         _apply_alternating_sign(spectrum)
         # fftshift and the h^d scaling in one in-place pass; the sign flip
         # stays a negation, as a -h^d factor would turn -0.0 into +0.0
@@ -314,8 +323,17 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]
-        np.fft.ifftn(_apply_alternating_sign(spectrum), out=spectrum)
-        np.divide(spectrum, out_grid.spacing**d, out=spectrum)
+        _apply_alternating_sign(spectrum)
+        for axis in range(d - 1, -1, -1):  # ifftn's 1-D passes
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        scale = out_grid.spacing**d
+        parts = spectrum.view(np.float64)
+        if scale and parts.all():
+            # no zero float (and h^d has not underflowed to 0): the real
+            # multiply gives the division's bits
+            np.multiply(parts, 1.0 / scale, out=parts)
+        else:
+            np.divide(spectrum, scale, out=spectrum)
         return SampledFunction(out_grid, spectrum)
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
@@ -365,16 +383,22 @@ def random_band_limited(grid: Grid, rng: np.random.Generator,
     """Random function whose spectrum lives in |xi| <= band_fraction * Nyquist.
 
     Normalized to unit sup norm; used as generic test input wherever the
-    periodic surrogate must not feel the grid cutoff.
+    periodic surrogate must not feel the grid cutoff.  The band mask is
+    built once per (grid, band) and kept on the grid instance, like its dual.
     """
     if not 0 < band_fraction <= 1:
         raise InvalidInputError(f"band_fraction must be in (0, 1], got {band_fraction}")
     dual = grid.dual()
-    mask = dual.radius() <= band_fraction * grid.nyquist
+    masks = grid.__dict__.setdefault("_band_masks", {})
+    if band_fraction not in masks:
+        mask = dual.radius() <= band_fraction * grid.nyquist
+        mask.flags.writeable = False
+        masks[band_fraction] = mask
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    spectrum = SampledFunction(dual, coeffs * mask)
+    spectrum = SampledFunction(dual, coeffs * masks[band_fraction])
     f = fourier_transform(spectrum, "inverse")
     peak = np.max(np.abs(f.values))
     if peak == 0:
         raise InvalidInputError("band contains no grid frequencies")
     return SampledFunction(grid, f.values / peak)
+

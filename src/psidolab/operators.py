@@ -179,16 +179,22 @@ def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     """
     try:
         with _quiet(s):
+            terms = _terms(s, f.grid)
             fhat = total = None
-            for a, b in _terms(s, f.grid):
+            for a, b in terms:
                 out = f
                 if b is not None:
                     if fhat is None:
                         fhat = fourier_transform(f, "forward")
-                    out = fourier_transform(
-                        SampledFunction(fhat.grid, b * fhat.values), "inverse")
+                    # one term owns fhat; several share it
+                    product = np.multiply(
+                        b, fhat.values, out=fhat.values if len(terms) == 1 else None)
+                    out = fourier_transform(SampledFunction(fhat.grid, product),
+                                            "inverse")
                 if a is not None:
-                    out = SampledFunction(f.grid, a * out.values)
+                    # the inverse's result is ours to overwrite, the caller's f is not
+                    out = SampledFunction(f.grid, np.multiply(
+                        a, out.values, out=None if out is f else out.values))
                 total = out if total is None else total + out
     except InvalidInputError as exc:  # a non-finite sample: name its cause
         raise nonfinite_product_error(s, f.grid) or exc
@@ -216,7 +222,8 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
                 if b is None:
                     return out  # a multiplication symbol: pointwise and exact
                 shat = fourier_transform(out, "forward")
-                part = SampledFunction(shat.grid, np.conj(b) * shat.values)
+                part = SampledFunction(shat.grid, np.multiply(
+                    np.conj(b), shat.values, out=shat.values))
                 spectrum = part if spectrum is None else spectrum + part
             if spectrum is None:
                 return SampledFunction(g.grid, np.zeros(g.grid.shape))

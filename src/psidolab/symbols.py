@@ -573,10 +573,12 @@ def _fd_sum(plans, vals: np.ndarray, n: int) -> list:
             rows, weights, denom = plan
             terms = vals[rows]
             terms *= weights[:, None]
-            # accumulate adds in order by definition (reduce may sum pairwise);
+            # reduce adds row after row, in order, over 2 or more columns but
+            # sums one column pairwise; accumulate adds in order by definition.
             # + 0.0 because a sum started from +0.0 is never -0.0
-            np.add.accumulate(terms, axis=0, out=terms)
-            derivs.append((terms[-1] + 0.0) / denom)
+            total = (np.add.reduce(terms, axis=0) if n > 1
+                     else np.add.accumulate(terms, axis=0, out=terms)[-1])
+            derivs.append((total + 0.0) / denom)
     return derivs
 
 

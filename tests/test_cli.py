@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psidolab import Grid, SampledFunction, Symbol, random_band_limited
+from psidolab import cli
 from psidolab.cli import main, parse_symbol_spec
 from psidolab.errors import InvalidInputError
 from psidolab.fileio import read_pslb, write_pslb
@@ -203,6 +204,21 @@ class TestDeterminism:
         assert run_cli(*args, "--out-dir", str(b)) == 0
         assert (self._strip_timestamp(a / "norm-estimate-report.json")
                 == self._strip_timestamp(b / "norm-estimate-report.json"))
+
+    def test_reused_parser_keeps_no_values(self, tmp_path):
+        # the parser is built once per process: a flag given to one run
+        # must not reach the next, nor may the next build another parser
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ("norm-estimate", "--symbol", "bessel:-1", "--d", "1", "--n",
+                "64", "--R", "8", "--p", "2", "--budget", "10")
+        assert run_cli(*args, "--seed", "42", "--out-dir", str(a)) == 0
+        parser = cli.build_parser()
+        assert run_cli(*args, "--out-dir", str(b)) == 0
+        assert cli.build_parser() is parser
+        first = json.loads((a / "norm-estimate-report.json").read_text())
+        second = json.loads((b / "norm-estimate-report.json").read_text())
+        assert first["seed"] == first["config"]["seed"] == 42
+        assert second["seed"] == 0 and "seed" not in second["config"]
 
     def test_empty_check_report_is_valid(self, tmp_path):
         code = run_cli("conditions", "--d", "1", "--m", "0", "--rho", "1",

@@ -13,6 +13,7 @@ from psidolab import (CZCheckConfig, Grid, InfeasibleBudgetError,
                       make_cancellation_test_function,
                       operator_norm_estimate, smoothness_budget,
                       theorem_norm_bound, with_params)
+from psidolab import estimates
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,26 @@ class TestOperatorNorm:
                           ("random_ascent", MixedExponent((4.0,)))):
             est = operator_norm_estimate(constant_symbol(0), g, p, method)
             assert (est.value, est.converged) == (0.0, True)
+
+    @pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0])
+    def test_dual_map_bits_with_and_without_zeros(self, q):
+        # reference: the map over the nonzero samples only, as gathers
+        def gathered(v):
+            a = np.abs(v)
+            out = np.zeros_like(v)
+            nz = a > 0
+            out[nz] = a[nz] ** (q - 1.0) * (v[nz] / a[nz])
+            return out
+
+        rng = np.random.default_rng(int(10 * q))
+        noise = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        zeros = noise.copy()
+        zeros[rng.random(noise.shape) < 0.2] = 0.0
+        zeros[rng.random(noise.shape) < 0.1] = complex(-0.0, -0.0)
+        axis = noise.real * 1j  # zero real parts, nonzero moduli
+        for v in (noise, zeros, axis, noise[0], np.zeros(8, dtype=complex)):
+            got = estimates._dual_map(v, q)
+            assert np.array_equal(got.view(np.uint64), gathered(v).view(np.uint64))
 
     def test_power_iteration_requires_p2(self):
         g = Grid(1, 64, 8.0)

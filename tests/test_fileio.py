@@ -1,4 +1,6 @@
 import csv
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,33 @@ def test_pslb_round_trip(tmp_path):
     back = read_pslb(path)
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
+
+
+def test_pslb_payload_bytes_without_a_copy(tmp_path):
+    # the payload is the (re, im) little-endian f8 pairs, x1 slowest, signed
+    # zeros included, for contiguous and strided samples alike; the samples
+    # are written as they are, with no payload-sized copy
+    g = Grid(2, 64, 3.0)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    vals.real[0, :5] = -0.0
+    vals.imag[1, :5] = -0.0
+    header = struct.pack("<4sIIId", b"PSLB", 1, 2, 64, 3.0)
+    path = tmp_path / "f.bin"
+    for arr in (vals, np.asfortranarray(vals), vals[::-1, ::-1]):
+        f = SampledFunction(g, arr)
+        pairs = np.empty((g.total_points, 2), dtype="<f8")
+        pairs[:, 0] = f.values.real.reshape(-1)
+        pairs[:, 1] = f.values.imag.reshape(-1)
+        write_pslb(path, f)
+        assert path.read_bytes() == header + pairs.tobytes()
+    tracemalloc.start()
+    try:
+        write_pslb(path, SampledFunction(g, vals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vals.nbytes / 4
 
 
 def test_pslb_rejects_bad_magic(tmp_path):

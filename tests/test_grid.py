@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -66,9 +68,10 @@ class TestGridValidation:
             vals[[2, 7]] = np.inf, -np.inf
             with pytest.raises(InvalidInputError, match=message):
                 SampledFunction(grid_1d, vals)
-            # finite samples whose sum overflows are valid
-            huge = np.full(grid_1d.shape, 1e308 + 1e308j)
-            assert np.array_equal(SampledFunction(grid_1d, huge).values, huge)
+            # finite samples whose sum or sum of squares overflows are valid
+            for big in (1e308 + 1e308j, 1e200, 1e200j):
+                huge = np.full(grid_1d.shape, big)
+                assert np.array_equal(SampledFunction(grid_1d, huge).values, huge)
             # a strided view is checked at the samples it holds
             wide = np.ones(2 * grid_1d.total_points)
             wide[1::2] = np.nan
@@ -199,6 +202,39 @@ class TestFourierTransform:
             assert np.array_equal(bits(f.values), bits(vals))
             assert np.array_equal(bits(fhat.values), bits(vals))
 
+    @pytest.mark.parametrize("d, n", [(d, n) for d in (1, 2, 3)
+                                      for n in (8, 10, 18, 64, 512)
+                                      if n**d <= 2**18] + [(1, 4096)])
+    def test_bits_at_every_size(self, d, n):
+        # reference: numpy's fftn / ifftn, the sign flip as d out-of-place
+        # negations, fftshift / ifftshift and a complex division by h^d.
+        # Noise leaves no zero float in the inverse, which then scales by a
+        # real multiply; the others leave zeros, where it must divide
+        def flip(arr):
+            for axis in range(d):
+                odd = (slice(None),) * axis + (slice(1, None, 2),)
+                arr = arr.copy()
+                arr[odd] = -arr[odd]
+            return arr
+
+        g = Grid(d, n, 3.0)
+        rng = np.random.default_rng(n + d)
+        noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        zeros = np.where(rng.random(g.shape) < 0.5, noise, 0.0)
+        zeros.real[rng.random(g.shape) < 0.3] = -0.0
+        impulse = np.zeros(g.shape, dtype=complex)  # a constant: zero imaginary parts
+        impulse[(n // 2,) * d] = 1.5 - 0.0j
+        h = g.dual().dual().spacing
+        for vals, has_zero in ((noise, False), (zeros, False), (impulse, True),
+                               (np.full(g.shape, complex(-0.0, -0.0)), True)):
+            inverse = np.fft.ifftn(flip(np.fft.ifftshift(vals))) / h**d
+            assert (inverse.view(np.float64) == 0).any() == has_zero
+            forward = np.fft.fftshift(flip(np.fft.fftn(vals)) * g.spacing**d)
+            got = fourier_transform(SampledFunction(g, vals), "forward").values
+            assert np.array_equal(got.view(np.uint64), forward.view(np.uint64))
+            got = fourier_transform(SampledFunction(g.dual(), vals), "inverse").values
+            assert np.array_equal(got.view(np.uint64), inverse.view(np.uint64))
+
     def test_transforms_run_in_place(self):
         # the FFT passes write into one array the transform owns: no
         # d-dimensional temporary per axis pass, no copy beside the result
@@ -222,7 +258,8 @@ class TestFourierTransform:
     def test_sign_pattern_read_only(self):
         for d, n in ((1, 10), (2, 16), (3, 8)):
             pattern = _sign_pattern(d, n)
-            assert pattern.shape == (2,) + (n,) * (d - 1) + (2,)
+            lead = n if d == 1 else 2
+            assert pattern.shape == (lead,) + (n,) * (d - 1) + (2,)
             assert not pattern.flags.writeable
             with pytest.raises(ValueError):
                 pattern[(0,) * (d + 1)] = 1.0
@@ -230,6 +267,45 @@ class TestFourierTransform:
     def test_bad_direction(self, grid_1d):
         with pytest.raises(InvalidInputError):
             fourier_transform(gaussian(grid_1d), "sideways")
+
+
+class TestRandomBandLimited:
+    def test_band_mask_built_once_per_grid_and_band(self, monkeypatch):
+        calls = []
+        radius = Grid.radius
+
+        def counted(self):
+            calls.append(self)
+            return radius(self)
+
+        monkeypatch.setattr(Grid, "radius", counted)
+        g, twin = Grid(2, 16, 4.0), Grid(2, 16, 4.0)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for band in (0.4, 0.7):
+                random_band_limited(g, rng, band)
+        assert len(calls) == 2
+        random_band_limited(twin, rng)  # an equal grid keeps its own memo
+        assert len(calls) == 3
+
+    def test_band_mask_read_only_and_freed_with_its_grid(self):
+        g = Grid(1, 64, 4.0)
+        random_band_limited(g, np.random.default_rng(1))
+        (mask,) = vars(g)["_band_masks"].values()
+        assert mask.dtype == bool and not mask.flags.writeable
+        ref = weakref.ref(mask)
+        del g, mask
+        gc.collect()
+        assert ref() is None
+
+    def test_draws_do_not_depend_on_the_memo(self):
+        # a fresh grid per draw builds its mask; one grid reuses it
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        g = Grid(2, 32, 4.0)
+        for band in (0.4, 0.4, 1.0, 0.4):
+            a = random_band_limited(g, rng_a, band).values
+            b = random_band_limited(Grid(2, 32, 4.0), rng_b, band).values
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestQuadrature:

@@ -252,6 +252,56 @@ def x1_case(d, n):
     return Grid(d, n, math.pi), s, 7
 
 
+def out_of_place_apply(s, f):
+    """Reference: apply_psido with every product in a new array."""
+    fhat = total = None
+    for a, b in operators._terms(s, f.grid):
+        out = f.values
+        if b is not None:
+            if fhat is None:
+                fhat = fourier_transform(f, "forward")
+            out = fourier_transform(SampledFunction(fhat.grid, b * fhat.values),
+                                    "inverse").values
+        if a is not None:
+            out = a * out
+        total = out if total is None else total + out
+    return total
+
+
+def out_of_place_adjoint(s, g):
+    """Reference: discrete_adjoint_apply with every product in a new array."""
+    spectrum = None
+    for a, b in operators._terms(s, g.grid):
+        out = g.values if a is None else np.conj(a) * g.values
+        if b is None:
+            return out
+        part = np.conj(b) * fourier_transform(SampledFunction(g.grid, out)).values
+        spectrum = part if spectrum is None else spectrum + part
+    return fourier_transform(SampledFunction(g.grid.dual(), spectrum), "inverse").values
+
+
+class TestInPlaceProducts:
+    # a coupled symbol of rank 2: its terms share one forward transform
+    RANK_TWO = Symbol(
+        lambda x, xi: (np.cos(x[..., 0]) / (1.0 + np.sum(xi**2, axis=-1))
+                       + np.sin(x[..., 0]) / (2.0 + np.sum(xi**2, axis=-1)) + 0j),
+        SymbolClassParams(m=-2.0), "general", label="rank-two")
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+    def test_same_bits_and_inputs_untouched(self, d, n):
+        g = Grid(d, n, 4.0)
+        rng = np.random.default_rng(d)
+        assert len(operators._terms(self.RANK_TWO, g)) == 2
+        for s in builtin_symbols(2 * g.half_extent) + [self.RANK_TWO]:
+            f = random_band_limited(g, rng)
+            before = f.values.copy()
+            for op, ref in ((apply_psido, out_of_place_apply),
+                            (discrete_adjoint_apply, out_of_place_adjoint)):
+                got, want = op(s, f).values, ref(s, f)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), s.label
+                assert np.array_equal(f.values.view(np.uint64), before.view(np.uint64))
+
+
 class TestGeneralCompression:
     @settings(max_examples=12, deadline=None)
     @given(coupled_cases())

@@ -523,6 +523,37 @@ class TestStencilPlan:
                                                             want.imag.hex())
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_fd_sum_bits(self, n):
+        # reference: every prefix sum, in term order, and the last one read
+        def accumulated(plans, vals):
+            out = []
+            for plan in plans:
+                if plan is None:
+                    out.append(np.zeros(n, dtype=np.complex128))
+                elif plan is symbols._RAW:
+                    out.append(vals[0])
+                else:
+                    rows, weights, denom = plan
+                    terms = vals[rows] * weights[:, None]
+                    out.append((np.add.accumulate(terms, axis=0)[-1] + 0.0) / denom)
+            return out
+
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-8, 9, (40, n))
+        vals = vals + 1j * rng.standard_normal((40, n))
+        vals[rng.random(vals.shape) < 0.2] = complex(-0.0, -0.0)
+        plans = [None, symbols._RAW]
+        for count in (1, 2, 9, 33):  # 9 and more rows: numpy would sum pairwise
+            rows = rng.integers(0, 40, count)
+            weights = rng.integers(-6, 7, count).astype(float)
+            plans.append((rows, weights, 12.0 * count))
+        plans.append((np.array([3, 3]), np.array([1.0, -1.0]), 2.0))  # exact 0
+        got = symbols._fd_sum(plans, vals, n)
+        for g, want in zip(got, accumulated(plans, vals), strict=True):
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+
 class TestVerifySymbolClass:
     def test_constant_passes_with_unit_constant(self):
         s = constant_symbol(1.0)

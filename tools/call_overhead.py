@@ -1,0 +1,97 @@
+"""Per-call cost of the transform-layer entry points beside bare numpy FFTs.
+
+    python3 tools/call_overhead.py [--repeats 2000]
+
+For d=1 n=64, d=1 n=512 and d=2 n=64 (the small grids where fixed
+per-call cost shows) it prints, in microseconds, the minimum over
+``--repeats`` in-process calls of each entry point: ``fourier_transform``
+in both directions, ``apply_psido`` and ``discrete_adjoint_apply`` of the
+multiplier ``bessel:-1``, ``SampledFunction`` validation and
+``random_band_limited``.  Beside each is its bare numpy floor, the same
+minimum for ``np.fft.fftn`` / ``np.fft.ifftn`` on the same shape: fftn for
+the forward transform and for ``SampledFunction`` (which runs no FFT; the
+floor gives the scale), ifftn for the inverse and ``random_band_limited``,
+and their sum for the applies.  Every call runs once before timing, so
+per-grid set-up (dual grid, sign pattern, band mask, factor samples) is
+not counted.  BLAS runs on one thread, as in ``psidobench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+# pinned before numpy loads, so the finiteness dot product runs on one thread
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from psidolab import (Grid, SampledFunction, apply_psido,  # noqa: E402
+                      bessel_multiplier, discrete_adjoint_apply,
+                      fourier_transform, random_band_limited)
+
+GRIDS = ((1, 64), (1, 512), (2, 64))
+HALF_EXTENT = 8.0
+
+
+def min_us(fn, repeats: int) -> float:
+    """Minimum wall time of fn() over repeats calls, in microseconds."""
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
+def measure(dim: int, n: int, repeats: int) -> list:
+    """Rows (entry point, us per call, floor name, floor us) on one grid."""
+    grid = Grid(dim, n, HALF_EXTENT)
+    rng = np.random.default_rng(0)
+    f = random_band_limited(grid, rng)
+    fhat = fourier_transform(f, "forward")
+    symbol = bessel_multiplier(-1.0)
+    fftn = min_us(lambda: np.fft.fftn(f.values), repeats)
+    ifftn = min_us(lambda: np.fft.ifftn(fhat.values), repeats)
+    cases = (
+        ("fourier_transform forward", lambda: fourier_transform(f, "forward"),
+         "fftn", fftn),
+        ("fourier_transform inverse", lambda: fourier_transform(fhat, "inverse"),
+         "ifftn", ifftn),
+        ("apply_psido", lambda: apply_psido(symbol, f), "fftn+ifftn", fftn + ifftn),
+        ("discrete_adjoint_apply", lambda: discrete_adjoint_apply(symbol, f),
+         "fftn+ifftn", fftn + ifftn),
+        ("SampledFunction", lambda: SampledFunction(grid, f.values), "fftn", fftn),
+        ("random_band_limited", lambda: random_band_limited(grid, rng),
+         "ifftn", ifftn),
+    )
+    return [(name, min_us(fn, repeats), floor, floor_us)
+            for name, fn, floor, floor_us in cases]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=2000,
+                        help="timed calls per entry point; the minimum is printed")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    print(f"numpy {np.__version__}, min of {args.repeats} calls, microseconds")
+    print(f"{'grid':<10} {'entry point':<26} {'us':>9} {'floor':>11} "
+          f"{'floor us':>9} {'ratio':>6}")
+    for dim, n in GRIDS:
+        for name, us, floor, floor_us in measure(dim, n, args.repeats):
+            print(f"d={dim} n={n:<5} {name:<26} {us:9.2f} {floor:>11} "
+                  f"{floor_us:9.2f} {us / floor_us:6.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
