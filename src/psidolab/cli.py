@@ -213,20 +213,20 @@ def _run_dyadic(params):
     dd, x = _decomposition(params)
     radius = dd.dual_radius
     sym = dd.symbol_values(x)
-    # the reconstruction is checked on the band only, so only the band is summed
-    band = radius <= 2.0**dd.levels
-    total = np.zeros(np.count_nonzero(band), dtype=np.complex128)
-    piece = np.empty(dd.dual.shape, dtype=np.complex128)
-    mag = np.empty(dd.dual.shape)
+    total = np.zeros(dd.dual.shape, dtype=np.complex128)
     rows = []
-    for j, ring in enumerate(dd.rings()):
-        total += np.multiply(sym, ring, out=piece)[band]
-        np.abs(piece, out=mag)
-        outside = (radius < 2.0 ** (j - 1)) | (radius > 2.0 ** (j + 1)) if j else radius > 2.0
+    # a piece is zero outside its ring's box: its max, leak and sum are there
+    for j, (box, ring) in enumerate(dd.rings()):
+        piece = sym[box] * ring
+        part = total[box]
+        part += piece
+        mag, r = np.abs(piece), radius[box]
+        outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)) if j else r > 2.0
         leak = float(np.max(mag, where=outside, initial=0.0))
         rows.append(reporting.sweep_row(j, float(np.max(mag)), None, leak,
                                         leak == 0.0))
-    recon_err = float(np.max(np.abs(total - sym[band])))
+    band = radius <= 2.0**dd.levels  # the reconstruction is checked on the band
+    recon_err = float(np.max(np.abs(total[band] - sym[band])))
     checks = [
         reporting.make_check("reconstruction", recon_err <= 1e-12,
                              max_error=recon_err, band=2.0**dd.levels),

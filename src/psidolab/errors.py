@@ -14,7 +14,8 @@ class PreconditionError(InvalidInputError):
 
 
 class SymbolEvaluationError(RuntimeError):
-    """Symbol evaluator returned a non-finite value; message names (x, xi)."""
+    """A symbol value, or an operator's result on finite input, is not
+    finite; the message names the symbol and, where known, (x, xi)."""
 
 
 class InfeasibleBudgetError(RuntimeError):

@@ -75,7 +75,9 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
 
     Returns the least-squares slope of log max|k| over num_shells >= 2
     log-spaced radial shells and the smallest envelope constant C with
-    |k(z)| <= C |z|^predicted on the window.
+    |k(z)| <= C |z|^predicted on the window.  Window points have all
+    |z_k| <= z_hi, so only that centred box is read (1/8 of the grid at
+    d=3 for z_hi = R/2) and the shells are cut from the window's points.
     """
     if num_shells < 2:
         raise InvalidInputError(f"num_shells must be at least 2, got {num_shells}")
@@ -98,12 +100,13 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
             f"window [{z_lo}, {z_hi}] outside the resolved band "
             f"[{2 * h}, {kernel.grid.half_extent / 2}]")
     exponent = -base
-    radius = kernel.grid.radius()
-    mag = np.abs(kernel.values)
+    box = kernel.grid.centred_box(z_hi + h)  # a margin past rounding
+    radius = kernel.grid.radius(box)
     in_window = (radius >= z_lo) & (radius <= z_hi)
     if not in_window.any():
         raise InvalidInputError("window contains no grid points")
-    if float(mag[in_window].max()) == 0.0:
+    radius, mag = radius[in_window], np.abs(kernel.values[box][in_window])
+    if float(mag.max()) == 0.0:
         return DecayFitResult(None, 0.0, exponent, (), (), True, True)
     edges = np.geomspace(z_lo, z_hi, num_shells + 1)
     centers, maxima = [], []
@@ -118,7 +121,7 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
         return DecayFitResult(None, 0.0, exponent, tuple(centers),
                               tuple(maxima), True, True)
     slope = float(np.polyfit(np.log(centers), np.log(maxima), 1)[0])
-    envelope = float(np.max(mag[in_window] * radius[in_window] ** (-exponent)))
+    envelope = float(np.max(mag * radius ** (-exponent)))
     return DecayFitResult(slope, envelope, exponent, tuple(centers),
                           tuple(maxima), False, bool(np.isfinite(envelope)))
 
@@ -185,10 +188,13 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
         weight = dd.grid.radius()**M if M else np.ones(dd.grid.shape)
         deriv_mult = dd.dual.derivative_multiplier(beta)
         sym = dd.symbol_values(x)
+        # nested boxes: each piece overwrites the last; +0 outside stands for
+        # signed zeros, which flip only the sign of exactly-zero outputs
+        piece = np.zeros(dd.dual.shape, dtype=np.complex128)
         sups, ratios = [], []
-        for j, ring in enumerate(dd.rings()):
-            kj = fourier_transform(
-                SampledFunction(dd.dual, sym * ring * deriv_mult), "inverse")
+        for j, (box, ring) in enumerate(dd.rings()):
+            np.multiply(sym[box] * ring, deriv_mult[box], out=piece[box])
+            kj = fourier_transform(SampledFunction(dd.dual, piece), "inverse")
             sup = float(np.max(weight * np.abs(kj.values)))
             sups.append(sup)
             ratios.append(_over_power_of_two(sup, j * exponent))

@@ -115,14 +115,21 @@ class Grid:
         """All grid points as an array of shape (*shape, dim)."""
         return np.stack(self.meshgrid(), axis=-1)
 
-    def squared_radius(self) -> np.ndarray:
-        """|x|^2 at every grid point, from the squared 1-D axis.
+    def centred_box(self, bound: float) -> tuple:
+        """Index box of the points whose every coordinate has |x_k| < bound
+        (bound > h/2): the same slice on each axis, as the axis is monotone."""
+        inside = np.flatnonzero(np.abs(self.axis_coords()) < bound)
+        return (slice(int(inside[0]), int(inside[-1]) + 1),) * self.dim
+
+    def squared_radius(self, box=None) -> np.ndarray:
+        """|x|^2 at every grid point, or on a `centred_box`, from the
+        squared 1-D axis.
 
         The squares add in axis order, ((x1^2 + x2^2) + x3^2), broadcast
         from per-axis views: the bits of summing the squared coordinate
         arrays, or the coordinate axis of `coord_stack`, without building
-        either."""
-        square = self.axis_coords() ** 2
+        either (on a box, the bits of the full array's box)."""
+        square = self.axis_coords()[box[0] if box else slice(None)] ** 2
         total = square.reshape((-1,) + (1,) * (self.dim - 1))
         for axis in range(1, self.dim):
             total = total + square.reshape((-1,) + (1,) * (self.dim - 1 - axis))
@@ -142,11 +149,11 @@ class Grid:
                 mult = mult * (ax**b).reshape((-1,) + (1,) * (self.dim - 1 - axis))
         return mult
 
-    def radius(self) -> np.ndarray:
-        """Euclidean distance from the origin at every grid point: the
-        square root of `squared_radius`, bit for bit the root of the summed
-        squared coordinate arrays."""
-        return np.sqrt(self.squared_radius())
+    def radius(self, box=None) -> np.ndarray:
+        """Euclidean distance from the origin at every grid point, or on a
+        `centred_box`: the square root of `squared_radius`, bit for bit the
+        root of the summed squared coordinate arrays."""
+        return np.sqrt(self.squared_radius(box))
 
     def dual(self) -> "Grid":
         """The DFT-dual frequency grid (spacing pi/R, Nyquist pi*n/(2R)).
@@ -318,8 +325,9 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         return SampledFunction(f.grid.dual(), spectrum)
     if direction == "inverse":
         out_grid = f.grid.dual()
-        # ifftshift into a copy: the caller's samples stay untouched
-        spectrum = np.empty_like(f.values)
+        # ifftshift into a C-ordered copy, whatever the caller's order (the
+        # sign flip views it as floats): the caller's samples stay untouched
+        spectrum = np.empty_like(f.values, order="C")
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]

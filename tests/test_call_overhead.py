@@ -6,6 +6,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_overhead.py"
 ENTRY_POINTS = ("fourier_transform forward", "fourier_transform inverse",
                 "apply_psido", "discrete_adjoint_apply", "SampledFunction",
                 "random_band_limited")
+DYADIC_ROWS = {("d=3 n=64", f"{e} R=4 levels=3") for e in ("kernel_sum", "decay_fit")} \
+    | {("d=2 n=256", f"{e} R=3 levels=5") for e in ("kernel_sum", "decay_fit")}
 
 
 def test_prints_every_entry_point_on_every_grid():
@@ -13,10 +15,10 @@ def test_prints_every_entry_point_on_every_grid():
     out = subprocess.run([sys.executable, str(TOOL), "--repeats", "2"],
                          capture_output=True, text=True, check=True, timeout=120)
     rows = [line.split() for line in out.stdout.splitlines()[2:]]
-    assert len(rows) == 3 * len(ENTRY_POINTS)
+    assert len(rows) == 3 * len(ENTRY_POINTS) + len(DYADIC_ROWS)
     seen = {(" ".join(r[:2]), " ".join(r[2:-4])) for r in rows}
     assert seen == {(g, e) for g in ("d=1 n=64", "d=1 n=512", "d=2 n=64")
-                    for e in ENTRY_POINTS}
+                    for e in ENTRY_POINTS} | DYADIC_ROWS
     for r in rows:
         us, floor_us, ratio = float(r[-4]), float(r[-2]), float(r[-1])
         assert us > 0 and floor_us > 0 and ratio > 0

@@ -126,6 +126,23 @@ class TestApplyCommand:
             "xi=[-25.132741228718345]\n")
         assert not (tmp_path / "g.pslb").exists()
 
+    def test_overflowing_result_exits_two(self, tmp_path, capsys):
+        # a finite input whose product with <xi>^100 overflows: one error
+        # line naming the symbol and the overflow, no numpy warning
+        src = tmp_path / "f.pslb"
+        g = Grid(1, 64, 4.0)
+        write_pslb(src, random_band_limited(g, np.random.default_rng(0)) * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("apply", "--symbol", "bessel:100", "--input", str(src),
+                           "--output", str(tmp_path / "g.pslb"),
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bessel:100.0: the result overflows on {g}, though the input "
+            "and every symbol sample are finite\n")
+        assert not (tmp_path / "g.pslb").exists()
+
 
 class TestCzCommand:
     def test_nonzero_mean_input_exits_two(self, tmp_path, capsys):

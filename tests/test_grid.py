@@ -107,6 +107,23 @@ class TestGridValidation:
                                   summed.view(np.uint64))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n, R", [(10, 0.7), (18, math.pi), (64, 6.0)])
+    def test_centred_box_and_its_radius(self, dim, n, R):
+        for g in (Grid(dim, n, R), Grid(dim, n, R).dual()):
+            axis, h, half = g.axis_coords(), g.spacing, g.half_extent
+            for bound in (0.6 * h, 1.5 * h, 0.3 * half, half - h / 2, 2 * half):
+                box = g.centred_box(bound)
+                assert len(box) == dim and all(b == box[0] for b in box)
+                inside = np.abs(axis) < bound
+                assert np.array_equal(np.flatnonzero(inside),
+                                      np.arange(n)[box[0]]), bound
+                # on the box, the bits of the whole grid's radius
+                for got, whole in ((g.radius(box), g.radius()),
+                                   (g.squared_radius(box), g.squared_radius())):
+                    assert np.array_equal(got.view(np.uint64),
+                                          whole[box].view(np.uint64)), bound
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, 10, 18, 32])
     def test_derivative_multiplier_from_axes_is_bit_identical(self, dim, n):
         # every beta <= 2 per axis against the loop over meshgrid arrays
@@ -254,6 +271,23 @@ class TestFourierTransform:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * f.values.nbytes, direction
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_any_memory_order(self, dim):
+        # a transposed or Fortran-ordered sample transforms to the bits of
+        # the C-ordered one, in both directions, and is left untouched
+        g = Grid(dim, 16, 3.0)
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for grid, direction in ((g, "forward"), (g.dual(), "inverse")):
+            want = fourier_transform(SampledFunction(grid, vals), direction).values
+            for arr in (np.asfortranarray(vals), np.ascontiguousarray(vals.T).T):
+                assert not arr.flags.c_contiguous
+                kept = arr.copy(order="K")
+                got = fourier_transform(SampledFunction(grid, arr), direction).values
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert np.array_equal(np.ascontiguousarray(arr).view(np.uint64),
+                                      np.ascontiguousarray(kept).view(np.uint64))
 
     def test_sign_pattern_read_only(self):
         for d, n in ((1, 10), (2, 16), (3, 8)):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -206,6 +207,23 @@ class TestApplyPaths:
             with pytest.raises(SymbolEvaluationError) as got:
                 op(s, f)
             assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind", ["multiplier", "separable"])
+    def test_overflowing_result_is_a_symbol_error(self, kind):
+        # finite input and finite symbol samples, <xi>^100 |fhat| > 1e308:
+        # a typed error naming the symbol and the overflow, no RuntimeWarning
+        # (the suite turns those into errors), not "invalid input"
+        g = Grid(1, 64, 4.0)
+        f = random_band_limited(g, np.random.default_rng(0)) * 1e200
+        s = bessel_multiplier(100.0)
+        if kind == "separable":
+            s = separable_symbol(trig_multiplication((1.0,), 8.0), s)
+        for op in (apply_psido, discrete_adjoint_apply):
+            with pytest.raises(SymbolEvaluationError,
+                               match=rf"^{re.escape(s.label)}: the result overflows"):
+                op(s, f)
+        # the finite path still answers
+        assert np.all(np.isfinite(apply_psido(s, f * 1e-100).values))
 
     def test_overflowing_symbol_raises_typed_error(self):
         # <xi>^120 overflows near the Nyquist frequency 2048 pi
@@ -586,10 +604,12 @@ class TestDyadicDecomposition:
         (1, 512, 16.0, 5), (2, 64, math.pi, 3), (3, 32, 4.0, 2)])
     def test_rings_are_the_cutoffs(self, dim, n, R, levels):
         dd = dyadic_decompose(bessel_multiplier(-1.0), Grid(dim, n, R), levels)
-        # compared as drawn: ring 1 is written over ring 0
-        for j, ring in enumerate(dd.rings()):
+        # each ring embedded into zeros gives the whole-grid cutoff's bits
+        for j, (box, ring) in enumerate(dd.rings()):
+            got = np.zeros(dd.dual.shape)
+            got[box] = ring
             want = dd.cutoff_values(j)
-            assert np.array_equal(ring.view(np.uint64), want.view(np.uint64)), j
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), j
         assert j == levels
 
     @pytest.mark.parametrize("kind", ["sep", "trig", "general"])

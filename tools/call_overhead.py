@@ -14,6 +14,13 @@ floor gives the scale), ifftn for the inverse and ``random_band_limited``,
 and their sum for the applies.  Every call runs once before timing, so
 per-grid set-up (dual grid, sign pattern, band mask, factor samples) is
 not counted.  BLAS runs on one thread, as in ``psidobench/run.py``.
+
+The dyadic layer follows: ``kernel_sum`` and ``decay_fit`` (the CLI's
+default window, 4h to R/2) of ``bessel:-1`` at d=3 n=64 R=4 with 3 levels
+and at d=2 n=256 R=3 with 5 levels, each beside ``np.fft.ifftn`` on the
+same shape: a kernel sum should cost about one inverse FFT.  These calls
+take milliseconds, so they are timed ``--repeats`` / 100 times (at least
+once).
 """
 
 from __future__ import annotations
@@ -32,12 +39,14 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from psidolab import (Grid, SampledFunction, apply_psido,  # noqa: E402
-                      bessel_multiplier, discrete_adjoint_apply,
-                      fourier_transform, random_band_limited)
+from psidolab import (Grid, KernelDecayParams, SampledFunction,  # noqa: E402
+                      apply_psido, bessel_multiplier, decay_fit,
+                      discrete_adjoint_apply, dyadic_decompose,
+                      fourier_transform, kernel_sum, random_band_limited)
 
 GRIDS = ((1, 64), (1, 512), (2, 64))
 HALF_EXTENT = 8.0
+DYADIC = ((3, 64, 4.0, 3), (2, 256, 3.0, 5))   # (d, n, R, levels)
 
 
 def min_us(fn, repeats: int) -> float:
@@ -76,6 +85,24 @@ def measure(dim: int, n: int, repeats: int) -> list:
             for name, fn, floor, floor_us in cases]
 
 
+def measure_dyadic(dim: int, n: int, half_extent: float, levels: int,
+                   repeats: int) -> list:
+    """Rows (entry point, us per call, floor name, floor us) of the
+    dyadic layer on one grid."""
+    grid = Grid(dim, n, half_extent)
+    dd = dyadic_decompose(bessel_multiplier(-1.0), grid, levels)
+    kernel = kernel_sum(dd)
+    window = (4 * grid.spacing, half_extent / 2)
+    params = KernelDecayParams((0,) * dim, (0,) * dim)
+    ifftn = min_us(lambda: np.fft.ifftn(kernel.values), repeats)
+    label = f"R={half_extent:g} levels={levels}"
+    return [(f"kernel_sum {label}", min_us(lambda: kernel_sum(dd), repeats),
+             "ifftn", ifftn),
+            (f"decay_fit {label}",
+             min_us(lambda: decay_fit(kernel, window, params), repeats),
+             "ifftn", ifftn)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=2000,
@@ -86,10 +113,13 @@ def main(argv=None) -> int:
     print(f"numpy {np.__version__}, min of {args.repeats} calls, microseconds")
     print(f"{'grid':<10} {'entry point':<26} {'us':>9} {'floor':>11} "
           f"{'floor us':>9} {'ratio':>6}")
-    for dim, n in GRIDS:
-        for name, us, floor, floor_us in measure(dim, n, args.repeats):
-            print(f"d={dim} n={n:<5} {name:<26} {us:9.2f} {floor:>11} "
-                  f"{floor_us:9.2f} {us / floor_us:6.2f}")
+    rows = [(dim, n, row) for dim, n in GRIDS for row in measure(dim, n, args.repeats)]
+    rows += [(dim, n, row) for dim, n, half_extent, levels in DYADIC
+             for row in measure_dyadic(dim, n, half_extent, levels,
+                                       max(1, args.repeats // 100))]
+    for dim, n, (name, us, floor, floor_us) in rows:
+        print(f"d={dim} n={n:<5} {name:<26} {us:9.2f} {floor:>11} "
+              f"{floor_us:9.2f} {us / floor_us:6.2f}")
     return 0
 
 
