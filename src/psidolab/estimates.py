@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InfeasibleBudgetError, InvalidInputError, PreconditionError
 from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
-from .mixed_norm import (MixedExponent, iterated_pnorm, leading_pnorms,
-                         mixed_norm)
+from .mixed_norm import (MixedExponent, holder_dual, iterated_pnorm,
+                         leading_pnorms, pnorm_levels)
 from .operators import (DyadicDecomposition, Kernel, apply_psido,
                         discrete_adjoint_apply, support_mask)
 from .symbols import Symbol, as_multi_index, multi_index_order
@@ -482,68 +482,57 @@ def _ascent_starts(s: Symbol, grid: Grid, rng: np.random.Generator,
     return starts
 
 
-def _boyd_ascent(s: Symbol, grid: Grid, q: float, budget: int,
+def _duality_map(v: np.ndarray, spacing: float, p: tuple,
+                 levels: Optional[list] = None) -> np.ndarray:
+    """J_p(v) = sgn(v) |v|^(p_1 - 1) prod_(k<d) A_k^(p_(k+1) - p_k), with
+    A_k the iterated norm's levels (pnorm_levels; A_k^gap is 0 where A_k is
+    0), so that <v, J_p(v)> = ||v||_p ||J_p(v)||_p' (Hoelder equality for
+    mixed norms, Benedek & Panzone 1961).  A zero gap contributes no factor,
+    so for uniform p this is _dual_map and needs no levels."""
+    out = _dual_map(v, p[0])
+    for k in range(1, len(p)):
+        gap = p[k] - p[k - 1]
+        if gap:
+            if levels is None:
+                levels = pnorm_levels(v, spacing, p[:-1])
+            a = levels[k]
+            out *= np.power(a, gap, out=np.zeros_like(a), where=a > 0)
+    return out
+
+
+def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                  rng: np.random.Generator) -> tuple:
-    """Fixed-point ascent on ||Tf||_q / ||f||_q for a uniform exponent."""
-    qprime = q / (q - 1.0)
+    """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
+    z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
+    ratio never falls along one start's path, up to roundoff."""
+    pp, qq = p.p, holder_dual(p).p
+    h = grid.spacing
     starts = _ascent_starts(s, grid, rng, count=4)
     iters = max(8, budget // len(starts))
-    d = grid.dim
     best, converged, used = 0.0, False, 0
-
-    def norm_q(vals):
-        return iterated_pnorm(vals, grid.spacing, (q,) * d)
-
     for start in starts:
         if not np.any(start.values):   # the adjoint start of a zero operator
             continue
-        x = start.values / norm_q(start.values)
+        x = start.values / iterated_pnorm(start.values, h, pp)
         prev = -1.0
         for _ in range(iters):
             used += 1
             y = apply_psido(s, SampledFunction(grid, x)).values
-            ratio = norm_q(y)
+            levels = pnorm_levels(y, h, pp)
+            ratio = float(levels[-1])
             best = max(best, ratio)
             if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
                 converged = True
                 break
             prev = ratio
-            z = discrete_adjoint_apply(s, SampledFunction(grid, _dual_map(y, q))).values
-            if np.max(np.abs(z)) == 0:
+            z = discrete_adjoint_apply(
+                s, SampledFunction(grid, _duality_map(y, h, pp, levels))).values
+            if not z.any():
                 converged = True
                 break
-            x = _dual_map(z, qprime)
-            x = x / norm_q(x)
+            x = _duality_map(z, h, qq)
+            x = x / iterated_pnorm(x, h, pp)
     return best, converged, used
-
-
-def _hill_climb(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
-                rng: np.random.Generator) -> tuple:
-    """Stochastic coordinate ascent for genuinely mixed exponents."""
-
-    def ratio_of(vals):
-        f = SampledFunction(grid, vals)
-        return mixed_norm(apply_psido(s, f), p) / mixed_norm(f, p)
-
-    x = random_band_limited(grid, rng).values
-    best = ratio_of(x)
-    step = 0.5
-    stale = 0
-    used = 0
-    for _ in range(budget):
-        used += 1
-        cand = x + step * random_band_limited(grid, rng).values
-        r = ratio_of(cand)
-        if r > best:
-            best, x, stale = r, cand, 0
-        else:
-            stale += 1
-            if stale >= 8:
-                step *= 0.7
-                stale = 0
-        if step < 1e-6:
-            return best, True, used
-    return best, False, used
 
 
 def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
@@ -552,9 +541,12 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     """Estimate the discrete operator norm on the grid.
 
     "power_iteration_p2" (p identically 2) converges to the top singular
-    value via T*T.  "random_ascent" maximizes the mixed-norm ratio over
-    random band-limited starts with fixed-point refinement; its value is a
-    lower bound on the discrete norm, never a certificate.
+    value via T*T.  "random_ascent" runs Boyd's fixed-point ascent for any
+    exponent, uniform or mixed, through the iterated norm's duality map,
+    from a band-limited impulse, its adjoint image and random band-limited
+    starts; its value is the largest ratio reached, a lower bound on the
+    discrete norm, never a certificate.  converged means some start's ratio
+    settled (or its adjoint step vanished) within its share of the budget.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
@@ -569,10 +561,7 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
         return NormEstimate(est.value, est.method, est.converged,
                             est.iterations, p.p)
     if method == "random_ascent":
-        if p.is_uniform:
-            value, converged, used = _boyd_ascent(s, grid, p.p[0], budget, rng)
-        else:
-            value, converged, used = _hill_climb(s, grid, p, budget, rng)
+        value, converged, used = _boyd_ascent(s, grid, p, budget, rng)
         return NormEstimate(value, "random_ascent", converged, used, p.p)
     raise InvalidInputError(f"unknown method {method!r}")
 

@@ -48,10 +48,6 @@ class MixedExponent:
     def dim(self) -> int:
         return len(self.p)
 
-    @property
-    def is_uniform(self) -> bool:
-        return all(v == self.p[0] for v in self.p)
-
     def leading(self) -> tuple:
         """The split-off leading exponents (empty tuple when split = 0)."""
         if self.split is None:
@@ -64,13 +60,21 @@ def holder_dual(p: MixedExponent) -> MixedExponent:
     return MixedExponent(tuple(v / (v - 1.0) for v in p.p), p.split)
 
 
-def leading_pnorms(values: np.ndarray, spacing: float, exponents) -> np.ndarray:
-    """Iterated Riemann p-norms over the leading axes, axis 0 first (x1
-    innermost), for any exponents >= 1; the field over the remaining axes."""
+def pnorm_levels(values: np.ndarray, spacing: float, exponents) -> list:
+    """Levels A_0 = |values|, A_1, ..., A_k of the iterated Riemann p-norm
+    over the leading axes, axis 0 first (x1 innermost), for any exponents
+    >= 1: A_j is the field over the axes after the j-th."""
     a = np.abs(np.asarray(values))
+    levels = [a]
     for q in exponents:
         a = (spacing * np.sum(a**q, axis=0)) ** (1.0 / q)
-    return a
+        levels.append(a)
+    return levels
+
+
+def leading_pnorms(values: np.ndarray, spacing: float, exponents) -> np.ndarray:
+    """The last of pnorm_levels: the field over the remaining axes."""
+    return pnorm_levels(values, spacing, exponents)[-1]
 
 
 def iterated_pnorm(values: np.ndarray, spacing: float, exponents) -> float:

@@ -264,3 +264,30 @@ def test_cli_outputs_match_the_whole_grid(d, n, R, levels, spec, monkeypatch,
                          [path.read_bytes() for path in sorted(out.glob("*.csv"))])
     assert len(outputs["boxes"][1]) == 2 * len(commands) - 1
     assert outputs["boxes"] == outputs["whole"]
+
+
+@pytest.mark.parametrize("d, j", [(2, 2), (2, 3), (3, 2)])
+def test_ring_support_fails_on_a_planted_leak(d, j, monkeypatch, tmp_path, capsys):
+    # ring j with a nonzero value at its box centre, xi = 0, where
+    # |xi| < 2^(j-1): the dyadic run must report exactly that leak for
+    # piece j (|bessel:-1| is 1 at xi = 0) and fail ring_support; the
+    # centre is in no box's first row, so a leak read from one row misses it
+    planted = 0.25
+    plain = DyadicDecomposition.rings
+
+    def leaky(dd):
+        for k, (box, ring) in enumerate(plain(dd)):
+            if k == j:
+                centre = tuple(side // 2 for side in ring.shape)
+                assert dd.dual_radius[box][centre] == 0.0
+                ring = ring.copy()
+                ring[centre] = planted
+            yield box, ring
+
+    monkeypatch.setattr(DyadicDecomposition, "rings", leaky)
+    assert cli.main(["dyadic", "--symbol", "bessel:-1", "--d", str(d), "--n", "16",
+                     "--R", "2", "--levels", "3", "--out-dir", str(tmp_path)]) == 1
+    assert "FAIL ring_support" in capsys.readouterr().out.splitlines()
+    rows = json.loads((tmp_path / "dyadic-report.json").read_text())["tables"]["pieces"]
+    assert [(row["ratio"], row["pass"]) for row in rows] == [
+        (planted if k == j else 0.0, k != j) for k in range(4)]

@@ -12,8 +12,9 @@ from psidolab import (CZCheckConfig, Grid, InfeasibleBudgetError,
                       dyadic_decompose, dyadic_envelope_check, kernel_sum,
                       make_cancellation_test_function,
                       operator_norm_estimate, smoothness_budget,
-                      theorem_norm_bound, with_params)
+                      theorem_norm_bound, wave_multiplier, with_params)
 from psidolab import estimates
+from psidolab.mixed_norm import iterated_pnorm
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +265,65 @@ class TestTheoremNormBound:
 # ---------------------------------------------------------------------------
 # operator norms
 
+# random_ascent results at budget 60, seeds 0, 1, 2, as (value.hex(),
+# converged, iterations), on Grid(1, 128, 8.0) for d = 1 and Grid(2, 32, 4.0)
+# for d = 2: every exponent gap of a uniform p is 0, so the duality map's
+# level factors must leave these bits alone
+UNIFORM_ASCENT = {
+    ("wave:0", 4.0, 1): [
+        ("0x1.d4b8e42395a38p+0", False, 60),
+        ("0x1.d4b8e42395a38p+0", False, 60),
+        ("0x1.d4b8e42395a38p+0", False, 60),
+    ],
+    ("wave:0", 4.0, 2): [
+        ("0x1.987560f7d6506p+1", True, 58),
+        ("0x1.987560f7d6506p+1", True, 58),
+        ("0x1.987560f7d6506p+1", True, 58),
+    ],
+    ("wave:0", 4.0 / 3.0, 1): [
+        ("0x1.d4b8e42357a56p+0", False, 60),
+        ("0x1.d4b8e42357a56p+0", False, 60),
+        ("0x1.d4b8e42357a56p+0", False, 60),
+    ],
+    ("wave:0", 4.0 / 3.0, 2): [
+        ("0x1.987560f7ab985p+1", False, 60),
+        ("0x1.987560f7ab985p+1", False, 60),
+        ("0x1.987560f7ab985p+1", False, 60),
+    ],
+    ("bessel:-1", 4.0, 1): [
+        ("0x1.ff9f9625fbdcap-1", False, 60),
+        ("0x1.fd1c340cfda9ap-1", False, 60),
+        ("0x1.ff722a2e61ab6p-1", False, 60),
+    ],
+    ("bessel:-1", 4.0, 2): [
+        ("0x1.fff69f551222ap-1", False, 60),
+        ("0x1.fff8d591b1205p-1", False, 60),
+        ("0x1.fff69f551222ap-1", False, 60),
+    ],
+    ("bessel:-1", 4.0 / 3.0, 1): [
+        ("0x1.ff7663658cbd9p-1", False, 60),
+        ("0x1.fdcbd0ac4f3b2p-1", False, 60),
+        ("0x1.ff0d6bb1f5283p-1", False, 60),
+    ],
+    ("bessel:-1", 4.0 / 3.0, 2): [
+        ("0x1.fffc29ceb07b9p-1", False, 60),
+        ("0x1.fffc29ceb07b9p-1", False, 60),
+        ("0x1.fffc29ceb07b9p-1", False, 60),
+    ],
+}
+
+ASCENT_SYMBOLS = {"wave:0": lambda: wave_multiplier(0.0),
+                  "bessel:-1": lambda: bessel_multiplier(-1.0)}
+
+
 class TestOperatorNorm:
     def test_constant_symbol_every_method(self):
-        g = Grid(1, 128, 8.0)
         s = constant_symbol(-2.5)
-        for method, p in (("power_iteration_p2", MixedExponent((2.0,))),
-                          ("random_ascent", MixedExponent((4.0,)))):
-            est = operator_norm_estimate(s, g, p, method, budget=60)
+        for grid, method, p in (
+                (Grid(1, 128, 8.0), "power_iteration_p2", MixedExponent((2.0,))),
+                (Grid(1, 128, 8.0), "random_ascent", MixedExponent((4.0,))),
+                (Grid(2, 32, 4.0), "random_ascent", MixedExponent((3.0, 1.5)))):
+            est = operator_norm_estimate(s, grid, p, method, budget=60)
             assert est.value == pytest.approx(2.5, abs=1e-6)
 
     def test_power_iteration_finds_multiplier_sup(self):
@@ -289,19 +342,63 @@ class TestOperatorNorm:
                                         "random_ascent", budget=300)
         assert ascent.value <= power.value + 1e-6
 
-    def test_mixed_exponent_hill_climb_runs(self):
-        g = Grid(2, 16, 4.0)
-        est = operator_norm_estimate(bessel_multiplier(-1.0), g,
+    @pytest.mark.parametrize("spec, p, floor", [
+        ("bessel:-1", (3.0, 1.5), 0.99), ("bessel:-1", (1.5, 3.0), 0.99),
+        ("wave:0", (3.0, 1.5), 1.9)],
+        ids=["bessel:-1-p3,1.5", "bessel:-1-p1.5,3", "wave:0-p3,1.5"])
+    def test_mixed_exponent_ascent_reaches_the_sup(self, spec, p, floor):
+        # a multiplier maps the plane wave at its largest |b| to itself times
+        # b, so the norm is at least max|b| (1 for bessel:-1) for every p
+        g = Grid(2, 64, 8.0)
+        for seed in (1, 2, 3):
+            est = operator_norm_estimate(ASCENT_SYMBOLS[spec](), g,
+                                         MixedExponent(p), "random_ascent",
+                                         seed=seed)
+            assert floor <= est.value and est.iterations <= 300
+
+    def test_mixed_ascent_schedule(self):
+        # six starts of max(8, budget // 6) iterations each: budget 40 runs 48
+        est = operator_norm_estimate(bessel_multiplier(-1.0), Grid(2, 16, 4.0),
                                      MixedExponent((2.0, 3.0)),
                                      "random_ascent", budget=40, seed=1)
-        assert 0 < est.value <= 1.5
+        assert (est.converged, est.iterations) == (False, 48)
+        assert 0.99 <= est.value <= 1.0
+
+    @pytest.mark.parametrize("spec, q, d", list(UNIFORM_ASCENT),
+                             ids=[f"{s}-q{q:.3g}-d{d}" for s, q, d in UNIFORM_ASCENT])
+    def test_uniform_ascent_bits(self, spec, q, d):
+        g = Grid(1, 128, 8.0) if d == 1 else Grid(2, 32, 4.0)
+        for seed, want in enumerate(UNIFORM_ASCENT[spec, q, d]):
+            est = operator_norm_estimate(ASCENT_SYMBOLS[spec](), g,
+                                         MixedExponent.uniform(q, d),
+                                         "random_ascent", budget=60, seed=seed)
+            assert (est.value.hex(), est.converged, est.iterations) == want
+
+    @pytest.mark.parametrize("p", [(3.0, 1.5), (1.5, 3.0), (2.0, 4.0, 1.25)])
+    def test_duality_map_attains_hoelder_equality(self, p):
+        # <v, J_p(v)> = ||v||_p ||J_p(v)||_p', with a zero x1 line and a zero
+        # outer slice (A_k = 0 there: no 0 ** negative, no NaN)
+        d, h = len(p), 0.25
+        rng = np.random.default_rng(7)
+        shape = (8, 6, 5)[:d]
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[(slice(None), 2) + (0,) * (d - 2)] = 0.0
+        v[..., -1] = 0.0
+        pprime = tuple(q / (q - 1.0) for q in p)
+        j = estimates._duality_map(v, h, p)
+        assert np.all(np.isfinite(j)) and not j[..., -1].any()
+        pairing = h**d * np.vdot(v, j)
+        bound = iterated_pnorm(v, h, p) * iterated_pnorm(j, h, pprime)
+        assert pairing.real == pytest.approx(bound, rel=1e-12)
+        assert abs(pairing.imag) <= 1e-12 * bound
 
     def test_zero_operator_every_method(self):
         # the adjoint ascent start of a zero operator vanishes; it is skipped
-        g = Grid(1, 32, 4.0)
-        for method, p in (("power_iteration_p2", MixedExponent((2.0,))),
-                          ("random_ascent", MixedExponent((4.0,)))):
-            est = operator_norm_estimate(constant_symbol(0), g, p, method)
+        for grid, method, p in (
+                (Grid(1, 32, 4.0), "power_iteration_p2", MixedExponent((2.0,))),
+                (Grid(1, 32, 4.0), "random_ascent", MixedExponent((4.0,))),
+                (Grid(2, 16, 4.0), "random_ascent", MixedExponent((3.0, 1.5)))):
+            est = operator_norm_estimate(constant_symbol(0), grid, p, method)
             assert (est.value, est.converged) == (0.0, True)
 
     @pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0])

@@ -40,3 +40,20 @@ def test_power_iteration_self_check_and_uninstall():
     assert applies > 0
     assert applies == (tracer.calls["operators.apply.multiplier"]
                        + tracer.calls["operators.adjoint.multiplier"])
+
+
+def test_mixed_ascent_applies_are_counted():
+    # a mixed exponent runs the adjoint step too; the tracer's applies
+    # counter must see both spans
+    tracer = tracing.Tracer().install()
+    try:
+        est = psidolab.operator_norm_estimate(
+            psidolab.bessel_multiplier(-1.0), Grid(2, 16, 4.0),
+            MixedExponent((3.0, 1.5)), "random_ascent", budget=40, seed=1)
+    finally:
+        tracer.uninstall()
+    applies = tracer.counters["estimates.norm.applies"]
+    adjoints = tracer.calls["operators.adjoint.multiplier"]
+    assert applies > 0 and adjoints > 0
+    assert applies == tracer.calls["operators.apply.multiplier"] + adjoints
+    assert tracer.counters["estimates.norm.iterations"] == est.iterations
