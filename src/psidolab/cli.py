@@ -211,7 +211,6 @@ def _decomposition(params):
 
 def _run_dyadic(params):
     dd, x = _decomposition(params)
-    radius = dd.dual_radius
     sym = dd.symbol_values(x)
     total = np.zeros(dd.dual.shape, dtype=np.complex128)
     rows = []
@@ -220,13 +219,14 @@ def _run_dyadic(params):
         piece = sym[box] * ring
         part = total[box]
         part += piece
-        mag, r = np.abs(piece), radius[box]
+        mag, r = np.abs(piece), dd.dual.radius(box)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)) if j else r > 2.0
         leak = float(np.max(mag, where=outside, initial=0.0))
         rows.append(reporting.sweep_row(j, float(np.max(mag)), None, leak,
                                         leak == 0.0))
-    band = radius <= 2.0**dd.levels  # the reconstruction is checked on the band
-    recon_err = float(np.max(np.abs(total[band] - sym[band])))
+    # the reconstruction is checked on the band |xi| <= 2^levels, inside the top box
+    band = r <= 2.0**dd.levels
+    recon_err = float(np.max(np.abs(part[band] - sym[box][band])))
     checks = [
         reporting.make_check("reconstruction", recon_err <= 1e-12,
                              max_error=recon_err, band=2.0**dd.levels),

@@ -185,7 +185,7 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
     if multi_index_order(alpha) > 0:
         sups = ratios = [0.0] * (dd.levels + 1)
     else:
-        weight = dd.grid.radius()**M if M else np.ones(dd.grid.shape)
+        weight = dd.grid.radius()**M if M else 1.0
         deriv_mult = dd.dual.derivative_multiplier(beta)
         sym = dd.symbol_values(x)
         # nested boxes: each piece overwrites the last; +0 outside stands for

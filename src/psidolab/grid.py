@@ -392,18 +392,14 @@ def random_band_limited(grid: Grid, rng: np.random.Generator,
 
     Normalized to unit sup norm; used as generic test input wherever the
     periodic surrogate must not feel the grid cutoff.  The band mask is
-    built once per (grid, band) and kept on the grid instance, like its dual.
+    built from the dual grid's radius on every draw.
     """
     if not 0 < band_fraction <= 1:
         raise InvalidInputError(f"band_fraction must be in (0, 1], got {band_fraction}")
     dual = grid.dual()
-    masks = grid.__dict__.setdefault("_band_masks", {})
-    if band_fraction not in masks:
-        mask = dual.radius() <= band_fraction * grid.nyquist
-        mask.flags.writeable = False
-        masks[band_fraction] = mask
+    mask = dual.radius() <= band_fraction * grid.nyquist
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    spectrum = SampledFunction(dual, coeffs * masks[band_fraction])
+    spectrum = SampledFunction(dual, coeffs * mask)
     f = fourier_transform(spectrum, "inverse")
     peak = np.max(np.abs(f.values))
     if peak == 0:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -251,13 +250,12 @@ class DyadicDecomposition:
 
     Piece 0 is the low-frequency cap sigma * eta(|xi|); piece j >= 1 is
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
-    Pieces are evaluated lazily on the dual grid; the dual grid and its
-    radius are computed once per decomposition, the cutoffs per call.
-    `symbol_values` samples an x-dependent symbol afresh on every call, so
-    a caller walking all pieces at one x takes one sample and multiplies
-    it by each cutoff of `rings()`, as `sum_values` does.  Each ring comes
-    on its support box, so its callers work only there (`kernel_sum` at d=3
-    n=64 R=4, 3 levels: 3.7-5.2 -> 1.6 bare ifftn); the other accessors
+    Pieces are evaluated lazily on the dual grid, and |xi| is taken from
+    the grid on every call.  `symbol_values` samples an x-dependent symbol
+    afresh on every call, so a caller walking all pieces at one x takes
+    one sample and multiplies it by each cutoff of `rings()`, as
+    `sum_values` does.  Each ring comes on its support box, with |xi| on
+    that box only, so its callers work only there; the other accessors
     stay whole-grid.
     """
 
@@ -265,16 +263,9 @@ class DyadicDecomposition:
     grid: Grid
     levels: int
 
-    @cached_property
+    @property
     def dual(self) -> Grid:
         return self.grid.dual()
-
-    @cached_property
-    def dual_radius(self) -> np.ndarray:
-        """|xi| on the dual grid (read-only)."""
-        r = self.dual.radius()
-        r.flags.writeable = False
-        return r
 
     def symbol_values(self, x=None) -> np.ndarray:
         """The raw symbol sampled on the dual grid (at x if x-dependent).
@@ -311,7 +302,7 @@ class DyadicDecomposition:
     def cutoff_values(self, j: int) -> np.ndarray:
         if not 0 <= j <= self.levels:
             raise InvalidInputError(f"piece index {j} outside 0..{self.levels}")
-        r = self.dual_radius
+        r = self.dual.radius()
         if j == 0:
             return low_pass_cutoff(r)
         return ring_cutoff(r / 2.0**j)
@@ -327,7 +318,7 @@ class DyadicDecomposition:
         dual, below = self.dual, None
         for j in range(self.levels + 1):
             box = dual.centred_box(2.0 ** (j + 1) + dual.spacing)
-            low = low_pass_cutoff(self.dual_radius[box] / 2.0**j)
+            low = low_pass_cutoff(dual.radius(box) / 2.0**j)
             ring = low.copy()
             if below is not None:  # L_(j-1) is +0.0 outside its own box
                 start = box[0].start
@@ -353,7 +344,7 @@ class DyadicDecomposition:
 
     def truncation_values(self, x=None) -> np.ndarray:
         """The band-limited symbol sigma * eta(2^-J |xi|) itself."""
-        return self.symbol_values(x) * low_pass_cutoff(self.dual_radius / 2.0**self.levels)
+        return self.symbol_values(x) * low_pass_cutoff(self.dual.radius() / 2.0**self.levels)
 
 
 def dyadic_decompose(s: Symbol, grid: Grid, levels: int) -> DyadicDecomposition:

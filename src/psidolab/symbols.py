@@ -380,11 +380,9 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
     The period must be finite and positive and every coefficient finite.
     On a Grid the series is evaluated once, on the 1-D axis, and the axes
     multiply in as broadcast views; the points path evaluates it at every
-    point.  The two give the same bits at d = 1 and for series of up to 7
-    terms.  At d = 2, 3 a series of 8 or more terms may differ in the last
-    bits (at most 6.8e-16 relative, measured at n = 10 and 18): numpy's
-    matmul rounds the points path's stacked (..., n, K) phases differently
-    from the axis's (n, K) ones.
+    point.  Both sum the series with numpy's reduction over the last axis,
+    which rounds each point's K terms alike in either layout, so the two
+    give the same bits.
     """
     coeffs = tuple(float(c) for c in coeffs)
     if not (math.isfinite(period) and period > 0):
@@ -397,7 +395,8 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
 
     def factor(x):
         if isinstance(x, Grid):
-            series = 1.0 + np.cos(omega * np.multiply.outer(x.axis_coords(), ks)) @ cs
+            series = 1.0 + (np.cos(omega * np.multiply.outer(x.axis_coords(), ks))
+                            * cs).sum(axis=-1)
             out = np.ones(x.shape, dtype=np.complex128)
             for axis in range(x.dim):
                 out = out * series.reshape((-1,) + (1,) * (x.dim - 1 - axis))
@@ -405,7 +404,7 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
         out = np.ones(x.shape[:-1], dtype=np.complex128)
         for axis in range(x.shape[-1]):
             phases = np.cos(omega * np.multiply.outer(x[..., axis], ks))
-            out = out * (1.0 + phases @ cs)
+            out = out * (1.0 + (phases * cs).sum(axis=-1))
         return out
 
     return _factored(SymbolClassParams(m=0.0, rho=1.0, delta=0.0, N=N, Nprime=0),

@@ -138,7 +138,7 @@ def test_rings_are_zero_outside_their_boxes(d, n, R, levels, spec):
         outside[box] = False
         # +0.0 outside: the bits of zero, not merely equal to it
         assert not cutoff.view(np.uint64)[outside].any(), j
-        assert np.all(dd.dual_radius[outside] > 2.0 ** (j + 1)), j
+        assert np.all(dd.dual.radius()[outside] > 2.0 ** (j + 1)), j
 
 
 @pytest.mark.parametrize("d, n, R, levels, spec", CASES, ids=ids(CASES))
@@ -231,6 +231,25 @@ def test_each_cutoff_is_evaluated_on_its_box_only(monkeypatch, tmp_path):
     assert sizes == want
 
 
+@pytest.mark.parametrize("spec", ["bessel:-1", "sep:2,6:-1"])
+def test_dyadic_walk_forms_no_whole_grid_radius(spec, monkeypatch, tmp_path):
+    # the rings, the leak check and the reconstruction check take |xi| on
+    # the rings' boxes, the top one short of the whole grid here
+    boxes = []
+    plain = Grid.radius
+
+    def recorded(grid, box=None):
+        boxes.append(box)
+        return plain(grid, box)
+
+    monkeypatch.setattr(Grid, "radius", recorded)
+    assert cli.main(["dyadic", "--symbol", spec, "--d", "3", "--n", "32", "--R", "2",
+                     "--levels", "3", "--x=-0.0,0.375,-0.0",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert len(boxes) == 2 * 4 and None not in boxes
+    assert boxes[-1] != (slice(0, 32),) * 3
+
+
 def report(path, out_dir):
     rep = json.loads(path.read_text().replace(str(out_dir), "OUT"))
     rep.pop("timestamp")
@@ -279,7 +298,7 @@ def test_ring_support_fails_on_a_planted_leak(d, j, monkeypatch, tmp_path, capsy
         for k, (box, ring) in enumerate(plain(dd)):
             if k == j:
                 centre = tuple(side // 2 for side in ring.shape)
-                assert dd.dual_radius[box][centre] == 0.0
+                assert dd.dual.radius(box)[centre] == 0.0
                 ring = ring.copy()
                 ring[centre] = planted
             yield box, ring

@@ -519,7 +519,6 @@ class TestFactorSamples:
         sep = separable_symbol(
             trig_multiplication(smoothness_coefficients(2, 3), 8.0), s)
         for arr in (s.sampled_factor("xi", g.dual()), dd.symbol_values(),
-                    dd.dual_radius,
                     dyadic_decompose(sep, g, 2).symbol_values([0.5])):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

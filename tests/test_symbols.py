@@ -298,8 +298,7 @@ def points_path(s: Symbol) -> Symbol:
 
 class TestGridFactorPath:
     """Built-in factors sampled from a Grid's axes give the bits of the
-    same factors evaluated at every grid point, but for trig series of 8 or
-    more terms at d >= 2, which agree within a relative bound."""
+    same factors evaluated at every grid point."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [10, 18])
@@ -323,15 +322,15 @@ class TestGridFactorPath:
     @pytest.mark.parametrize("n", [10, 18])
     @pytest.mark.parametrize("terms", range(8, 13))
     def test_long_series_within_bound(self, dim, n, terms):
-        # a series of 8 or more terms may round differently on the axis than
-        # at every point for d >= 2 (measured at most 6.8e-16 relative)
+        # both paths sum the series with the same reduction, so a long
+        # series rounds alike on the axis and at every point, also at d >= 2
         g = Grid(dim, n, 0.7)
         s = trig_multiplication(smoothness_coefficients(2, terms), 2 * g.half_extent)
         for grid in (g, g.dual()):
             got = s.sampled_factor("x", grid)
             want = np.asarray(s.x_factor(grid.coord_stack()), dtype=np.complex128)
             assert got.shape == want.shape == grid.shape
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid
 
     def test_overflow_names_same_point_as_points_path(self):
         g = Grid(2, 16, 0.7)
