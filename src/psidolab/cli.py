@@ -212,12 +212,17 @@ def _decomposition(params):
 def _run_dyadic(params):
     dd, x = _decomposition(params)
     sym = dd.symbol_values(x)
-    total = np.zeros(dd.dual.shape, dtype=np.complex128)
+    # a piece is zero outside its ring's box: its max, leak and sum are
+    # there, and the boxes are nested, so the sum lives on the last one
+    rings = list(dd.rings())
+    top, n = rings[-1][0], dd.dual.points_per_axis
+    origin = [b.indices(n)[0] for b in top]
+    total = np.zeros(sym[top].shape, dtype=np.complex128)
     rows = []
-    # a piece is zero outside its ring's box: its max, leak and sum are there
-    for j, (box, ring) in enumerate(dd.rings()):
+    for j, (box, ring) in enumerate(rings):
         piece = sym[box] * ring
-        part = total[box]
+        part = total[tuple(slice(b.indices(n)[0] - o, b.indices(n)[1] - o)
+                           for b, o in zip(box, origin))]
         part += piece
         mag, r = np.abs(piece), dd.dual.radius(box)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)) if j else r > 2.0
@@ -316,9 +321,11 @@ def _run_norm_estimate(params):
                                  seed=_int(params, "seed", 0))
     checks = []
     rows = [reporting.sweep_row(grid.points_per_axis, est.value, None, None,
-                                est.converged)]
-    lines = [f"estimate = {est.value:.8g} ({est.method}, "
-             f"{'converged' if est.converged else 'UNCONVERGED'})"]
+                                est.converged, lower=est.lower,
+                                upper=est.upper, reason=est.reason)]
+    upper = "none" if est.upper is None else f"{est.upper:.8g}"
+    lines = [f"estimate = {est.value:.8g} ({est.method}, {est.reason}), "
+             f"bracket [{est.lower:.8g}, {upper}]"]
     return checks, {"estimate": rows}, lines
 
 
@@ -380,8 +387,11 @@ def _run_probe(params):
                                            rep.variation <= tol,
                                            variation=rep.variation, tolerance=tol))
     rows = [reporting.sweep_row(n, est, rep.estimates[0],
-                                est / rep.estimates[0], conv)
-            for n, est, conv in zip(rep.resolutions, rep.estimates, rep.converged)]
+                                est / rep.estimates[0], conv, lower=lower,
+                                upper=upper, reason=reason)
+            for n, est, conv, lower, upper, reason in zip(
+                rep.resolutions, rep.estimates, rep.converged, rep.lowers,
+                rep.uppers, rep.reasons)]
     lines = [f"estimates: {dict(zip(rep.resolutions, [round(e, 6) for e in rep.estimates]))}",
              f"growth = {rep.growth:+.2%}, variation = {rep.variation:.2%}"]
     return checks, {"estimates": rows}, lines

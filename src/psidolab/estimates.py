@@ -21,7 +21,7 @@ from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
 from .mixed_norm import (MixedExponent, holder_dual, iterated_pnorm,
                          leading_pnorms, pnorm_levels)
-from .operators import (DyadicDecomposition, Kernel, apply_psido,
+from .operators import (DyadicDecomposition, Kernel, _terms, apply_psido,
                         discrete_adjoint_apply, support_mask)
 from .symbols import Symbol, as_multi_index, multi_index_order
 
@@ -426,13 +426,89 @@ def theorem_norm_bound(inp: NormBoundInputs) -> float:
 # ---------------------------------------------------------------------------
 # operator norm estimation
 
+BRACKET_RTOL = 1e-12   # roundoff allowance of the certified bracket
+
+
 @dataclass(frozen=True)
 class NormEstimate:
+    """A discrete operator norm estimate inside its bracket [lower, upper].
+
+    value is the best ratio ||T f||_p / ||f||_p the iteration reached;
+    lower = max(value, the plane-wave ratio certified in closed form) and
+    upper is a certified bound, None for a coupled ("general") symbol.  All
+    three carry roundoff: value <= upper * (1 + BRACKET_RTOL) holds, not
+    value <= upper (power iteration on a multiplier can end one ulp above
+    max|b|).  reason says why the iteration stopped: "settled" (a ratio
+    stopped moving, or its adjoint step vanished), "bracket_closed"
+    (upper - value <= BRACKET_RTOL * upper), "zero_operator" (upper == 0)
+    or "budget" (out of iterations).  The bracket is tested after each
+    apply, never before the first."""
+
     value: float
     method: str
-    converged: bool
+    reason: str
     iterations: int
     p: tuple
+    lower: float
+    upper: Optional[float]
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "budget"
+
+
+def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
+    """(peak, plane, upper) from the sampled terms a_r(x) b_r(xi) of s
+    (`operators._terms`).
+
+    peak is the dual-grid index of the largest sum_r ||a_r||_2 |b_r(xi)|,
+    the argmax of |b| for a factored symbol.  The plane wave e at peak is
+    an exact eigenfunction of a multiplier, so plane = ||T e||_p / ||e||_p
+    is certified in closed form, and upper bounds ||T||_p:
+    - a multiplier b(D) is a circular convolution with the kernel
+      c = ifftn(b), up to unimodular factors, so ||T||_p <= ||c||_1 for
+      every mixed p (Minkowski) and ||T||_2 = max|b| (Parseval); mixed
+      Riesz-Thorin (Benedek & Panzone 1961) interpolates them with
+      theta = min_k 2 min(1/p_k, 1 - 1/p_k):
+      plane = max|b|, upper = ||c||_1^(1 - theta) max|b|^theta, which
+      costs one inverse transform unless theta = 1 (p = 2);
+    - a(x) b(D): plane = |b(peak)| ||a||_p / ||1||_p and
+      upper = sup|a| times the bound of b (1 without b);
+    - a coupled symbol: plane = 0.0 and upper = None.
+    An upper bound that overflows is None too."""
+    dual = grid.dual()
+    terms = _terms(s, grid)
+    weight = sum((1.0 if a is None else float(np.linalg.norm(a)))
+                 * (1.0 if b is None else np.abs(b)) for a, b in terms)
+    peak = np.unravel_index(np.argmax(np.broadcast_to(weight, dual.shape)),
+                            dual.shape)
+    if s.kind == "general":
+        return peak, 0.0, None
+    [(a, b)] = terms
+    top = bound = 1.0
+    if b is not None:
+        b = np.broadcast_to(b, dual.shape)
+        top = bound = float(abs(b[peak]))
+        theta = min(2.0 * min(1.0 / q, 1.0 - 1.0 / q) for q in p.p)
+        if theta < 1.0:
+            c = fourier_transform(SampledFunction(dual, b), "inverse").values
+            c1 = grid.spacing**grid.dim * float(np.abs(c).sum())
+            bound = c1 ** (1.0 - theta) * top**theta
+    plane, upper = top, bound
+    if a is not None:
+        a = np.broadcast_to(a, grid.shape)
+        unit = math.prod((2.0 * grid.half_extent) ** (1.0 / q) for q in p.p)
+        plane = top * iterated_pnorm(a, grid.spacing, p.p) / unit
+        upper = float(np.abs(a).max()) * bound
+    return peak, plane, upper if math.isfinite(upper) else None
+
+
+def _closed(best: float, upper: Optional[float]) -> Optional[str]:
+    """The stopping reason once best reaches the certified upper bound
+    within BRACKET_RTOL, else None."""
+    if upper is None or upper - best > BRACKET_RTOL * upper:
+        return None
+    return "zero_operator" if upper == 0.0 else "bracket_closed"
 
 
 def _dual_map(v: np.ndarray, q: float) -> np.ndarray:
@@ -445,29 +521,32 @@ def _dual_map(v: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def _power_iteration_p2(s: Symbol, grid: Grid, budget: int,
-                        rng: np.random.Generator) -> NormEstimate:
-    v = random_band_limited(grid, rng).values
-    best, prev = 0.0, -1.0
-    converged = False
-    it = 0
+def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
+                        upper: Optional[float]) -> tuple:
+    """Power iteration on T*T from the plane wave at peak, one inverse
+    transform of a dual-grid impulse: (best ratio, reason, iterations)."""
+    impulse = np.zeros(grid.shape, dtype=np.complex128)
+    impulse[peak] = 1.0
+    v = fourier_transform(SampledFunction(grid.dual(), impulse), "inverse").values
+    best, prev, it = 0.0, -1.0, 0
     for it in range(1, budget + 1):
         tv = apply_psido(s, SampledFunction(grid, v)).values
         num = float(np.linalg.norm(tv.reshape(-1)))
         den = float(np.linalg.norm(v.reshape(-1)))
         est = num / den
         best = max(best, est)
+        closed = _closed(best, upper)
+        if closed:
+            return best, closed, it
         if abs(est - prev) <= 1e-11 * max(est, 1.0):
-            converged = True
-            break
+            return best, "settled", it
         prev = est
         w = discrete_adjoint_apply(s, SampledFunction(grid, tv)).values
         scale = np.max(np.abs(w))
         if scale == 0:
-            converged = True
-            break
+            return best, "settled", it
         v = w / scale
-    return NormEstimate(best, "power_iteration_p2", converged, it, None)
+    return best, "budget", it
 
 
 def _ascent_starts(s: Symbol, grid: Grid, rng: np.random.Generator,
@@ -501,15 +580,16 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
 
 
 def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
-                 rng: np.random.Generator) -> tuple:
+                 rng: np.random.Generator, upper: Optional[float]) -> tuple:
     """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
-    ratio never falls along one start's path, up to roundoff."""
+    ratio never falls along one start's path, up to roundoff.  Returns
+    (best ratio, reason, iterations); "settled" if some start settled."""
     pp, qq = p.p, holder_dual(p).p
     h = grid.spacing
     starts = _ascent_starts(s, grid, rng, count=4)
     iters = max(8, budget // len(starts))
-    best, converged, used = 0.0, False, 0
+    best, settled, used = 0.0, False, 0
     for start in starts:
         if not np.any(start.values):   # the adjoint start of a zero operator
             continue
@@ -521,49 +601,59 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
             levels = pnorm_levels(y, h, pp)
             ratio = float(levels[-1])
             best = max(best, ratio)
+            closed = _closed(best, upper)
+            if closed:
+                return best, closed, used
             if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
-                converged = True
+                settled = True
                 break
             prev = ratio
             z = discrete_adjoint_apply(
                 s, SampledFunction(grid, _duality_map(y, h, pp, levels))).values
             if not z.any():
-                converged = True
+                settled = True
                 break
             x = _duality_map(z, h, qq)
             x = x / iterated_pnorm(x, h, pp)
-    return best, converged, used
+    return best, "settled" if settled else "budget", used
 
 
 def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
                            method: str, budget: int = 300,
                            seed: int = 0) -> NormEstimate:
-    """Estimate the discrete operator norm on the grid.
+    """Estimate the discrete operator norm on the grid, inside a bracket.
 
-    "power_iteration_p2" (p identically 2) converges to the top singular
-    value via T*T.  "random_ascent" runs Boyd's fixed-point ascent for any
-    exponent, uniform or mixed, through the iterated norm's duality map,
-    from a band-limited impulse, its adjoint image and random band-limited
-    starts; its value is the largest ratio reached, a lower bound on the
-    discrete norm, never a certificate.  converged means some start's ratio
-    settled (or its adjoint step vanished) within its share of the budget.
+    "power_iteration_p2" (p identically 2) runs power iteration on T*T
+    from the plane wave at the largest |b| (see `_norm_bracket`), an
+    exact eigenfunction of a multiplier, so a multiplier closes its
+    bracket at the first apply; the seed is not used.  "random_ascent"
+    runs Boyd's fixed-point ascent for any exponent, uniform or mixed,
+    through the iterated norm's duality map, from a band-limited impulse,
+    its adjoint image and random band-limited starts.  Either stops early
+    once its best ratio comes within BRACKET_RTOL of the certified upper
+    bound.  value is the best ratio reached, a lower bound on the discrete
+    norm; lower adds the certified plane-wave ratio and upper the
+    certified bound (None for a coupled symbol), both to roundoff:
+    value <= upper * (1 + BRACKET_RTOL).  reason and converged (reason
+    is not "budget") are described on `NormEstimate`.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
     if p.dim != grid.dim:
         raise InvalidInputError(
             f"exponent has {p.dim} components for a {grid.dim}-d grid")
-    rng = np.random.default_rng(seed)
     if method == "power_iteration_p2":
         if any(q != 2.0 for q in p.p):
             raise InvalidInputError("power_iteration_p2 requires p = (2, ..., 2)")
-        est = _power_iteration_p2(s, grid, budget, rng)
-        return NormEstimate(est.value, est.method, est.converged,
-                            est.iterations, p.p)
-    if method == "random_ascent":
-        value, converged, used = _boyd_ascent(s, grid, p, budget, rng)
-        return NormEstimate(value, "random_ascent", converged, used, p.p)
-    raise InvalidInputError(f"unknown method {method!r}")
+    elif method != "random_ascent":
+        raise InvalidInputError(f"unknown method {method!r}")
+    peak, plane, upper = _norm_bracket(s, grid, p)
+    if method == "power_iteration_p2":
+        value, reason, used = _power_iteration_p2(s, grid, budget, peak, upper)
+    else:
+        value, reason, used = _boyd_ascent(s, grid, p, budget,
+                                           np.random.default_rng(seed), upper)
+    return NormEstimate(value, method, reason, used, p.p, max(value, plane), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +815,9 @@ class ProbeReport:
     resolutions: tuple
     estimates: tuple
     converged: tuple
+    lowers: tuple            # per resolution, as on NormEstimate
+    uppers: tuple
+    reasons: tuple
     growth: float            # last/first - 1
     variation: float         # max/min - 1
     grows: bool
@@ -740,26 +833,29 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
 
     A discretized operator violating the order condition shows estimates
     that grow with resolution; a bounded one stays flat.  The verdict is
-    qualitative and tied to the supplied settings.
+    qualitative and tied to the supplied settings; it reads the estimates,
+    while each resolution's certified bracket and stopping reason come
+    with them (`NormEstimate`).
     """
     if not s.x_independent:
         raise InvalidInputError("the probe is defined for multiplier symbols")
     p = float(p)
     if p == 2.0:
         raise InvalidInputError("p = 2 is the reference exponent; probe needs p != 2")
-    estimates, flags = [], []
-    for n in resolutions:
-        grid = Grid(dim, int(n), half_extent)
-        est = operator_norm_estimate(s, grid, MixedExponent.uniform(p, dim),
-                                     "random_ascent", budget=budget, seed=seed)
-        estimates.append(est.value)
-        flags.append(est.converged)
+    runs = [operator_norm_estimate(s, Grid(dim, int(n), half_extent),
+                                   MixedExponent.uniform(p, dim), "random_ascent",
+                                   budget=budget, seed=seed)
+            for n in resolutions]
+    estimates = [est.value for est in runs]
     growth = estimates[-1] / estimates[0] - 1.0
     variation = max(estimates) / min(estimates) - 1.0
     return ProbeReport(
         resolutions=tuple(int(n) for n in resolutions),
         estimates=tuple(estimates),
-        converged=tuple(flags),
+        converged=tuple(est.converged for est in runs),
+        lowers=tuple(est.lower for est in runs),
+        uppers=tuple(est.upper for est in runs),
+        reasons=tuple(est.reason for est in runs),
         growth=growth,
         variation=variation,
         grows=growth >= growth_threshold,

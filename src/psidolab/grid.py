@@ -225,10 +225,6 @@ class SampledFunction:
         _require_same_grid(self.grid, other.grid)
         return SampledFunction(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        _require_same_grid(self.grid, other.grid)
-        return SampledFunction(self.grid, self.values - other.values)
-
     def __mul__(self, scalar) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * scalar)
 

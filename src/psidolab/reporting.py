@@ -23,14 +23,19 @@ def make_check(name: str, passed: bool, **values) -> dict:
     return entry
 
 
-def sweep_row(j_or_t, measured, predicted=None, ratio=None, passed=True) -> dict:
-    return {
+def sweep_row(j_or_t, measured, predicted=None, ratio=None, passed=True,
+              **extra) -> dict:
+    """One sweep-table row; extra keys go to the JSON report only, since
+    the CSV keeps SWEEP_COLUMNS."""
+    row = {
         "j_or_t": _plain(j_or_t),
         "measured": _plain(measured),
         "predicted": _plain(predicted),
         "ratio": _plain(ratio),
         "pass": bool(passed),
     }
+    row.update({k: _plain(v) for k, v in extra.items()})
+    return row
 
 
 def _plain(value):

@@ -7,7 +7,8 @@ from psidolab import (CZCheckConfig, Grid, InfeasibleBudgetError,
                       InvalidInputError, KernelDecayParams, MixedExponent,
                       NormBoundInputs, PreconditionError, SampledFunction,
                       Symbol, SymbolClassParams, apply_psido,
-                      bessel_multiplier, condition_report, constant_symbol,
+                      bessel_multiplier, builtin_symbols, condition_report,
+                      constant_symbol,
                       cz_condition_check, cz_sweep, decay_fit, default_levels,
                       dyadic_decompose, dyadic_envelope_check, kernel_sum,
                       make_cancellation_test_function,
@@ -333,6 +334,56 @@ class TestOperatorNorm:
                                      "power_iteration_p2", budget=200)
         assert est.value == pytest.approx(1.0, rel=0.02)
 
+    def test_power_iteration_starts_at_the_top_plane_wave(self):
+        # <xi>^1 peaks at the corners of the dual grid, outside the band a
+        # random band-limited start reaches; the plane wave there is an
+        # eigenfunction, so the first apply closes [max|b|, max|b|]
+        est = operator_norm_estimate(bessel_multiplier(1.0), Grid(1, 512, 8.0),
+                                     MixedExponent((2.0,)), "power_iteration_p2")
+        assert est.value == pytest.approx(100.53593838, rel=1e-10)
+        assert (est.reason, est.converged, est.iterations) == ("bracket_closed", True, 1)
+        assert est.lower == est.upper == pytest.approx(est.value, rel=1e-15)
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("spec", list(ASCENT_SYMBOLS))
+    def test_bracket_against_the_dense_matrix(self, spec, d, n):
+        # T's matrix, one column per unit sample: with the weight h^d on
+        # both sides ||T||_1 is its largest column sum, ||T||_inf its
+        # largest row sum and ||T||_2 its top singular value
+        g, s = Grid(d, n, 4.0), ASCENT_SYMBOLS[spec]()
+        units = np.eye(g.total_points).reshape((-1,) + g.shape)
+        T = np.stack([apply_psido(s, SampledFunction(g, u)).values.ravel()
+                      for u in units], axis=1)
+        one, inf = np.abs(T).sum(axis=0).max(), np.abs(T).sum(axis=1).max()
+        # theta = 1/2 at p = 4: upper = (||c||_1 max|b|)^(1/2), plane = max|b|
+        _, top, upper = estimates._norm_bracket(s, g, MixedExponent.uniform(4.0, d))
+        c1 = upper**2 / top
+        assert c1 == pytest.approx(one, rel=1e-12)
+        assert c1 == pytest.approx(inf, rel=1e-12)
+        if (spec, d) == ("wave:0", 2):
+            assert c1 == pytest.approx(3.62998836158, rel=1e-11)
+        # theta = 2/3 at p = 3 and at (3, 1.5)
+        _, _, mixed = estimates._norm_bracket(s, g, MixedExponent((3.0, 1.5)[:d]))
+        assert mixed == pytest.approx(c1 ** (1 / 3) * top ** (2 / 3), rel=1e-12)
+        _, plane, two = estimates._norm_bracket(s, g, MixedExponent.uniform(2.0, d))
+        assert plane == two == top
+        assert np.linalg.norm(T, 2) == pytest.approx(top, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bracket_holds_for_every_builtin(self, d):
+        g = Grid(d, {1: 64, 2: 16, 3: 8}[d], 4.0)
+        exponents = [(2.0,) * d, (4.0,) * d, (4.0 / 3.0,) * d,
+                     tuple((3.0, 1.5)[k % 2] for k in range(d)),
+                     tuple((1.5, 3.0)[k % 2] for k in range(d))]
+        for s in builtin_symbols(2.0 * g.half_extent):
+            for p in exponents:
+                methods = ["random_ascent"] + ["power_iteration_p2"] * (p[0] == 2.0)
+                for method in methods:
+                    est = operator_norm_estimate(s, g, MixedExponent(p), method,
+                                                 budget=60, seed=d)
+                    assert (est.value <= est.lower
+                            <= est.upper * (1.0 + estimates.BRACKET_RTOL)), (s.label, p)
+
     def test_ascent_never_beats_power_iteration_at_p2(self):
         g = Grid(1, 128, 8.0)
         s = bessel_multiplier(-1.0)
@@ -400,6 +451,8 @@ class TestOperatorNorm:
                 (Grid(2, 16, 4.0), "random_ascent", MixedExponent((3.0, 1.5)))):
             est = operator_norm_estimate(constant_symbol(0), grid, p, method)
             assert (est.value, est.converged) == (0.0, True)
+            assert (est.reason, est.iterations) == ("zero_operator", 1)
+            assert est.lower == est.upper == 0.0
 
     @pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0, 4.0])
     def test_dual_map_bits_with_and_without_zeros(self, q):

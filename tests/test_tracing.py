@@ -7,6 +7,8 @@ a rename there would otherwise only fail in ``--trace 1`` benchmark runs.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import psidolab
 from psidolab import Grid, MixedExponent, Symbol, operators
 from psidolab.operators import DyadicDecomposition
@@ -17,7 +19,15 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 
 
-def test_power_iteration_self_check_and_uninstall():
+# the factories are looked up after install, so the symbols are built
+# through their traced bindings
+SYMBOLS = {"bessel:-1": lambda: psidolab.bessel_multiplier(-1.0),
+           "const:-2.5": lambda: psidolab.constant_symbol(-2.5)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("spec", list(SYMBOLS))
+def test_power_iteration_self_check_and_uninstall(spec, d):
     traced = [(operators, "apply_psido"), (Grid, "meshgrid"), (Symbol, "eval"),
               (DyadicDecomposition, "piece_values")]
     originals = [vars(owner)[attr] for owner, attr in traced]
@@ -25,21 +35,30 @@ def test_power_iteration_self_check_and_uninstall():
     try:
         assert all(vars(owner)[attr] is not original
                    for (owner, attr), original in zip(traced, originals))
-        # the factory and the estimator are looked up after install, so
-        # the call goes through their traced bindings
-        psidolab.operator_norm_estimate(
-            psidolab.bessel_multiplier(-1.0), Grid(2, 32, 4.0),
-            MixedExponent.uniform(2.0, 2), "power_iteration_p2", budget=60, seed=3)
+        # the estimator too goes through its traced binding
+        sym = SYMBOLS[spec]()
+        est = psidolab.operator_norm_estimate(
+            sym, Grid(d, {1: 128, 2: 32, 3: 16}[d], 4.0),
+            MixedExponent.uniform(2.0, d), "power_iteration_p2", budget=60, seed=3)
     finally:
         tracer.uninstall()
     assert [vars(owner)[attr] for owner, attr in traced] == originals
-    [(k, converged, transforms, expected)] = tracer.selfcheck
-    assert expected == (4 * k - 1 if converged else 4 * k + 1)
-    assert transforms == expected
+    kind = sym.kind
+    transforms = tracer.calls["grid.fourier_transform"]
+    if kind == "multiplier":
+        [(k, converged, counted, expected)] = tracer.selfcheck
+        assert expected == (4 * k - 1 if converged else 4 * k + 1)
+        assert counted == transforms == expected
+    else:
+        # a constant is a multiplication: its applies take no transform and
+        # the tracer checks multipliers only, so the start's is the only one
+        assert kind == "multiplication" and not tracer.selfcheck
+        assert transforms == 1
+    assert (est.reason, est.iterations) == ("bracket_closed", 1)
     applies = tracer.counters["estimates.norm.applies"]
     assert applies > 0
-    assert applies == (tracer.calls["operators.apply.multiplier"]
-                       + tracer.calls["operators.adjoint.multiplier"])
+    assert applies == (tracer.calls[f"operators.apply.{kind}"]
+                       + tracer.calls[f"operators.adjoint.{kind}"])
 
 
 def test_mixed_ascent_applies_are_counted():
