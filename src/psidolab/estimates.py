@@ -21,8 +21,9 @@ from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
 from .mixed_norm import (MixedExponent, holder_dual, iterated_pnorm,
                          leading_pnorms, pnorm_levels)
-from .operators import (DyadicDecomposition, Kernel, _terms, apply_psido,
-                        discrete_adjoint_apply, support_mask)
+from .operators import (DyadicDecomposition, Kernel, OperatorPlan, _terms,
+                        apply_psido, discrete_adjoint_apply, operator_plan,
+                        support_mask)
 from .symbols import Symbol, as_multi_index, multi_index_order
 
 ZERO_MEAN_TOL = 1e-12
@@ -462,9 +463,11 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
     (`operators._terms`).
 
     peak is the dual-grid index of the largest sum_r ||a_r||_2 |b_r(xi)|,
-    the argmax of |b| for a factored symbol.  The plane wave e at peak is
-    an exact eigenfunction of a multiplier, so plane = ||T e||_p / ||e||_p
-    is certified in closed form, and upper bounds ||T||_p:
+    the argmax of |b| for a factored symbol, or for a multiplication a(x)
+    the grid index of the largest |a|.  The plane wave e at peak is an
+    exact eigenfunction of a multiplier, and the delta at peak one of a
+    multiplication, so plane = ||T e||_p / ||e||_p is certified in closed
+    form, and upper bounds ||T||_p:
     - a multiplier b(D) is a circular convolution with the kernel
       c = ifftn(b), up to unimodular factors, so ||T||_p <= ||c||_1 for
       every mixed p (Minkowski) and ||T||_2 = max|b| (Parseval); mixed
@@ -472,28 +475,32 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
       theta = min_k 2 min(1/p_k, 1 - 1/p_k):
       plane = max|b|, upper = ||c||_1^(1 - theta) max|b|^theta, which
       costs one inverse transform unless theta = 1 (p = 2);
+    - a(x): plane = upper = sup|a|, for every p;
     - a(x) b(D): plane = |b(peak)| ||a||_p / ||1||_p and
-      upper = sup|a| times the bound of b (1 without b);
+      upper = sup|a| times the bound of b;
     - a coupled symbol: plane = 0.0 and upper = None.
     An upper bound that overflows is None too."""
     dual = grid.dual()
     terms = _terms(s, grid)
-    weight = sum((1.0 if a is None else float(np.linalg.norm(a)))
-                 * (1.0 if b is None else np.abs(b)) for a, b in terms)
+    if s.kind == "multiplication":
+        mag = np.abs(np.broadcast_to(terms[0][0], grid.shape))
+        peak = np.unravel_index(np.argmax(mag), grid.shape)
+        top = float(mag[peak])
+        return peak, top, top if math.isfinite(top) else None
+    weight = sum((1.0 if a is None else float(np.linalg.norm(a))) * np.abs(b)
+                 for a, b in terms)
     peak = np.unravel_index(np.argmax(np.broadcast_to(weight, dual.shape)),
                             dual.shape)
     if s.kind == "general":
         return peak, 0.0, None
     [(a, b)] = terms
-    top = bound = 1.0
-    if b is not None:
-        b = np.broadcast_to(b, dual.shape)
-        top = bound = float(abs(b[peak]))
-        theta = min(2.0 * min(1.0 / q, 1.0 - 1.0 / q) for q in p.p)
-        if theta < 1.0:
-            c = fourier_transform(SampledFunction(dual, b), "inverse").values
-            c1 = grid.spacing**grid.dim * float(np.abs(c).sum())
-            bound = c1 ** (1.0 - theta) * top**theta
+    b = np.broadcast_to(b, dual.shape)
+    top = bound = float(abs(b[peak]))
+    theta = min(2.0 * min(1.0 / q, 1.0 - 1.0 / q) for q in p.p)
+    if theta < 1.0:
+        c = fourier_transform(SampledFunction(dual, b), "inverse").values
+        c1 = grid.spacing**grid.dim * float(np.abs(c).sum())
+        bound = c1 ** (1.0 - theta) * top**theta
     plane, upper = top, bound
     if a is not None:
         a = np.broadcast_to(a, grid.shape)
@@ -511,8 +518,8 @@ def _closed(best: float, upper: Optional[float]) -> Optional[str]:
     return "zero_operator" if upper == 0.0 else "bracket_closed"
 
 
-def _dual_map(v: np.ndarray, q: float) -> np.ndarray:
-    a = np.abs(v)
+def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
+    """sgn(v) |v|^(q - 1), given a = |v|."""
     if a.all():  # no zero sample: the same operations without the gathers
         return a ** (q - 1.0) * (v / a)
     out = np.zeros_like(v)
@@ -523,11 +530,13 @@ def _dual_map(v: np.ndarray, q: float) -> np.ndarray:
 
 def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
                         upper: Optional[float]) -> tuple:
-    """Power iteration on T*T from the plane wave at peak, one inverse
-    transform of a dual-grid impulse: (best ratio, reason, iterations)."""
-    impulse = np.zeros(grid.shape, dtype=np.complex128)
-    impulse[peak] = 1.0
-    v = fourier_transform(SampledFunction(grid.dual(), impulse), "inverse").values
+    """Power iteration on T*T from the delta at peak for a multiplication,
+    else from the plane wave at peak, one inverse transform of a dual-grid
+    impulse: (best ratio, reason, iterations)."""
+    v = np.zeros(grid.shape, dtype=np.complex128)
+    v[peak] = 1.0
+    if s.kind != "multiplication":
+        v = fourier_transform(SampledFunction(grid.dual(), v), "inverse").values
     best, prev, it = 0.0, -1.0, 0
     for it in range(1, budget + 1):
         tv = apply_psido(s, SampledFunction(grid, v)).values
@@ -549,31 +558,31 @@ def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
     return best, "budget", it
 
 
-def _ascent_starts(s: Symbol, grid: Grid, rng: np.random.Generator,
+def _ascent_starts(plan: OperatorPlan, rng: np.random.Generator,
                    count: int) -> list:
+    grid = plan.grid
     dual = grid.dual()
     band = dual.radius() <= 0.5 * grid.nyquist
     impulse = fourier_transform(SampledFunction(dual, band.astype(np.complex128)),
-                                "inverse")
-    starts = [impulse, discrete_adjoint_apply(s, impulse)]
-    for _ in range(count):
-        starts.append(random_band_limited(grid, rng))
-    return starts
+                                "inverse").values
+    return [impulse, plan.adjoint(impulse)] + [
+        random_band_limited(grid, rng).values for _ in range(count)]
 
 
 def _duality_map(v: np.ndarray, spacing: float, p: tuple,
                  levels: Optional[list] = None) -> np.ndarray:
     """J_p(v) = sgn(v) |v|^(p_1 - 1) prod_(k<d) A_k^(p_(k+1) - p_k), with
-    A_k the iterated norm's levels (pnorm_levels; A_k^gap is 0 where A_k is
-    0), so that <v, J_p(v)> = ||v||_p ||J_p(v)||_p' (Hoelder equality for
-    mixed norms, Benedek & Panzone 1961).  A zero gap contributes no factor,
-    so for uniform p this is _dual_map and needs no levels."""
-    out = _dual_map(v, p[0])
-    for k in range(1, len(p)):
-        gap = p[k] - p[k - 1]
+    A_k the iterated norm's levels (pnorm_levels, A_0 = |v|; A_k^gap is 0
+    where A_k is 0), so that <v, J_p(v)> = ||v||_p ||J_p(v)||_p' (Hoelder
+    equality for mixed norms, Benedek & Panzone 1961).  Levels not given
+    are formed once.  A zero gap contributes no factor, so for uniform p
+    this is _dual_map and needs only A_0."""
+    gaps = [p[k] - p[k - 1] for k in range(1, len(p))]
+    if levels is None:
+        levels = pnorm_levels(v, spacing, p[:-1] if any(gaps) else ())
+    out = _dual_map(v, p[0], levels[0])
+    for k, gap in enumerate(gaps, start=1):
         if gap:
-            if levels is None:
-                levels = pnorm_levels(v, spacing, p[:-1])
             a = levels[k]
             out *= np.power(a, gap, out=np.zeros_like(a), where=a > 0)
     return out
@@ -584,20 +593,22 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
     """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
     ratio never falls along one start's path, up to roundoff.  Returns
-    (best ratio, reason, iterations); "settled" if some start settled."""
+    (best ratio, reason, iterations); "settled" if some start settled.
+    Every apply runs on one `operator_plan`, with its bits."""
     pp, qq = p.p, holder_dual(p).p
     h = grid.spacing
-    starts = _ascent_starts(s, grid, rng, count=4)
+    plan = operator_plan(s, grid)
+    starts = _ascent_starts(plan, rng, count=4)
     iters = max(8, budget // len(starts))
     best, settled, used = 0.0, False, 0
     for start in starts:
-        if not np.any(start.values):   # the adjoint start of a zero operator
+        if not np.any(start):   # the adjoint start of a zero operator
             continue
-        x = start.values / iterated_pnorm(start.values, h, pp)
+        x = start / iterated_pnorm(start, h, pp)
         prev = -1.0
         for _ in range(iters):
             used += 1
-            y = apply_psido(s, SampledFunction(grid, x)).values
+            y = plan.apply(x)
             levels = pnorm_levels(y, h, pp)
             ratio = float(levels[-1])
             best = max(best, ratio)
@@ -608,8 +619,7 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                 settled = True
                 break
             prev = ratio
-            z = discrete_adjoint_apply(
-                s, SampledFunction(grid, _duality_map(y, h, pp, levels))).values
+            z = plan.adjoint(_duality_map(y, h, pp, levels))
             if not z.any():
                 settled = True
                 break

@@ -81,10 +81,15 @@ def write_radial_decay_csv(path, f: SampledFunction) -> None:
     """(|z|, |k(z)|) pairs sorted by radius, for decay fitting.
 
     Written as one string: the rows csv.writer would write for the same
-    repr pairs (float reprs need no quoting), with its \r\n endings."""
+    repr pairs (float reprs need no quoting, and str.format gives a
+    float's repr), with its \r\n endings.  The sorted radii repeat, so
+    each distinct radius is formatted once."""
     r = f.grid.radius().reshape(-1)
-    mag = np.abs(f.values).reshape(-1)
     order = np.argsort(r, kind="stable")
-    rows = [f"{z!r},{k!r}\r\n" for z, k in zip(r[order].tolist(), mag[order].tolist())]
+    r = r[order]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    radii = np.array(list(map(repr, r[starts].tolist())), dtype=object)
+    column = np.repeat(radii, np.diff(np.r_[starts, r.size])).tolist()
+    mag = np.abs(f.values).reshape(-1)[order].tolist()
     with _open(path, "w", newline="") as fh:
-        fh.write("abs_z,abs_k\r\n" + "".join(rows))
+        fh.write("abs_z,abs_k\r\n" + "".join(map("{},{}\r\n".format, column, mag)))

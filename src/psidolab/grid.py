@@ -285,6 +285,29 @@ def _opposite_half_blocks(ndim: int, n: int) -> tuple:
                  for rest in itertools.product((lo, hi), repeat=ndim - 1))
 
 
+def _forward_passes(values: np.ndarray) -> np.ndarray:
+    """fftn's 1-D passes, the last axis into a fresh array, and the sign pass."""
+    spectrum = np.fft.fft(values, out=np.empty(values.shape, np.complex128))
+    for axis in range(values.ndim - 2, -1, -1):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return _apply_alternating_sign(spectrum)
+
+
+def _inverse_passes(spectrum: np.ndarray, scale: float) -> np.ndarray:
+    """The sign pass, ifftn's 1-D passes and / scale, in place (C order)."""
+    _apply_alternating_sign(spectrum)
+    for axis in range(spectrum.ndim - 1, -1, -1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    parts = spectrum.view(np.float64)
+    if scale and parts.all():
+        # no zero float (and h^d has not underflowed to 0): the real
+        # multiply gives the division's bits
+        np.multiply(parts, 1.0 / scale, out=parts)
+    else:
+        np.divide(spectrum, scale, out=spectrum)
+    return spectrum
+
+
 def fourier_transform(f: SampledFunction, direction: str = "forward") -> SampledFunction:
     """Discrete realization of the integral Fourier transform.
 
@@ -306,11 +329,7 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
         scale = f.grid.spacing**d
-        # fftn's 1-D passes: the last axis into a fresh array, then in place
-        spectrum = np.fft.fft(f.values, out=np.empty(f.grid.shape, np.complex128))
-        for axis in range(d - 2, -1, -1):
-            np.fft.fft(spectrum, axis=axis, out=spectrum)
-        _apply_alternating_sign(spectrum)
+        spectrum = _forward_passes(f.values)
         # fftshift and the h^d scaling in one in-place pass; the sign flip
         # stays a negation, as a -h^d factor would turn -0.0 into +0.0
         block = np.empty((n // 2,) * d, dtype=spectrum.dtype)
@@ -327,18 +346,7 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]
-        _apply_alternating_sign(spectrum)
-        for axis in range(d - 1, -1, -1):  # ifftn's 1-D passes
-            np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        scale = out_grid.spacing**d
-        parts = spectrum.view(np.float64)
-        if scale and parts.all():
-            # no zero float (and h^d has not underflowed to 0): the real
-            # multiply gives the division's bits
-            np.multiply(parts, 1.0 / scale, out=parts)
-        else:
-            np.divide(spectrum, scale, out=spectrum)
-        return SampledFunction(out_grid, spectrum)
+        return SampledFunction(out_grid, _inverse_passes(spectrum, out_grid.spacing**d))
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

@@ -19,6 +19,8 @@ The adjoint is the conjugate transpose of the discretized operator
 matrix (for a general symbol, of the compressed one), realized
 matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
+An `operator_plan` runs the same term loops on raw arrays, with the same
+bits, for callers that apply one operator many times.
 
 Each factor is sampled, and a general symbol compressed, once per grid:
 `Symbol.grid_memo` keeps the last grid's factor samples and
@@ -39,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, SymbolEvaluationError
-from .grid import (Grid, SampledFunction, compatible_grids, fourier_transform)
+from .grid import (Grid, SampledFunction, _all_finite, _forward_passes,
+                   _inverse_passes, compatible_grids, fourier_transform)
 from .symbols import (Symbol, SymbolClassParams, factor_product,
                       nonfinite_product_error)
 
@@ -164,8 +167,55 @@ def _overflow_error(s: Symbol, grid: Grid) -> SymbolEvaluationError:
         f"every symbol sample are finite")
 
 
+def _apply_terms(terms: list, v: np.ndarray, forward, inverse) -> np.ndarray:
+    """sum_r a_r inverse(b_r forward(v)) in term order, on raw samples (see
+    `apply_psido`); a single term's product overwrites the spectrum."""
+    spectrum = total = None
+    for a, b in terms:
+        out = v
+        if b is not None:
+            if spectrum is None:
+                spectrum = forward(v)
+            out = inverse(np.multiply(
+                b, spectrum, out=spectrum if len(terms) == 1 else None))
+        if a is not None:
+            # a transform's result is ours to overwrite, the caller's v is not
+            out = np.multiply(a, out, out=None if out is v else out)
+        total = out if total is None else total + out
+    return np.zeros(v.shape, dtype=np.complex128) if total is None else total
+
+
+def _adjoint_terms(conj_terms, v: np.ndarray, forward, inverse) -> np.ndarray:
+    """inverse(sum_r conj(b_r) forward(conj(a_r) v)) from the terms
+    (conj(a_r), conj(b_r)), the conjugate transpose of `_apply_terms`."""
+    spectrum = None
+    for conj_a, conj_b in conj_terms:
+        out = v if conj_a is None else conj_a * v
+        if conj_b is None:
+            return out  # a multiplication symbol: pointwise and exact
+        shat = forward(out)
+        part = np.multiply(conj_b, shat, out=shat)
+        spectrum = part if spectrum is None else spectrum + part
+    return np.zeros(v.shape, dtype=np.complex128) if spectrum is None else inverse(spectrum)
+
+
+def _conjugated(terms: list):
+    """(conj(a_r), conj(b_r)) term by term, None where absent."""
+    return ((None if a is None else np.conj(a), None if b is None else np.conj(b))
+            for a, b in terms)
+
+
+def _transforms(f: SampledFunction) -> tuple:
+    """forward and inverse `fourier_transform` of raw samples on f's grid
+    and its dual; f's own samples go in as f, without a new wrapper."""
+    grid, dual = f.grid, f.grid.dual()
+    return (lambda v: fourier_transform(
+                f if v is f.values else SampledFunction(grid, v), "forward").values,
+            lambda v: fourier_transform(SampledFunction(dual, v), "inverse").values)
+
+
 # numpy's warnings are off in apply and adjoint: a non-finite result of finite
-# samples is caught by its SampledFunction and raised as `_overflow_error`.  The
+# samples is caught by a SampledFunction and raised as `_overflow_error`.  The
 # decorator costs 0.16 us a call more than a `with nullcontext()`.
 @np.errstate(all="ignore")
 def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
@@ -183,27 +233,9 @@ def apply_psido(s: Symbol, f: SampledFunction) -> SampledFunction:
     """
     terms = _terms(s, f.grid)
     try:
-        fhat = total = None
-        for a, b in terms:
-            out = f
-            if b is not None:
-                if fhat is None:
-                    fhat = fourier_transform(f, "forward")
-                # one term owns fhat; several share it
-                product = np.multiply(
-                    b, fhat.values, out=fhat.values if len(terms) == 1 else None)
-                out = fourier_transform(SampledFunction(fhat.grid, product),
-                                        "inverse")
-            if a is not None:
-                # the inverse's result is ours to overwrite, the caller's f is not
-                out = SampledFunction(f.grid, np.multiply(
-                    a, out.values, out=None if out is f else out.values))
-            total = out if total is None else total + out
+        return SampledFunction(f.grid, _apply_terms(terms, f.values, *_transforms(f)))
     except InvalidInputError:  # a non-finite value from finite samples
         raise _overflow_error(s, f.grid) from None
-    if total is None:
-        return SampledFunction(f.grid, np.zeros(f.grid.shape))
-    return total
 
 
 @np.errstate(all="ignore")
@@ -218,22 +250,57 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
     """
     terms = _terms(s, g.grid)
     try:
-        spectrum = None
-        for a, b in terms:
-            out = g
-            if a is not None:
-                out = SampledFunction(g.grid, np.conj(a) * g.values)
-            if b is None:
-                return out  # a multiplication symbol: pointwise and exact
-            shat = fourier_transform(out, "forward")
-            part = SampledFunction(shat.grid, np.multiply(
-                np.conj(b), shat.values, out=shat.values))
-            spectrum = part if spectrum is None else spectrum + part
-        if spectrum is None:
-            return SampledFunction(g.grid, np.zeros(g.grid.shape))
-        return fourier_transform(spectrum, "inverse")
+        return SampledFunction(g.grid, _adjoint_terms(
+            _conjugated(terms), g.values, *_transforms(g)))
     except InvalidInputError:  # a non-finite value from finite samples
         raise _overflow_error(s, g.grid) from None
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorPlan:
+    """The operator of a symbol on a grid, on raw complex arrays: the term
+    loops of `apply_psido` and `discrete_adjoint_apply` with each b_r in
+    FFT order and conj(a_r), conj(b_r) taken once, and transforms without
+    shifts.  Each shift is undone by the next unshift, and a permutation
+    commutes with every pointwise operation, so the floating-point
+    operations and the bits stay, with no SampledFunction or copy per call;
+    one finiteness check per result raises the same `_overflow_error`."""
+
+    symbol: Symbol
+    grid: Grid
+    terms: list             # (a_r, b_r), b_r in FFT order, None where absent
+    conj_terms: list        # (conj(a_r), conj(b_r)), likewise
+    scales: tuple           # h^d of the forward transform, of the inverse
+
+    def _forward(self, v: np.ndarray) -> np.ndarray:
+        spectrum = _forward_passes(v)
+        return np.multiply(spectrum, self.scales[0], out=spectrum)
+
+    def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
+        return _inverse_passes(spectrum, self.scales[1])
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
+        if not _all_finite(out):
+            raise _overflow_error(self.symbol, self.grid)
+        return out
+
+    @np.errstate(all="ignore")
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """T v, the bits of `apply_psido`."""
+        return self._checked(_apply_terms(self.terms, v, self._forward, self._inverse))
+
+    @np.errstate(all="ignore")
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """T* v, the bits of `discrete_adjoint_apply`."""
+        return self._checked(
+            _adjoint_terms(self.conj_terms, v, self._forward, self._inverse))
+
+
+def operator_plan(s: Symbol, grid: Grid) -> OperatorPlan:
+    """The plan of s on grid (see `OperatorPlan`), from its sampled terms."""
+    terms = [(a, None if b is None else np.fft.ifftshift(b)) for a, b in _terms(s, grid)]
+    return OperatorPlan(s, grid, terms, list(_conjugated(terms)),
+                        (grid.spacing**grid.dim, grid.dual().dual().spacing**grid.dim))
 
 
 # ---------------------------------------------------------------------------

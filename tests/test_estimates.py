@@ -13,7 +13,8 @@ from psidolab import (CZCheckConfig, Grid, InfeasibleBudgetError,
                       dyadic_decompose, dyadic_envelope_check, kernel_sum,
                       make_cancellation_test_function,
                       operator_norm_estimate, smoothness_budget,
-                      theorem_norm_bound, wave_multiplier, with_params)
+                      smoothness_coefficients, theorem_norm_bound,
+                      trig_multiplication, wave_multiplier, with_params)
 from psidolab import estimates
 from psidolab.mixed_norm import iterated_pnorm
 
@@ -313,6 +314,38 @@ UNIFORM_ASCENT = {
     ],
 }
 
+# random_ascent results at the default budget 300, seeds 0, 1, 2, as
+# (value.hex(), reason, iterations), on Grid(2, 32, 4.0) for the 2-d
+# exponents and Grid(3, 16, 4.0) for (2, 4, 1.25): the duality map's level
+# factors and the operator plan's applies must leave these bits alone
+MIXED_ASCENT = {
+    ("bessel:-1", (3.0, 1.5)): [
+        ("0x1.ffffffffb77d1p-1", "settled", 156),
+        ("0x1.ffffffffb4ac8p-1", "settled", 154),
+        ("0x1.ffffffffcb8cbp-1", "settled", 157),
+    ],
+    ("bessel:-1", (1.5, 3.0)): [
+        ("0x1.ffffffffcbcafp-1", "settled", 156),
+        ("0x1.ffffffffcbcafp-1", "settled", 156),
+        ("0x1.ffffffffcbcafp-1", "settled", 160),
+    ],
+    ("wave:0", (3.0, 1.5)): [
+        ("0x1.fd08b6bffc87ap+0", "settled", 279),
+        ("0x1.fd08b6bffc87ap+0", "settled", 279),
+        ("0x1.fd08b6bffc87ap+0", "settled", 279),
+    ],
+    ("wave:0", (1.5, 3.0)): [
+        ("0x1.fd08b6bf9a085p+0", "settled", 280),
+        ("0x1.fd08b6bf9a085p+0", "settled", 280),
+        ("0x1.fd08b6bf9a085p+0", "settled", 280),
+    ],
+    ("bessel:-1", (2.0, 4.0, 1.25)): [
+        ("0x1.ffffffffcab03p-1", "settled", 160),
+        ("0x1.ffffffffcb962p-1", "settled", 157),
+        ("0x1.ffffffffc2082p-1", "settled", 156),
+    ],
+}
+
 ASCENT_SYMBOLS = {"wave:0": lambda: wave_multiplier(0.0),
                   "bessel:-1": lambda: bessel_multiplier(-1.0)}
 
@@ -343,6 +376,20 @@ class TestOperatorNorm:
         assert est.value == pytest.approx(100.53593838, rel=1e-10)
         assert (est.reason, est.converged, est.iterations) == ("bracket_closed", True, 1)
         assert est.lower == est.upper == pytest.approx(est.value, rel=1e-15)
+
+    def test_power_iteration_on_a_multiplication_starts_at_the_delta(self):
+        # trig:2,6: a(x) alone, so the delta at argmax|a| is an eigenfunction
+        # and the bracket is [sup|a|, sup|a|] = [1.96, 1.96] at every p
+        g = Grid(2, 32, 8.0)
+        s = trig_multiplication(smoothness_coefficients(2, 6), 2 * g.half_extent)
+        est = operator_norm_estimate(s, g, MixedExponent.uniform(2.0, 2),
+                                     "power_iteration_p2")
+        assert (est.reason, est.iterations) == ("bracket_closed", 1)
+        assert est.value == pytest.approx(1.96, rel=1e-15)
+        assert est.lower == est.upper == pytest.approx(1.96, rel=1e-15)
+        for p in ((4.0, 4.0), (3.0, 1.5)):
+            _, plane, upper = estimates._norm_bracket(s, g, MixedExponent(p))
+            assert plane == upper == est.upper
 
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 8)])
     @pytest.mark.parametrize("spec", list(ASCENT_SYMBOLS))
@@ -425,6 +472,16 @@ class TestOperatorNorm:
                                          "random_ascent", budget=60, seed=seed)
             assert (est.value.hex(), est.converged, est.iterations) == want
 
+    @pytest.mark.parametrize("spec, p", list(MIXED_ASCENT),
+                             ids=[f"{s}-p{','.join(f'{q:g}' for q in p)}"
+                                  for s, p in MIXED_ASCENT])
+    def test_mixed_ascent_bits(self, spec, p):
+        g = Grid(2, 32, 4.0) if len(p) == 2 else Grid(3, 16, 4.0)
+        for seed, want in enumerate(MIXED_ASCENT[spec, p]):
+            est = operator_norm_estimate(ASCENT_SYMBOLS[spec](), g, MixedExponent(p),
+                                         "random_ascent", seed=seed)
+            assert (est.value.hex(), est.reason, est.iterations) == want
+
     @pytest.mark.parametrize("p", [(3.0, 1.5), (1.5, 3.0), (2.0, 4.0, 1.25)])
     def test_duality_map_attains_hoelder_equality(self, p):
         # <v, J_p(v)> = ||v||_p ||J_p(v)||_p', with a zero x1 line and a zero
@@ -471,7 +528,7 @@ class TestOperatorNorm:
         zeros[rng.random(noise.shape) < 0.1] = complex(-0.0, -0.0)
         axis = noise.real * 1j  # zero real parts, nonzero moduli
         for v in (noise, zeros, axis, noise[0], np.zeros(8, dtype=complex)):
-            got = estimates._dual_map(v, q)
+            got = estimates._dual_map(v, q, np.abs(v))
             assert np.array_equal(got.view(np.uint64), gathered(v).view(np.uint64))
 
     def test_power_iteration_requires_p2(self):

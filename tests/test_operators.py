@@ -320,6 +320,85 @@ class TestInPlaceProducts:
                 assert np.array_equal(f.values.view(np.uint64), before.view(np.uint64))
 
 
+class TestOperatorPlan:
+    """operator_plan works on raw arrays with the bits of the reference
+    path: apply_psido and discrete_adjoint_apply."""
+
+    @staticmethod
+    def symbols(g):
+        mult = trig_multiplication(smoothness_coefficients(2, 6), 2 * g.half_extent)
+        coupled = coupled_symbol(False, (1.0, 0.5, 0.3), 0.3, 1, -1.0, 0.2, 0.5)
+        return [bessel_multiplier(-1.0), wave_multiplier(0.0), mult,
+                constant_symbol(-2.5), separable_symbol(mult, bessel_multiplier(-1.0)),
+                TestInPlaceProducts.RANK_TWO, coupled]
+
+    @staticmethod
+    def inputs(g, rng):
+        delta = np.zeros(g.shape, dtype=np.complex128)
+        delta[(g.points_per_axis // 2,) * g.dim] = 1.0
+        noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        noise[..., 0] = 0.0
+        return [random_band_limited(g, rng).values, delta, noise]
+
+    # at R = 0.67 the dual grid's dual has another h^d than the grid at
+    # each (d, n) here, so the inverse must take its scale from the former
+    @pytest.mark.parametrize("R", [4.0, 0.67])
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_same_bits_as_the_reference_path(self, d, n, R):
+        g = Grid(d, n, R)
+        assert (g.dual().dual().spacing**d != g.spacing**d) == (R == 0.67)
+        rng = np.random.default_rng(d)
+        kinds = set()
+        for s in self.symbols(g):
+            kinds.add(s.kind)
+            plan = operators.operator_plan(s, g)
+            for v in self.inputs(g, rng):
+                before = v.copy()
+                for got, op in ((plan.apply(v), apply_psido),
+                                (plan.adjoint(v), discrete_adjoint_apply)):
+                    want = op(s, SampledFunction(g, v)).values
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                        (s.label, op.__name__)
+                assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
+        assert kinds == {"multiplier", "multiplication", "separable", "general"}
+        assert len(operators._terms(self.symbols(g)[-1], g)) > 1
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_pairing(self, d, n):
+        g = Grid(d, n, 4.0)
+        rng = np.random.default_rng(10 + d)
+        for s in self.symbols(g):
+            plan = operators.operator_plan(s, g)
+            u, phi = random_band_limited(g, rng).values, random_band_limited(g, rng).values
+            lhs = np.vdot(phi, plan.apply(u))
+            rhs = np.vdot(plan.adjoint(phi), u)
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), s.label
+
+    def test_zero_rank_symbol_gives_zeros(self):
+        g = Grid(2, 8, 4.0)
+        zero = Symbol(lambda x, xi: np.zeros(np.broadcast_shapes(x.shape, xi.shape)[:-1]),
+                      SymbolClassParams(m=0.0), "general", label="zero")
+        plan = operators.operator_plan(zero, g)
+        v = random_band_limited(g, np.random.default_rng(0)).values
+        for out in (plan.apply(v), plan.adjoint(v)):
+            assert out.shape == g.shape and out.dtype == np.complex128 and not out.any()
+
+    @pytest.mark.parametrize("d, n, coeffs, m, scale", [
+        (1, 64, (1e160, 1e160), 150.0, 1.0), (2, 16, (1e150,), 140.0, 1.0),
+        (1, 64, (1.0,), 100.0, 1e200)])
+    def test_overflow_raises_the_reference_error(self, d, n, coeffs, m, scale):
+        g = Grid(d, n, 4.0)
+        s = separable_symbol(trig_multiplication(coeffs, 8.0), bessel_multiplier(m))
+        f = random_band_limited(g, np.random.default_rng(9)) * scale
+        plan = operators.operator_plan(s, g)
+        for run, op in ((plan.apply, apply_psido), (plan.adjoint, discrete_adjoint_apply)):
+            with pytest.raises(SymbolEvaluationError) as want:
+                op(s, f)
+            with pytest.raises(SymbolEvaluationError) as got:
+                run(f.values)
+            assert str(got.value) == str(want.value)
+
+
 class TestGeneralCompression:
     @settings(max_examples=12, deadline=None)
     @given(coupled_cases())
