@@ -428,6 +428,7 @@ def theorem_norm_bound(inp: NormBoundInputs) -> float:
 # operator norm estimation
 
 BRACKET_RTOL = 1e-12   # roundoff allowance of the certified bracket
+ASCENT_STACK_SAMPLES = 2**16   # samples the ascent's starts iterate in at once
 
 
 @dataclass(frozen=True)
@@ -441,9 +442,10 @@ class NormEstimate:
     value <= upper (power iteration on a multiplier can end one ulp above
     max|b|).  reason says why the iteration stopped: "settled" (a ratio
     stopped moving, or its adjoint step vanished), "bracket_closed"
-    (upper - value <= BRACKET_RTOL * upper), "zero_operator" (upper == 0)
+    (upper - lower <= BRACKET_RTOL * upper), "zero_operator" (upper == 0)
     or "budget" (out of iterations).  The bracket is tested after each
-    apply, never before the first."""
+    apply, never before the first, so a bracket closed in closed form
+    stops the iteration at its first apply."""
 
     value: float
     method: str
@@ -487,7 +489,7 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
         peak = np.unravel_index(np.argmax(mag), grid.shape)
         top = float(mag[peak])
         return peak, top, top if math.isfinite(top) else None
-    weight = sum((1.0 if a is None else float(np.linalg.norm(a))) * np.abs(b)
+    weight = sum((1.0 if a is None else _l2_norm(a)) * np.abs(b)
                  for a, b in terms)
     peak = np.unravel_index(np.argmax(np.broadcast_to(weight, dual.shape)),
                             dual.shape)
@@ -510,12 +512,24 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
     return peak, plane, upper if math.isfinite(upper) else None
 
 
-def _closed(best: float, upper: Optional[float]) -> Optional[str]:
-    """The stopping reason once best reaches the certified upper bound
-    within BRACKET_RTOL, else None."""
-    if upper is None or upper - best > BRACKET_RTOL * upper:
+def _closed(lower: float, upper: Optional[float]) -> Optional[str]:
+    """The stopping reason once the lower bound reaches the certified
+    upper bound within BRACKET_RTOL, else None."""
+    if upper is None or upper - lower > BRACKET_RTOL * upper:
         return None
     return "zero_operator" if upper == 0.0 else "bracket_closed"
+
+
+def _l2_norm(v: np.ndarray) -> float:
+    """sqrt(sum |v_k|^2): the squares of v's real and imaginary parts
+    summed in np.longdouble by einsum, without BLAS, whose threads reorder
+    the sum and so change the bits.  Where long double is wider than
+    float64 (a 64-bit mantissa on x86-64 Linux) the sum's rounding stays
+    far below the result's: power iteration's first ratio on bessel:2 at
+    d=3 n=32 lands 1 ulp below max|b|, 147 ulps above it with a BLAS dot
+    product."""
+    parts = v.reshape(-1).view(np.float64).astype(np.longdouble)
+    return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
 
 def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
@@ -529,10 +543,11 @@ def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
 
 
 def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
-                        upper: Optional[float]) -> tuple:
+                        plane: float, upper: Optional[float]) -> tuple:
     """Power iteration on T*T from the delta at peak for a multiplication,
     else from the plane wave at peak, one inverse transform of a dual-grid
-    impulse: (best ratio, reason, iterations)."""
+    impulse: (best ratio, reason, iterations).  The norms are
+    `_l2_norm`s, so the bits do not depend on BLAS threads."""
     v = np.zeros(grid.shape, dtype=np.complex128)
     v[peak] = 1.0
     if s.kind != "multiplication":
@@ -540,11 +555,9 @@ def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
     best, prev, it = 0.0, -1.0, 0
     for it in range(1, budget + 1):
         tv = apply_psido(s, SampledFunction(grid, v)).values
-        num = float(np.linalg.norm(tv.reshape(-1)))
-        den = float(np.linalg.norm(v.reshape(-1)))
-        est = num / den
+        est = _l2_norm(tv) / _l2_norm(v)
         best = max(best, est)
-        closed = _closed(best, upper)
+        closed = _closed(max(best, plane), upper)
         if closed:
             return best, closed, it
         if abs(est - prev) <= 1e-11 * max(est, 1.0):
@@ -574,12 +587,15 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
     """J_p(v) = sgn(v) |v|^(p_1 - 1) prod_(k<d) A_k^(p_(k+1) - p_k), with
     A_k the iterated norm's levels (pnorm_levels, A_0 = |v|; A_k^gap is 0
     where A_k is 0), so that <v, J_p(v)> = ||v||_p ||J_p(v)||_p' (Hoelder
-    equality for mixed norms, Benedek & Panzone 1961).  Levels not given
-    are formed once.  A zero gap contributes no factor, so for uniform p
-    this is _dual_map and needs only A_0."""
+    equality for mixed norms, Benedek & Panzone 1961).  v has one axis per
+    exponent, or one more in front for a stack (pnorm_levels' stacked, as
+    are given levels); levels not given are formed once.  A zero gap
+    contributes no factor, so for uniform p this is _dual_map and needs
+    only A_0."""
     gaps = [p[k] - p[k - 1] for k in range(1, len(p))]
     if levels is None:
-        levels = pnorm_levels(v, spacing, p[:-1] if any(gaps) else ())
+        levels = pnorm_levels(v, spacing, p[:-1] if any(gaps) else (),
+                              stacked=v.ndim > len(p))
     out = _dual_map(v, p[0], levels[0])
     for k, gap in enumerate(gaps, start=1):
         if gap:
@@ -589,43 +605,80 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
 
 
 def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
-                 rng: np.random.Generator, upper: Optional[float]) -> tuple:
+                 rng: np.random.Generator, plane: float,
+                 upper: Optional[float]) -> tuple:
     """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
-    ratio never falls along one start's path, up to roundoff.  Returns
-    (best ratio, reason, iterations); "settled" if some start settled.
-    Every apply runs on one `operator_plan`, with its bits."""
+    ratio never falls along one start's path, up to roundoff.
+
+    The starts iterate together as one stack of at most
+    ASCENT_STACK_SAMPLES samples (one start at least) on one
+    `operator_plan`; every pass and reduction acts per start, so each
+    start keeps the bits it has alone.  A start leaves the stack when it
+    settles (its ratio stops moving or its T* step vanishes), when it has
+    run its share of the budget, or when it closes the bracket, which also
+    drops every later start; waiting starts take the free places.  The
+    ratio histories are then replayed in start order, as if the starts ran
+    one after another: the bracket is tested as
+    _closed(max(best, plane), upper) after each apply.  Returns (best
+    ratio, reason, iterations); "settled" if some start settled."""
     pp, qq = p.p, holder_dual(p).p
     h = grid.spacing
     plan = operator_plan(s, grid)
     starts = _ascent_starts(plan, rng, count=4)
     iters = max(8, budget // len(starts))
-    best, settled, used = 0.0, False, 0
-    for start in starts:
-        if not np.any(start):   # the adjoint start of a zero operator
-            continue
-        x = start / iterated_pnorm(start, h, pp)
-        prev = -1.0
-        for _ in range(iters):
+    width = max(1, ASCENT_STACK_SAMPLES // grid.total_points)
+    history = [[] for _ in starts]
+    settled = [False] * len(starts)
+    # the adjoint start of a zero operator vanishes: it never runs
+    waiting = [k for k, start in enumerate(starts) if start.any()]
+    ids, x = [], None
+    while ids or waiting:
+        new = waiting[:width - len(ids)]
+        if new:
+            del waiting[:len(new)]
+            fresh = np.stack([starts[k] for k in new])
+            for k in new:
+                starts[k] = None   # its samples live on in the stack only
+            fresh /= pnorm_levels(fresh, h, pp, stacked=True)[-1]
+            x = fresh if x is None else np.concatenate([x, fresh])
+            ids += new
+        y = plan.apply(x)
+        levels = pnorm_levels(y, h, pp, stacked=True)
+        keep = []
+        for i, (k, ratio) in enumerate(zip(ids, levels[-1].flat)):
+            ratio = float(ratio)
+            prev = history[k][-1] if history[k] else -1.0
+            history[k].append(ratio)
+            if _closed(max(ratio, plane), upper):
+                waiting = []   # the replay stops here: later starts never count
+                break
+            if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
+                settled[k] = True
+            elif len(history[k]) < iters:
+                keep.append(i)
+        stacked, ids, x = len(ids), [ids[i] for i in keep], None
+        if ids:
+            w = _duality_map(y, h, pp, levels)
+            del y, levels   # one start's arrays fewer at the peak of a large grid
+            z = plan.adjoint(w if len(ids) == stacked else w[keep])
+            moving = z.reshape(len(ids), -1).any(axis=1)
+            if not moving.all():   # a vanished T* step settles its start
+                for i in np.flatnonzero(~moving):
+                    settled[ids[i]] = True
+                ids, z = [k for k, m in zip(ids, moving) if m], z[moving]
+            if ids:
+                x = _duality_map(z, h, qq)
+                x /= pnorm_levels(x, h, pp, stacked=True)[-1]
+    best, used = 0.0, 0
+    for ratios in history:
+        for ratio in ratios:
             used += 1
-            y = plan.apply(x)
-            levels = pnorm_levels(y, h, pp)
-            ratio = float(levels[-1])
             best = max(best, ratio)
-            closed = _closed(best, upper)
+            closed = _closed(max(best, plane), upper)
             if closed:
                 return best, closed, used
-            if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
-                settled = True
-                break
-            prev = ratio
-            z = plan.adjoint(_duality_map(y, h, pp, levels))
-            if not z.any():
-                settled = True
-                break
-            x = _duality_map(z, h, qq)
-            x = x / iterated_pnorm(x, h, pp)
-    return best, "settled" if settled else "budget", used
+    return best, "settled" if any(settled) else "budget", used
 
 
 def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
@@ -639,13 +692,18 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     bracket at the first apply; the seed is not used.  "random_ascent"
     runs Boyd's fixed-point ascent for any exponent, uniform or mixed,
     through the iterated norm's duality map, from a band-limited impulse,
-    its adjoint image and random band-limited starts.  Either stops early
-    once its best ratio comes within BRACKET_RTOL of the certified upper
-    bound.  value is the best ratio reached, a lower bound on the discrete
-    norm; lower adds the certified plane-wave ratio and upper the
-    certified bound (None for a coupled symbol), both to roundoff:
-    value <= upper * (1 + BRACKET_RTOL).  reason and converged (reason
-    is not "budget") are described on `NormEstimate`.
+    its adjoint image and random band-limited starts, which iterate
+    together as one stack of at most ASCENT_STACK_SAMPLES samples (one
+    start at a time above it) with the bits of one start after another
+    (see `_boyd_ascent`).  Either stops early once
+    lower = max(best ratio, plane-wave ratio) comes within BRACKET_RTOL of
+    the certified upper bound, so a bracket closed in closed form (a p=2
+    multiplier, a multiplication) stops at the first apply.  value is the
+    best ratio reached, a lower bound on the discrete norm; lower adds the
+    certified plane-wave ratio and upper the certified bound (None for a
+    coupled symbol), both to roundoff: value <= upper * (1 + BRACKET_RTOL).
+    reason and converged (reason is not "budget") are described on
+    `NormEstimate`.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
@@ -659,10 +717,12 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
         raise InvalidInputError(f"unknown method {method!r}")
     peak, plane, upper = _norm_bracket(s, grid, p)
     if method == "power_iteration_p2":
-        value, reason, used = _power_iteration_p2(s, grid, budget, peak, upper)
+        value, reason, used = _power_iteration_p2(s, grid, budget, peak,
+                                                  plane, upper)
     else:
         value, reason, used = _boyd_ascent(s, grid, p, budget,
-                                           np.random.default_rng(seed), upper)
+                                           np.random.default_rng(seed),
+                                           plane, upper)
     return NormEstimate(value, method, reason, used, p.p, max(value, plane), upper)
 
 
@@ -823,13 +883,13 @@ def smoothness_budget(d: int, m: float, rho: float, delta: float) -> SmoothnessB
 @dataclass(frozen=True)
 class ProbeReport:
     resolutions: tuple
-    estimates: tuple
+    estimates: tuple         # the measured ratios (NormEstimate.value)
     converged: tuple
     lowers: tuple            # per resolution, as on NormEstimate
     uppers: tuple
     reasons: tuple
-    growth: float            # last/first - 1
-    variation: float         # max/min - 1
+    growth: float            # last/first - 1 of the lower bounds
+    variation: float         # max/min - 1 of the lower bounds
     grows: bool
     growth_threshold: float
 
@@ -843,9 +903,12 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
 
     A discretized operator violating the order condition shows estimates
     that grow with resolution; a bounded one stays flat.  The verdict is
-    qualitative and tied to the supplied settings; it reads the estimates,
-    while each resolution's certified bracket and stopping reason come
-    with them (`NormEstimate`).
+    qualitative and tied to the supplied settings; it reads each
+    resolution's certified lower bound, max(measured ratio, plane-wave
+    ratio), while the measured ratios, brackets and stopping reasons come
+    with it (`NormEstimate`).  A measured ratio alone would mislead where
+    the bracket is closed in closed form: the ascent stops at its first
+    apply, and that ratio says little about the norm.
     """
     if not s.x_independent:
         raise InvalidInputError("the probe is defined for multiplier symbols")
@@ -856,14 +919,14 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
                                    MixedExponent.uniform(p, dim), "random_ascent",
                                    budget=budget, seed=seed)
             for n in resolutions]
-    estimates = [est.value for est in runs]
-    growth = estimates[-1] / estimates[0] - 1.0
-    variation = max(estimates) / min(estimates) - 1.0
+    lowers = [est.lower for est in runs]
+    growth = lowers[-1] / lowers[0] - 1.0
+    variation = max(lowers) / min(lowers) - 1.0
     return ProbeReport(
         resolutions=tuple(int(n) for n in resolutions),
-        estimates=tuple(estimates),
+        estimates=tuple(est.value for est in runs),
         converged=tuple(est.converged for est in runs),
-        lowers=tuple(est.lower for est in runs),
+        lowers=tuple(lowers),
         uppers=tuple(est.upper for est in runs),
         reasons=tuple(est.reason for est in runs),
         growth=growth,

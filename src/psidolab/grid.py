@@ -40,8 +40,10 @@ a cached +-1.0 pattern, which is exact.  numpy divides a + bi by c + 0j as
 real multiply by 1/c gives the same bits; the inverse divides only when a
 float is zero, keeping its signed zeros.  Both directions give the bits of
 the out-of-place fftshift formulation, signed zeros included.  Wrapping
-the result in a SampledFunction adds one reduction, the finiteness dot
-product, and each grid computes its dual grid once.
+the result in a SampledFunction adds one reduction, the finiteness sum,
+and each grid computes its dual grid once.  The passes act on the
+trailing d axes, so an operator plan can run a stack of samples, shape
+(S, n, ..., n), through them in one call per pass.
 """
 
 from __future__ import annotations
@@ -234,12 +236,14 @@ class SampledFunction:
         return SampledFunction(self.grid, np.conj(self.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _all_finite(vals: np.ndarray) -> bool:
-    # a non-finite sample makes sum |v|^2 non-finite, so a finite dot
-    # product proves every sample finite in one BLAS call (which raises no
-    # numpy warning); only a non-finite one, which finite samples can reach
-    # by overflow, checks each sample
-    return cmath.isfinite(np.vdot(vals, vals)) or bool(np.isfinite(vals).all())
+    # a non-finite sample makes the sum non-finite (NaN propagates, inf
+    # stays inf or meets -inf in a NaN), so a finite sum proves every sample
+    # finite in one pairwise reduction, which leaves BLAS and its threads
+    # out of every check.  Only a non-finite sum, which finite samples can
+    # reach by overflow, checks each sample; neither raises a numpy warning.
+    return cmath.isfinite(vals.sum()) or bool(np.isfinite(vals).all())
 
 
 def _require_same_grid(a: Grid, b: Grid):
@@ -247,16 +251,18 @@ def _require_same_grid(a: Grid, b: Grid):
         raise InvalidInputError(f"grids differ: {a} vs {b}")
 
 
-def _apply_alternating_sign(arr: np.ndarray) -> np.ndarray:
+def _apply_alternating_sign(arr: np.ndarray, dim: int) -> np.ndarray:
     # exp(+-i R xi_m) with xi_m = m~ * pi/R equals (-1)^m along each axis,
-    # so the sample at index m gets the sign (-1)^(m_1 + ... + m_d).
-    # One contiguous in-place pass over the real and imaginary parts:
-    # multiplying a float by +-1.0 is exact, signed zeros included, so
-    # this gives the bits of negating the odd-sum samples (a complex
-    # product with -1 + 0j would not: it turns 0 into -0 + 0j).  Callers
-    # must pass a C-contiguous array they own: both pass a fresh FFT
-    # output or shifted copy.
-    pattern = _sign_pattern(arr.ndim, arr.shape[0])
+    # so the sample at index m gets the sign (-1)^(m_1 + ... + m_d) over
+    # the trailing dim axes.  One contiguous in-place pass over the real
+    # and imaginary parts: multiplying a float by +-1.0 is exact, signed
+    # zeros included, so this gives the bits of negating the odd-sum
+    # samples (a complex product with -1 + 0j would not: it turns 0 into
+    # -0 + 0j).  n is even, so leading stack axes keep the parity of the
+    # first grid axis and the pattern repeats over them.  Callers must pass
+    # a C-contiguous array they own: both pass a fresh FFT output or
+    # shifted copy.
+    pattern = _sign_pattern(dim, arr.shape[-1])
     parts = arr.view(np.float64).reshape((-1,) + pattern.shape)
     np.multiply(parts, pattern, out=parts)
     return arr
@@ -285,18 +291,20 @@ def _opposite_half_blocks(ndim: int, n: int) -> tuple:
                  for rest in itertools.product((lo, hi), repeat=ndim - 1))
 
 
-def _forward_passes(values: np.ndarray) -> np.ndarray:
-    """fftn's 1-D passes, the last axis into a fresh array, and the sign pass."""
+def _forward_passes(values: np.ndarray, dim: int) -> np.ndarray:
+    """fftn's 1-D passes over the trailing dim axes, the last axis into a
+    fresh array, and the sign pass."""
     spectrum = np.fft.fft(values, out=np.empty(values.shape, np.complex128))
-    for axis in range(values.ndim - 2, -1, -1):
+    for axis in range(-2, -dim - 1, -1):
         np.fft.fft(spectrum, axis=axis, out=spectrum)
-    return _apply_alternating_sign(spectrum)
+    return _apply_alternating_sign(spectrum, dim)
 
 
-def _inverse_passes(spectrum: np.ndarray, scale: float) -> np.ndarray:
-    """The sign pass, ifftn's 1-D passes and / scale, in place (C order)."""
-    _apply_alternating_sign(spectrum)
-    for axis in range(spectrum.ndim - 1, -1, -1):
+def _inverse_passes(spectrum: np.ndarray, scale: float, dim: int) -> np.ndarray:
+    """The sign pass, ifftn's 1-D passes over the trailing dim axes and
+    / scale, in place (C order)."""
+    _apply_alternating_sign(spectrum, dim)
+    for axis in range(-1, -dim - 1, -1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
     parts = spectrum.view(np.float64)
     if scale and parts.all():
@@ -329,7 +337,7 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
         scale = f.grid.spacing**d
-        spectrum = _forward_passes(f.values)
+        spectrum = _forward_passes(f.values, d)
         # fftshift and the h^d scaling in one in-place pass; the sign flip
         # stays a negation, as a -h^d factor would turn -0.0 into +0.0
         block = np.empty((n // 2,) * d, dtype=spectrum.dtype)
@@ -346,7 +354,7 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]
-        return SampledFunction(out_grid, _inverse_passes(spectrum, out_grid.spacing**d))
+        return SampledFunction(out_grid, _inverse_passes(spectrum, out_grid.spacing**d, d))
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

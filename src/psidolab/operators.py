@@ -264,7 +264,10 @@ class OperatorPlan:
     shifts.  Each shift is undone by the next unshift, and a permutation
     commutes with every pointwise operation, so the floating-point
     operations and the bits stay, with no SampledFunction or copy per call;
-    one finiteness check per result raises the same `_overflow_error`."""
+    one finiteness check per result raises the same `_overflow_error`.
+    apply and adjoint take samples of the grid's shape or a stack of them,
+    shape (S, *grid.shape): every pass acts on the trailing axes and every
+    factor broadcasts over the stack, so each sample gets its own bits."""
 
     symbol: Symbol
     grid: Grid
@@ -273,11 +276,11 @@ class OperatorPlan:
     scales: tuple           # h^d of the forward transform, of the inverse
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        spectrum = _forward_passes(v)
+        spectrum = _forward_passes(v, self.grid.dim)
         return np.multiply(spectrum, self.scales[0], out=spectrum)
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        return _inverse_passes(spectrum, self.scales[1])
+        return _inverse_passes(spectrum, self.scales[1], self.grid.dim)
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         if not _all_finite(out):

@@ -5,7 +5,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_overhead.py"
 ENTRY_POINTS = ("fourier_transform forward", "fourier_transform inverse",
                 "apply_psido", "discrete_adjoint_apply", "SampledFunction",
-                "random_band_limited")
+                "random_band_limited", "ascent per start")
 DYADIC_ROWS = {("d=3 n=64", f"{e} R=4 levels=3") for e in ("kernel_sum", "decay_fit")} \
     | {("d=2 n=256", f"{e} R=3 levels=5") for e in ("kernel_sum", "decay_fit")}
 
@@ -22,6 +22,8 @@ def test_prints_every_entry_point_on_every_grid():
     for r in rows:
         us, floor_us, ratio = float(r[-4]), float(r[-2]), float(r[-1])
         assert us > 0 and floor_us > 0 and ratio > 0
+        if r[2:-4] == ["ascent", "per", "start"]:
+            assert r[-3] == "2fftn+2ifftn"
 
 
 def test_rejects_zero_repeats():

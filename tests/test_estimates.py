@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ from psidolab import (CZCheckConfig, Grid, InfeasibleBudgetError,
                       operator_norm_estimate, smoothness_budget,
                       smoothness_coefficients, theorem_norm_bound,
                       trig_multiplication, wave_multiplier, with_params)
-from psidolab import estimates
-from psidolab.mixed_norm import iterated_pnorm
+from psidolab import cli, estimates
+from psidolab.mixed_norm import holder_dual, iterated_pnorm, pnorm_levels
+from psidolab.operators import operator_plan
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +355,80 @@ ASCENT_SYMBOLS = {"wave:0": lambda: wave_multiplier(0.0),
                   "bessel:-1": lambda: bessel_multiplier(-1.0)}
 
 
+def coupled_symbol():
+    """(1 + 0.3 cos x_1 + 0.2i sin x_d xi_1) / (1 + |xi|^2): rank two."""
+    return Symbol(lambda x, xi: (1.0 + 0.3 * np.cos(x[..., 0])
+                                 + 0.2j * np.sin(x[..., -1]) * xi[..., 0])
+                  / (1.0 + np.sum(xi**2, axis=-1)),
+                  SymbolClassParams(m=-1.0), "general", label="coupled")
+
+
+def reference_ascent(s, grid, p, budget, rng, plane, upper, histories=None):
+    """The Boyd ascent one start after another on unstacked arrays, the
+    loop the stacked `estimates._boyd_ascent` replaced; appends each
+    start's ratios to histories if given."""
+    pp, qq = p.p, holder_dual(p).p
+    h = grid.spacing
+    plan = operator_plan(s, grid)
+    starts = estimates._ascent_starts(plan, rng, count=4)
+    iters = max(8, budget // len(starts))
+    best, settled, used = 0.0, False, 0
+    for start in starts:
+        ratios = []
+        if histories is not None:
+            histories.append(ratios)
+        if not np.any(start):
+            continue
+        x = start / iterated_pnorm(start, h, pp)
+        prev = -1.0
+        for _ in range(iters):
+            used += 1
+            y = plan.apply(x)
+            levels = pnorm_levels(y, h, pp)
+            ratio = float(levels[-1])
+            ratios.append(ratio)
+            best = max(best, ratio)
+            closed = estimates._closed(max(best, plane), upper)
+            if closed:
+                return best, closed, used
+            if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
+                settled = True
+                break
+            prev = ratio
+            z = plan.adjoint(estimates._duality_map(y, h, pp, levels))
+            if not z.any():
+                settled = True
+                break
+            x = estimates._duality_map(z, h, qq)
+            x = x / iterated_pnorm(x, h, pp)
+    return best, "settled" if settled else "budget", used
+
+
+def stacked_and_reference(s, g, p, budget, seed, plane, upper):
+    """(value.hex(), reason, iterations) of the stack and of the reference."""
+    runs = [fn(s, g, MixedExponent(p), budget, np.random.default_rng(seed),
+               plane, upper) for fn in (estimates._boyd_ascent, reference_ascent)]
+    return [(value.hex(), reason, used) for value, reason, used in runs]
+
+
+# (spec, d, n, p): multiplier, separable and general symbols at d = 1..3,
+# uniform and mixed exponents
+STACK_CASES = [
+    ("bessel:-1", 1, 64, (4.0,)), ("wave:0", 1, 128, (1.5,)),
+    ("sep:2,6:-1", 1, 64, (3.0,)), ("general", 1, 32, (4.0,)),
+    ("wave:0", 2, 16, (3.0, 1.5)), ("bessel:-1", 2, 32, (4.0, 4.0)),
+    ("sep:2,6:-1", 2, 16, (1.5, 3.0)), ("general", 2, 8, (3.0, 1.5)),
+    ("bessel:-1", 3, 8, (2.0, 4.0, 1.25)), ("sep:2,6:-1", 3, 8, (4.0, 4.0, 4.0)),
+    ("general", 3, 8, (1.5, 3.0, 2.0)),
+]
+
+
+def stack_symbol(spec, g):
+    if spec == "general":
+        return coupled_symbol()
+    return cli.parse_symbol_spec(spec, 2.0 * g.half_extent)
+
+
 class TestOperatorNorm:
     def test_constant_symbol_every_method(self):
         s = constant_symbol(-2.5)
@@ -462,15 +541,23 @@ class TestOperatorNorm:
         assert (est.converged, est.iterations) == (False, 48)
         assert 0.99 <= est.value <= 1.0
 
+    # The pins hold the ascent's own bits, so they run it with the bracket
+    # left open: on Grid(1, 128, 8.0) and Grid(2, 32, 4.0) the kernel of
+    # bessel:-1 is nonnegative, its bracket is [1, 1] in closed form and
+    # operator_norm_estimate stops at the first apply
+    # (test_closed_form_bracket_stops_the_ascent_at_once).
+    @staticmethod
+    def _open_ascent(spec, g, p, budget, seed):
+        return estimates._boyd_ascent(ASCENT_SYMBOLS[spec](), g, MixedExponent(p),
+                                      budget, np.random.default_rng(seed), 0.0, None)
+
     @pytest.mark.parametrize("spec, q, d", list(UNIFORM_ASCENT),
                              ids=[f"{s}-q{q:.3g}-d{d}" for s, q, d in UNIFORM_ASCENT])
     def test_uniform_ascent_bits(self, spec, q, d):
         g = Grid(1, 128, 8.0) if d == 1 else Grid(2, 32, 4.0)
         for seed, want in enumerate(UNIFORM_ASCENT[spec, q, d]):
-            est = operator_norm_estimate(ASCENT_SYMBOLS[spec](), g,
-                                         MixedExponent.uniform(q, d),
-                                         "random_ascent", budget=60, seed=seed)
-            assert (est.value.hex(), est.converged, est.iterations) == want
+            value, reason, used = self._open_ascent(spec, g, (q,) * d, 60, seed)
+            assert (value.hex(), reason != "budget", used) == want
 
     @pytest.mark.parametrize("spec, p", list(MIXED_ASCENT),
                              ids=[f"{s}-p{','.join(f'{q:g}' for q in p)}"
@@ -478,9 +565,103 @@ class TestOperatorNorm:
     def test_mixed_ascent_bits(self, spec, p):
         g = Grid(2, 32, 4.0) if len(p) == 2 else Grid(3, 16, 4.0)
         for seed, want in enumerate(MIXED_ASCENT[spec, p]):
-            est = operator_norm_estimate(ASCENT_SYMBOLS[spec](), g, MixedExponent(p),
-                                         "random_ascent", seed=seed)
-            assert (est.value.hex(), est.reason, est.iterations) == want
+            value, reason, used = self._open_ascent(spec, g, p, 300, seed)
+            assert (value.hex(), reason, used) == want
+
+    @pytest.mark.parametrize("spec, d, n, p", STACK_CASES,
+                             ids=[f"{s}-d{d}-p{','.join(f'{q:g}' for q in p)}"
+                                  for s, d, n, p in STACK_CASES])
+    def test_stack_equals_start_by_start(self, spec, d, n, p):
+        # with the certified bracket and with the bracket left open
+        g = Grid(d, n, 4.0)
+        s = stack_symbol(spec, g)
+        _, plane, upper = estimates._norm_bracket(s, g, MixedExponent(p))
+        for seed, bracket in ((1, (plane, upper)), (2, (0.0, None))):
+            stacked, reference = stacked_and_reference(s, g, p, 60, seed, *bracket)
+            assert stacked == reference
+
+    def test_later_start_closes_while_an_earlier_one_runs(self):
+        # with the bracket open, start 1 (the adjoint image) passes every
+        # ratio of start 0 at its third apply while start 0 runs on; an upper
+        # bound equal to that ratio closes the bracket there, and the stack
+        # must still finish start 0 before it reports
+        g, p = Grid(1, 32, 4.0), (3.0,)
+        s = wave_multiplier(0.0)
+        histories = []
+        reference_ascent(s, g, MixedExponent(p), 60, np.random.default_rng(0),
+                         0.0, None, histories)
+        first, second = histories[0], histories[1]
+        assert max(second[:3]) == second[2] > max(first) and len(first) > 3
+        stacked, reference = stacked_and_reference(s, g, p, 60, 0, 0.0, second[2])
+        assert stacked == reference == (second[2].hex(), "bracket_closed",
+                                        len(first) + 3)
+
+    def test_zero_operator_stack(self):
+        # closed at once by its bracket [0, 0]; left open, the T* step of
+        # each of the five starts that run (the adjoint start vanishes)
+        # vanishes at its first apply, which settles it
+        g, p = Grid(2, 16, 4.0), (3.0, 1.5)
+        for upper, reason, used in ((0.0, "zero_operator", 1), (None, "settled", 5)):
+            stacked, reference = stacked_and_reference(constant_symbol(0), g, p, 60,
+                                                       0, 0.0, upper)
+            assert stacked == reference == ((0.0).hex(), reason, used)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_stack_narrower_than_the_starts(self, monkeypatch, width):
+        # a stack bound of one or two grids: starts wait and fill freed places
+        g, p = Grid(2, 16, 4.0), (3.0, 1.5)
+        monkeypatch.setattr(estimates, "ASCENT_STACK_SAMPLES",
+                            width * g.total_points + g.total_points // 2)
+        s = bessel_multiplier(-1.0)
+        for seed, budget in ((0, 60), (3, 300)):
+            stacked, reference = stacked_and_reference(s, g, p, budget, seed, 0.0, None)
+            assert stacked == reference
+
+    def test_grid_above_the_stack_bound(self):
+        # 2^17 samples: one start at a time
+        g = Grid(1, 2**17, 64.0)
+        assert g.total_points > estimates.ASCENT_STACK_SAMPLES
+        s = wave_multiplier(0.0)
+        _, plane, upper = estimates._norm_bracket(s, g, MixedExponent((3.0,)))
+        stacked, reference = stacked_and_reference(s, g, (3.0,), 6, 0, plane, upper)
+        assert stacked == reference
+
+    def test_closed_form_bracket_stops_the_ascent_at_once(self):
+        # the bracket is tested on max(best, plane): a bracket closed in
+        # closed form stops the ascent at its first apply, not its budget
+        g = Grid(2, 32, 8.0)
+        s = trig_multiplication(smoothness_coefficients(2, 6), 2 * g.half_extent)
+        est = operator_norm_estimate(s, g, MixedExponent.uniform(4.0, 2),
+                                     "random_ascent")
+        assert (est.reason, est.iterations) == ("bracket_closed", 1)
+        assert est.lower == est.upper == pytest.approx(1.96, rel=1e-15)
+        assert est.value <= est.lower
+        # a p=2 multiplier, and bessel:-1 where its kernel is nonnegative
+        for s, g, p in ((wave_multiplier(0.0), Grid(1, 128, 8.0), (2.0,)),
+                        (bessel_multiplier(-1.0), Grid(2, 32, 4.0), (3.0, 1.5))):
+            est = operator_norm_estimate(s, g, MixedExponent(p), "random_ascent")
+            assert (est.reason, est.iterations) == ("bracket_closed", 1)
+            assert est.lower == pytest.approx(est.upper, rel=estimates.BRACKET_RTOL)
+
+    def test_power_iteration_bits_ignore_blas_threads(self):
+        # the norms are summed without BLAS, whose threads (above about 16k
+        # samples) reorder a dot product's sum
+        here = Path(__file__).resolve().parent
+        code = ("from psidolab import Grid, MixedExponent, operator_norm_estimate\n"
+                "from psidolab.cli import parse_symbol_spec\n"
+                "g = Grid(2, 128, 8.0)\n"
+                "s = parse_symbol_spec('sep:2,6:-1', 16.0)\n"
+                "e = operator_norm_estimate(s, g, MixedExponent((2.0, 2.0)),"
+                " 'power_iteration_p2')\n"
+                "print(e.value.hex(), e.reason, e.iterations, e.upper.hex())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(here.parent / "src"),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True, timeout=120,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1] and "settled" in outputs[0]
 
     @pytest.mark.parametrize("p", [(3.0, 1.5), (1.5, 3.0), (2.0, 4.0, 1.25)])
     def test_duality_map_attains_hoelder_equality(self, p):
@@ -553,6 +734,17 @@ class TestNecessaryConditionProbe:
                                         (16, 32), half_extent=4.0, budget=40)
         assert all(abs(e - 1.0) <= 1e-6 for e in rep.estimates)
         assert not rep.grows
+
+    def test_closed_brackets_keep_the_verdict_flat(self):
+        # at R=8 the bracket of bessel:-1 is [1, 1] at every resolution, so
+        # each ascent stops at its first apply with a small measured ratio;
+        # the verdict reads the lower bounds and stays flat
+        from psidolab import necessary_condition_probe
+        rep = necessary_condition_probe(bessel_multiplier(-1.0), 4.0,
+                                        (64, 128, 256, 512), half_extent=8.0)
+        assert set(rep.reasons) == {"bracket_closed"}
+        assert max(rep.estimates) < 0.5 and rep.lowers == (1.0,) * 4
+        assert (rep.growth, rep.variation, rep.grows) == (0.0, 0.0, False)
 
     def test_probe_preconditions(self):
         from psidolab import necessary_condition_probe

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from psidolab import (Grid, InvalidInputError, SampledFunction, dual_pairing,
                       fourier_transform, japanese_bracket, quadrature,
                       random_band_limited, spectral_derivative, vector_pnorm)
-from psidolab.grid import _sign_pattern, compatible_grids
+from psidolab.grid import _all_finite, _sign_pattern, compatible_grids
 from conftest import gaussian
 
 
@@ -44,6 +44,23 @@ class TestGridValidation:
     def test_rejects_bad_grids(self, bad):
         with pytest.raises(InvalidInputError):
             Grid(**bad)
+
+    def test_all_finite_semantics(self):
+        # a sum proves finiteness: NaN, +-inf and an inf / -inf pair (whose
+        # sum is NaN) are caught, finite samples whose sum overflows pass,
+        # in real, complex and stacked arrays, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for dtype in (float, complex):
+                for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+                    vals = np.ones(16, dtype=dtype)
+                    vals[:len(bad)] = bad
+                    assert not _all_finite(vals)
+                    assert not _all_finite(np.stack([np.ones(16), vals]))
+                assert _all_finite(np.array([1e308, 1e308], dtype=dtype))
+                assert _all_finite(np.full((3, 8, 8), -1e308, dtype=dtype))
+            assert not _all_finite(np.array([1e308 + 1e308j, complex(0.0, np.nan)]))
+            assert _all_finite(np.array([1e308j, 1e308j]))
 
     def test_values_must_match_and_be_finite(self, grid_1d):
         with pytest.raises(InvalidInputError):

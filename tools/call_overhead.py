@@ -15,6 +15,14 @@ and their sum for the applies.  Every call runs once before timing, so
 per-grid set-up (dual grid, sign pattern, band mask, factor samples) is
 not counted.  BLAS runs on one thread, as in ``psidobench/run.py``.
 
+The last row per grid is the stacked Boyd ascent per start: the minimum
+time of a ``random_ascent`` estimate of ``wave:0`` at p=4 (whose bracket
+stays open, so its six starts iterate together until they settle) over
+its iterations, each one start's apply, adjoint and duality maps inside
+the stack.  Its floor is one iteration's four transforms alone, twice
+fftn plus ifftn.  An estimate takes milliseconds, so it is timed
+``--repeats`` / 100 times (at least once), as the dyadic rows are.
+
 The dyadic layer follows: ``kernel_sum`` and ``decay_fit`` (the CLI's
 default window, 4h to R/2) of ``bessel:-1`` at d=3 n=64 R=4 with 3 levels
 and at d=2 n=256 R=3 with 5 levels, each beside ``np.fft.ifftn`` on the
@@ -31,7 +39,7 @@ import sys
 import time
 from pathlib import Path
 
-# pinned before numpy loads, so the finiteness dot product runs on one thread
+# pinned before numpy loads, as in psidobench/run.py
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -39,10 +47,11 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from psidolab import (Grid, KernelDecayParams, SampledFunction,  # noqa: E402
-                      apply_psido, bessel_multiplier, decay_fit,
-                      discrete_adjoint_apply, dyadic_decompose,
-                      fourier_transform, kernel_sum, random_band_limited)
+from psidolab import (Grid, KernelDecayParams, MixedExponent,  # noqa: E402
+                      SampledFunction, apply_psido, bessel_multiplier,
+                      decay_fit, discrete_adjoint_apply, dyadic_decompose,
+                      fourier_transform, kernel_sum, operator_norm_estimate,
+                      random_band_limited, wave_multiplier)
 
 GRIDS = ((1, 64), (1, 512), (2, 64))
 HALF_EXTENT = 8.0
@@ -61,7 +70,8 @@ def min_us(fn, repeats: int) -> float:
 
 
 def measure(dim: int, n: int, repeats: int) -> list:
-    """Rows (entry point, us per call, floor name, floor us) on one grid."""
+    """Rows (entry point, us per call, floor name, floor us) on one grid,
+    the stacked ascent's last."""
     grid = Grid(dim, n, HALF_EXTENT)
     rng = np.random.default_rng(0)
     f = random_band_limited(grid, rng)
@@ -81,8 +91,16 @@ def measure(dim: int, n: int, repeats: int) -> list:
         ("random_band_limited", lambda: random_band_limited(grid, rng),
          "ifftn", ifftn),
     )
-    return [(name, min_us(fn, repeats), floor, floor_us)
+    rows = [(name, min_us(fn, repeats), floor, floor_us)
             for name, fn, floor, floor_us in cases]
+    wave, p4 = wave_multiplier(0.0), MixedExponent.uniform(4.0, dim)
+
+    def ascent():
+        return operator_norm_estimate(wave, grid, p4, "random_ascent")
+
+    per_start = min_us(ascent, max(1, repeats // 100)) / ascent().iterations
+    return rows + [("ascent per start", per_start, "2fftn+2ifftn",
+                    2 * (fftn + ifftn))]
 
 
 def measure_dyadic(dim: int, n: int, half_extent: float, levels: int,
