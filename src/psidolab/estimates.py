@@ -657,7 +657,8 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                 settled[k] = True
             elif len(history[k]) < iters:
                 keep.append(i)
-        stacked, ids, x = len(ids), [ids[i] for i in keep], None
+        stacked = len(ids)
+        ids, x = [ids[i] for i in keep], None
         if ids:
             w = _duality_map(y, h, pp, levels)
             del y, levels   # one start's arrays fewer at the peak of a large grid
