@@ -320,11 +320,11 @@ def _run_norm_estimate(params):
                                  budget=_int(params, "budget", 300),
                                  seed=_int(params, "seed", 0))
     checks = []
-    rows = [reporting.sweep_row(grid.points_per_axis, est.value, None, None,
+    rows = [reporting.sweep_row(grid.points_per_axis, est.estimate, None, None,
                                 est.converged, lower=est.lower,
                                 upper=est.upper, reason=est.reason)]
     upper = "none" if est.upper is None else f"{est.upper:.8g}"
-    lines = [f"estimate = {est.value:.8g} ({est.method}, {est.reason}), "
+    lines = [f"estimate = {est.estimate:.8g} ({est.method}, {est.reason}), "
              f"bracket [{est.lower:.8g}, {upper}]"]
     return checks, {"estimate": rows}, lines
 

@@ -459,6 +459,14 @@ class NormEstimate:
     def converged(self) -> bool:
         return self.reason != "budget"
 
+    @property
+    def estimate(self) -> float:
+        """The norm estimate to report: lower once the bracket is closed,
+        where it pins the norm to BRACKET_RTOL (an iteration stopped by a
+        bracket closed in closed form has measured only its first ratio),
+        else the measured ratio value."""
+        return self.value if self.reason in ("settled", "budget") else self.lower
+
 
 def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
     """(peak, plane, upper) from the sampled terms a_r(x) b_r(xi) of s
@@ -527,7 +535,10 @@ def _l2_norm(v: np.ndarray) -> float:
     float64 (a 64-bit mantissa on x86-64 Linux) the sum's rounding stays
     far below the result's: power iteration's first ratio on bessel:2 at
     d=3 n=32 lands 1 ulp below max|b|, 147 ulps above it with a BLAS dot
-    product."""
+    product.  The bits therefore depend on the long double format: the
+    tests pin those of the x86-64 80-bit one, and where long double is
+    float64 (Windows, macOS on arm64) or binary128 (aarch64 Linux) the
+    last bit can differ."""
     parts = v.reshape(-1).view(np.float64).astype(np.longdouble)
     return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
@@ -587,15 +598,14 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
     """J_p(v) = sgn(v) |v|^(p_1 - 1) prod_(k<d) A_k^(p_(k+1) - p_k), with
     A_k the iterated norm's levels (pnorm_levels, A_0 = |v|; A_k^gap is 0
     where A_k is 0), so that <v, J_p(v)> = ||v||_p ||J_p(v)||_p' (Hoelder
-    equality for mixed norms, Benedek & Panzone 1961).  v has one axis per
-    exponent, or one more in front for a stack (pnorm_levels' stacked, as
-    are given levels); levels not given are formed once.  A zero gap
+    equality for mixed norms, Benedek & Panzone 1961).  v is a stack of
+    samples, axis 0 indexing them, as in pnorm_levels and the given
+    levels; levels not given are formed once.  A zero gap
     contributes no factor, so for uniform p this is _dual_map and needs
     only A_0."""
     gaps = [p[k] - p[k - 1] for k in range(1, len(p))]
     if levels is None:
-        levels = pnorm_levels(v, spacing, p[:-1] if any(gaps) else (),
-                              stacked=v.ndim > len(p))
+        levels = pnorm_levels(v, spacing, p[:-1] if any(gaps) else ())
     out = _dual_map(v, p[0], levels[0])
     for k, gap in enumerate(gaps, start=1):
         if gap:
@@ -640,11 +650,11 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
             fresh = np.stack([starts[k] for k in new])
             for k in new:
                 starts[k] = None   # its samples live on in the stack only
-            fresh /= pnorm_levels(fresh, h, pp, stacked=True)[-1]
+            fresh /= pnorm_levels(fresh, h, pp)[-1]
             x = fresh if x is None else np.concatenate([x, fresh])
             ids += new
         y = plan.apply(x)
-        levels = pnorm_levels(y, h, pp, stacked=True)
+        levels = pnorm_levels(y, h, pp)
         keep = []
         for i, (k, ratio) in enumerate(zip(ids, levels[-1].flat)):
             ratio = float(ratio)
@@ -670,7 +680,7 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                 ids, z = [k for k, m in zip(ids, moving) if m], z[moving]
             if ids:
                 x = _duality_map(z, h, qq)
-                x /= pnorm_levels(x, h, pp, stacked=True)[-1]
+                x /= pnorm_levels(x, h, pp)[-1]
     best, used = 0.0, 0
     for ratios in history:
         for ratio in ratios:
@@ -703,8 +713,8 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     best ratio reached, a lower bound on the discrete norm; lower adds the
     certified plane-wave ratio and upper the certified bound (None for a
     coupled symbol), both to roundoff: value <= upper * (1 + BRACKET_RTOL).
-    reason and converged (reason is not "budget") are described on
-    `NormEstimate`.
+    reason, converged (reason is not "budget") and estimate (lower once
+    the bracket is closed, else value) are described on `NormEstimate`.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
@@ -884,13 +894,13 @@ def smoothness_budget(d: int, m: float, rho: float, delta: float) -> SmoothnessB
 @dataclass(frozen=True)
 class ProbeReport:
     resolutions: tuple
-    estimates: tuple         # the measured ratios (NormEstimate.value)
+    estimates: tuple         # per resolution, NormEstimate.estimate
     converged: tuple
     lowers: tuple            # per resolution, as on NormEstimate
     uppers: tuple
     reasons: tuple
-    growth: float            # last/first - 1 of the lower bounds
-    variation: float         # max/min - 1 of the lower bounds
+    growth: float            # last/first - 1
+    variation: float         # max/min - 1
     grows: bool
     growth_threshold: float
 
@@ -904,12 +914,10 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
 
     A discretized operator violating the order condition shows estimates
     that grow with resolution; a bounded one stays flat.  The verdict is
-    qualitative and tied to the supplied settings; it reads each
-    resolution's certified lower bound, max(measured ratio, plane-wave
-    ratio), while the measured ratios, brackets and stopping reasons come
-    with it (`NormEstimate`).  A measured ratio alone would mislead where
-    the bracket is closed in closed form: the ascent stops at its first
-    apply, and that ratio says little about the norm.
+    qualitative and tied to the supplied settings; it reads the estimates
+    (`NormEstimate.estimate`: the measured ratio, or the lower bound once
+    the bracket is closed), while each resolution's certified bracket and
+    stopping reason come with them.
     """
     if not s.x_independent:
         raise InvalidInputError("the probe is defined for multiplier symbols")
@@ -920,14 +928,14 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
                                    MixedExponent.uniform(p, dim), "random_ascent",
                                    budget=budget, seed=seed)
             for n in resolutions]
-    lowers = [est.lower for est in runs]
-    growth = lowers[-1] / lowers[0] - 1.0
-    variation = max(lowers) / min(lowers) - 1.0
+    estimates = [est.estimate for est in runs]
+    growth = estimates[-1] / estimates[0] - 1.0
+    variation = max(estimates) / min(estimates) - 1.0
     return ProbeReport(
         resolutions=tuple(int(n) for n in resolutions),
-        estimates=tuple(est.value for est in runs),
+        estimates=tuple(estimates),
         converged=tuple(est.converged for est in runs),
-        lowers=tuple(lowers),
+        lowers=tuple(est.lower for est in runs),
         uppers=tuple(est.upper for est in runs),
         reasons=tuple(est.reason for est in runs),
         growth=growth,

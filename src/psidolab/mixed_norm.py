@@ -60,36 +60,34 @@ def holder_dual(p: MixedExponent) -> MixedExponent:
     return MixedExponent(tuple(v / (v - 1.0) for v in p.p), p.split)
 
 
-def pnorm_levels(values: np.ndarray, spacing: float, exponents,
-                 stacked: bool = False) -> list:
+def pnorm_levels(values: np.ndarray, spacing: float, exponents) -> list:
     """Levels A_0 = |values|, A_1, ..., A_k of the iterated Riemann p-norm
-    over the leading axes, axis 0 first (x1 innermost), for any exponents
-    >= 1: A_j is the field over the axes after the j-th.
-
-    stacked: axis 0 indexes independent samples, each reduced over the
-    axes after it with its own bits.  Each level keeps its reduced axes
-    with length 1, so it broadcasts against the samples.  A level that
-    reduces the last axis holds one total per sample; numpy's float64 power
-    over an array can round the last bit differently from its scalar
-    power, so each of those roots is taken as a scalar, as unstacked."""
+    of a stack of samples, for any exponents >= 1.  Axis 0 indexes the
+    samples (one sample is values[None]), each reduced over the axes
+    after it, axis 1 first (x1 innermost), with its own bits: A_j is the
+    field over the axes after the j-th reduced one.  Each level keeps its
+    reduced axes with length 1, so it broadcasts against the samples.  A
+    level that reduces the last axis holds one total per sample; numpy's
+    float64 power over an array can round the last bit differently from
+    its scalar power, so each of those roots is taken as a scalar."""
     a = np.abs(np.asarray(values))
     levels = [a]
-    for k, q in enumerate(exponents):
-        if not stacked:
-            a = (spacing * np.sum(a**q, axis=0)) ** (1.0 / q)
+    for k, q in enumerate(exponents, start=1):
+        total = spacing * np.sum(a**q, axis=k, keepdims=True)
+        if k + 1 < a.ndim:
+            a = total ** (1.0 / q)
         else:
-            total = spacing * np.sum(a**q, axis=k + 1, keepdims=True)
-            if k + 2 < a.ndim:
-                a = total ** (1.0 / q)
-            else:
-                a = np.array([t ** (1.0 / q) for t in total.flat]).reshape(total.shape)
+            a = np.array([t ** (1.0 / q) for t in total.flat]).reshape(total.shape)
         levels.append(a)
     return levels
 
 
 def leading_pnorms(values: np.ndarray, spacing: float, exponents) -> np.ndarray:
-    """The last of pnorm_levels: the field over the remaining axes."""
-    return pnorm_levels(values, spacing, exponents)[-1]
+    """The last of pnorm_levels of one sample: the field over the axes
+    after the leading len(exponents)."""
+    values = np.asarray(values)
+    field = pnorm_levels(values[None], spacing, exponents)[-1]
+    return field.reshape(values.shape[len(exponents):])
 
 
 def iterated_pnorm(values: np.ndarray, spacing: float, exponents) -> float:

@@ -246,6 +246,21 @@ class TestDeterminism:
         assert report["schema_version"] == 1
 
 
+class TestNormEstimateCommand:
+    def test_closed_bracket_reports_its_lower_bound(self, tmp_path, capsys):
+        # a p=2 multiplier's bracket [1, 1] closes at the first apply, whose
+        # measured ratio is far below 1: the report and the line give lower
+        code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--d", "1",
+                       "--n", "512", "--R", "8", "--p", "2",
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "estimate = 1 (random_ascent, bracket_closed)" in capsys.readouterr().out
+        report = json.loads((tmp_path / "norm-estimate-report.json").read_text())
+        row = report["tables"]["estimate"][0]
+        assert row["measured"] == row["lower"] == row["upper"] == 1.0
+        assert row["reason"] == "bracket_closed"
+
+
 class TestDyadicCommand:
     def test_reconstruction_checks(self, tmp_path):
         code = run_cli("dyadic", "--symbol", "bessel:-1", "--d", "1", "--n",
