@@ -61,8 +61,8 @@ def read_pslb(path) -> SampledFunction:
     if raw.size != 2 * grid.total_points:
         raise InvalidInputError(
             f"{path}: payload has {raw.size} floats, expected {2 * grid.total_points}")
-    pairs = raw.reshape(-1, 2)
-    return SampledFunction(grid, pairs[:, 0] + 1j * pairs[:, 1])
+    # the (re, im) pairs are "<c16" samples: no copy, signed zeros kept
+    return SampledFunction(grid, raw.view("<c16"))
 
 
 def write_function_csv(path, f: SampledFunction) -> None:
@@ -71,9 +71,7 @@ def write_function_csv(path, f: SampledFunction) -> None:
     with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"i{k + 1}" for k in range(g.dim)] + ["re", "im"])
-        flat = f.values.reshape(-1)
-        for lin, v in enumerate(flat):
-            idx = np.unravel_index(lin, g.shape)
+        for idx, v in zip(np.ndindex(g.shape), f.values.reshape(-1)):
             writer.writerow([*idx, repr(float(v.real)), repr(float(v.imag))])
 
 

@@ -117,9 +117,7 @@ def partial_norm(f: SampledFunction, pbar: MixedExponent, xprime) -> float:
     if xprime.shape != (d - l,):
         raise InvalidInputError(
             f"outer point has shape {xprime.shape}, expected ({d - l},)")
-    idx = tuple(
-        f.grid.index_of(np.r_[np.zeros(l), xprime])[l:]
-    ) if l else f.grid.index_of(xprime)
+    idx = f.grid.index_of(np.r_[np.zeros(l), xprime])[l:]
     if l == 0:
         return float(np.abs(f.values[idx]))
     inner = f.values[(slice(None),) * l + idx]

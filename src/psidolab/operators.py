@@ -200,9 +200,9 @@ def _adjoint_terms(conj_terms, v: np.ndarray, forward, inverse) -> np.ndarray:
 
 
 def _conjugated(terms: list):
-    """(conj(a_r), conj(b_r)) term by term, None where absent."""
-    return ((None if a is None else np.conj(a), None if b is None else np.conj(b))
-            for a, b in terms)
+    """(conj(a_r), conj(b_r)) term by term, None where absent; a real
+    factor is its own conjugate, not a copy."""
+    return (tuple(np.conj(v) if np.iscomplexobj(v) else v for v in term) for term in terms)
 
 
 def _transforms(f: SampledFunction) -> tuple:

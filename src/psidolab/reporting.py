@@ -27,15 +27,8 @@ def sweep_row(j_or_t, measured, predicted=None, ratio=None, passed=True,
               **extra) -> dict:
     """One sweep-table row; extra keys go to the JSON report only, since
     the CSV keeps SWEEP_COLUMNS."""
-    row = {
-        "j_or_t": _plain(j_or_t),
-        "measured": _plain(measured),
-        "predicted": _plain(predicted),
-        "ratio": _plain(ratio),
-        "pass": bool(passed),
-    }
-    row.update({k: _plain(v) for k, v in extra.items()})
-    return row
+    values = (j_or_t, measured, predicted, ratio, bool(passed))
+    return {k: _plain(v) for k, v in (*zip(SWEEP_COLUMNS, values), *extra.items())}
 
 
 def _plain(value):

@@ -125,7 +125,10 @@ class Symbol:
     sampled from the grid's 1-D axis; they are marked by a true
     `takes_grid` attribute on the callable itself, so wrappers made with
     `functools.wraps` keep the mark.  `sampled_factor` passes the Grid to
-    a marked factor and the grid's coordinate stack to any other.
+    a marked factor and the grid's coordinate stack to any other.  Real
+    factor values (`bessel`, `trig`, a real `const`) are sampled as float64,
+    any other as complex128; numpy casts a real b to (b, +0), the bits of
+    a +0j sample, wherever it meets complex samples.
 
     `grid_memo` keeps one entry per name for the last grid only:
     `sampled_factor` the sample of each factor (one read-only array), and
@@ -187,19 +190,21 @@ class Symbol:
         """x_factor ("x") or xi_factor ("xi") sampled at every point of grid,
         memoised for the last grid (`grid_memo`).
 
-        The returned array is read-only.  A non-finite sample raises
-        SymbolEvaluationError naming the first bad point.  A factor marked
-        `takes_grid` samples the grid itself; any other gets every grid
-        point as `grid.coord_stack()`.
+        The returned array is read-only, float64 for real values (see
+        `Symbol`).  A non-finite sample raises SymbolEvaluationError naming
+        the first bad point.  A factor marked `takes_grid` samples the grid
+        itself; any other gets every grid point as `grid.coord_stack()`.
         """
         return self.grid_memo(which, grid, lambda: self._sample_factor(which, grid))
 
     def _sample_factor(self, which: str, grid) -> np.ndarray:
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
         arg = grid if getattr(factor, "takes_grid", False) else grid.coord_stack()
-        # a view, so the read-only flag never reaches an array the factor keeps
         with np.errstate(**_QUIET):
-            values = np.asarray(factor(arg), dtype=np.complex128).view()
+            values = np.asarray(factor(arg))
+        real = values.dtype.kind in "biuf"
+        # a view, so the read-only flag never reaches an array the factor keeps
+        values = values.astype(float if real else complex, copy=False).view()
         if not np.isfinite(values).all():
             raise _nonfinite_error(values, f"{self.label}: non-finite {which}_factor value",
                                    **{which: grid.coord_stack()})
@@ -334,11 +339,13 @@ def _factored(params: SymbolClassParams, label: str, x_factor=None,
 
 
 def constant_symbol(c, label: Optional[str] = None) -> Symbol:
-    """sigma = c.  Tagged xi-independent so application is exact pointwise."""
+    """sigma = c.  Tagged xi-independent so application is exact pointwise.
+    A +0.0 imaginary part makes a real factor; -0.0 reaches zeros' signs."""
     c = complex(c)
+    value = c if c.imag or math.copysign(1.0, c.imag) < 0 else c.real
 
     def factor(x):
-        return np.full(x.shape if isinstance(x, Grid) else x.shape[:-1], c)
+        return np.full(x.shape if isinstance(x, Grid) else x.shape[:-1], value)
 
     return _factored(SymbolClassParams(m=0.0), label or f"const:{c}",
                      x_factor=_takes_grid(factor))
@@ -348,7 +355,7 @@ def bessel_multiplier(m: float, Nprime: int = 4) -> Symbol:
     """sigma(xi) = <xi>^m, the smooth model multiplier of order m."""
     return _factored(SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=Nprime),
                      f"bessel:{m}",
-                     xi_factor=_radial(lambda r2: np.sqrt(1.0 + r2) ** m + 0j))
+                     xi_factor=_radial(lambda r2: np.sqrt(1.0 + r2) ** m))
 
 
 def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
@@ -393,19 +400,15 @@ def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
     cs = np.asarray(coeffs)
     omega = 2.0 * math.pi / period
 
+    def series(t):
+        return 1.0 + (np.cos(omega * np.multiply.outer(t, ks)) * cs).sum(axis=-1)
+
     def factor(x):
         if isinstance(x, Grid):
-            series = 1.0 + (np.cos(omega * np.multiply.outer(x.axis_coords(), ks))
-                            * cs).sum(axis=-1)
-            out = np.ones(x.shape, dtype=np.complex128)
-            for axis in range(x.dim):
-                out = out * series.reshape((-1,) + (1,) * (x.dim - 1 - axis))
-            return out
-        out = np.ones(x.shape[:-1], dtype=np.complex128)
-        for axis in range(x.shape[-1]):
-            phases = np.cos(omega * np.multiply.outer(x[..., axis], ks))
-            out = out * (1.0 + (phases * cs).sum(axis=-1))
-        return out
+            on_axis = series(x.axis_coords())
+            return math.prod(on_axis.reshape((-1,) + (1,) * (x.dim - 1 - axis))
+                             for axis in range(x.dim))
+        return math.prod(series(x[..., axis]) for axis in range(x.shape[-1]))
 
     return _factored(SymbolClassParams(m=0.0, rho=1.0, delta=0.0, N=N, Nprime=0),
                      f"trig:{len(coeffs)}", x_factor=_takes_grid(factor))

@@ -1,5 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +172,38 @@ class TestCzCommand:
         rows = (tmp_path / "cz-check-ratios.csv").read_text().splitlines()
         assert rows[0] == "j_or_t,measured,predicted,ratio,pass"
         assert len(rows) == 3
+
+
+    def test_sweep_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma for its NaN check, about 15 ms a process
+        code = ("import sys; from psidolab import cli; "
+                "code = cli.main(sys.argv[1:]); "
+                "assert code == 0, code; "
+                "assert 'numpy.ma' not in sys.modules")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", code, "cz-check", "--symbol",
+                        "bessel:-4", "--d", "2", "--n", "64", "--R", "4",
+                        "--l", "1", "--x0prime", "0", "--Nconst", "3",
+                        "--pbar", "2", "--t", "0.5,1,2", "--out-dir", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        report = json.loads((tmp_path / "cz-check-report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        ratios = checks["ratios_finite"]["ratios"]
+        assert len(ratios) == 3
+        assert checks["sweep_stability"]["median"] == float(np.median(ratios))
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [0.1, 0.7, 0.2], [0.1, 0.7, 0.2, 0.3],
+        [1e308, 1.7e308], [math.inf, 1.0], [1.0, math.inf, 2.0],
+        [1.0, math.nan, 2.0], [math.nan, 0.5],
+        list(np.random.default_rng(4).uniform(0, 1, 10)),
+        list(np.random.default_rng(5).uniform(0, 1, 11))])
+    def test_median_bits_match_numpy(self, values):
+        with np.errstate(over="ignore"):
+            want = np.float64(np.median(values))
+        got = np.float64(cli._median(values))
+        assert got.view(np.uint64) == want.view(np.uint64)
 
 
 class TestVerifyCommand:

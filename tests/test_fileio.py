@@ -1,4 +1,5 @@
 import csv
+import math
 import struct
 import tracemalloc
 
@@ -46,6 +47,31 @@ def test_pslb_payload_bytes_without_a_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < vals.nbytes / 4
+
+
+def test_pslb_round_trip_keeps_signed_zeros(tmp_path):
+    # the payload is read as complex128 in place: (1, -0) and (-0, 2) come
+    # back with their signs, where re + 1j * im made both zeros +0
+    g = Grid(1, 8, 1.0)
+    vals = np.array([complex(1.0, -0.0), complex(-0.0, 2.0),
+                     complex(-0.0, -0.0), complex(3.0, 4.0)] * 2)
+    path = tmp_path / "f.bin"
+    write_pslb(path, SampledFunction(g, vals))
+    back = read_pslb(path)
+    assert back.values.dtype == np.complex128
+    assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pslb_rejects_nonfinite_payload(tmp_path, bad):
+    g = Grid(1, 8, 1.0)
+    path = tmp_path / "f.bin"
+    write_pslb(path, SampledFunction(g, np.ones(8)))
+    data = bytearray(path.read_bytes())
+    data[-8:] = struct.pack("<d", bad)
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidInputError, match="^values contain NaN or Inf samples$"):
+        read_pslb(path)
 
 
 def test_pslb_rejects_bad_magic(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -20,10 +21,11 @@ from psidolab import (Grid, InvalidInputError, PreconditionError,
                       dyadic_envelope_check, fourier_transform, kernel_piece,
                       kernel_sum, low_pass_cutoff, mixed_norm, MixedExponent,
                       offsupport_apply, operator_norm_estimate, quadrature,
-                      random_band_limited, ring_cutoff, separable_symbol,
-                      smoothness_coefficients, trig_multiplication,
+                      random_band_limited, ring_cutoff, SampleSpec,
+                      separable_symbol, smoothness_coefficients,
+                      trig_multiplication, verify_symbol_class,
                       wave_multiplier, with_params)
-from psidolab import cli, operators
+from psidolab import cli, estimates, operators, symbols
 from conftest import gaussian
 
 
@@ -640,6 +642,97 @@ class TestFactorSamples:
         finally:
             sys.setswitchinterval(interval)
         assert len(matches) == rounds * len(threads) and all(matches)
+
+
+def complex_twin(s: Symbol) -> Symbol:
+    """s with every factor returning its values as complex128, (b, +0j),
+    the samples real factors gave before they were kept real."""
+    def twin(factor):
+        if factor is None:
+            return None
+
+        @functools.wraps(factor)   # keeps the takes_grid mark
+        def complex_factor(p):
+            return np.asarray(factor(p), dtype=np.complex128)
+
+        return complex_factor
+
+    return symbols._factored(s.params, s.label, x_factor=twin(s.x_factor),
+                             xi_factor=twin(s.xi_factor))
+
+
+def real_factor_symbols(period: float) -> list:
+    trig = trig_multiplication(smoothness_coefficients(2, 6), period, N=2)
+    return [bessel_multiplier(-1.0), trig, constant_symbol(2.0),
+            separable_symbol(trig, bessel_multiplier(-1.0))]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+class TestRealFactors:
+    """Real factors sample as float64 and every consumer casts them to
+    (b, +0), so each result has the bits of a twin whose factors return
+    complex128.  conj((b, +0)) is (b, -0): the adjoint could differ from
+    the twin's in the sign of an exact zero, which generic inputs never
+    produce."""
+
+    def test_dtype_rule(self):
+        g = Grid(2, 8, 3.0)
+        bessel = bessel_multiplier(-1.0)
+        user_real = Symbol(lambda x, xi: np.cos(xi[..., 0]) + 0j,
+                           SymbolClassParams(m=0.0), "multiplier",
+                           xi_factor=lambda xi: np.cos(xi[..., 0]))
+        user_complex = Symbol(lambda x, xi: np.exp(1j * xi[..., 0]),
+                              SymbolClassParams(m=0.0), "multiplier",
+                              xi_factor=lambda xi: np.exp(1j * xi[..., 0]))
+        from_evaluator = Symbol(bessel.evaluator, bessel.params, "multiplier")
+        cases = [(s, np.float64) for s in real_factor_symbols(6.0)
+                 + [constant_symbol(-3 + 0j), user_real]]
+        cases += [(s, np.complex128) for s in (
+            wave_multiplier(0.0), constant_symbol(2.0 - 1.5j),
+            constant_symbol(complex(1.0, -0.0)), user_complex, from_evaluator)]
+        for s, dtype in cases:
+            for which, grid in (("x", g), ("xi", g.dual())):
+                if getattr(s, f"{which}_factor") is not None:
+                    got = s.sampled_factor(which, grid)
+                    assert got.dtype == dtype, (s.label, which)
+                    assert not got.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_complex_twin(self, d):
+        g = Grid(d, 16, 4.0)
+        rng = np.random.default_rng(20 + d)
+        f = random_band_limited(g, rng)
+        stack = np.stack([f.values, random_band_limited(g, rng).values])
+        x = g.axis_coords()[[3] * d]
+        spec = SampleSpec(dim=d, xi_max=8.0, num_x=3, num_xi=8)
+        exponents = [MixedExponent.uniform(2.0, d), MixedExponent.uniform(4.0, d),
+                     MixedExponent((3.0, 1.5, 1.25)[:d])]
+        for s in real_factor_symbols(2 * g.half_extent):
+            t = complex_twin(s)
+            for op in (apply_psido, discrete_adjoint_apply):
+                assert np.array_equal(bits(op(s, f).values), bits(op(t, f).values)), s.label
+            plans = operators.operator_plan(s, g), operators.operator_plan(t, g)
+            for v in (f.values, stack):
+                assert np.array_equal(bits(plans[0].apply(v)), bits(plans[1].apply(v)))
+                assert np.array_equal(bits(plans[0].adjoint(v)), bits(plans[1].adjoint(v)))
+            at = None if s.x_independent else x
+            dds = [dyadic_decompose(sym, g, default_levels(g)) for sym in (s, t)]
+            assert np.array_equal(bits(dds[0].sum_values(at)), bits(dds[1].sum_values(at)))
+            for j in range(dds[0].levels + 1):
+                assert np.array_equal(bits(dds[0].piece_values(j, at)),
+                                      bits(dds[1].piece_values(j, at)))
+            assert np.array_equal(bits(kernel_sum(dds[0], at).values),
+                                  bits(kernel_sum(dds[1], at).values))
+            for p in exponents:
+                assert estimates._norm_bracket(s, g, p) == estimates._norm_bracket(t, g, p)
+            ours, theirs = (verify_symbol_class(sym, spec, cap=10.0) for sym in (s, t))
+            assert [(e.alpha, e.beta, float(e.fitted_constant).hex(), e.witness_x,
+                     e.witness_xi, e.passed) for e in ours.entries] == \
+                [(e.alpha, e.beta, float(e.fitted_constant).hex(), e.witness_x,
+                  e.witness_xi, e.passed) for e in theirs.entries], s.label
 
 
 class TestDyadicDecomposition:

@@ -296,9 +296,14 @@ def points_path(s: Symbol) -> Symbol:
                   xi_factor=unmarked(s.xi_factor), label=s.label)
 
 
+# labels of the grid_path_symbols whose factors have complex values
+COMPLEX_FACTORS = ("wave:", "const:(2-1.5j)")
+
+
 class TestGridFactorPath:
-    """Built-in factors sampled from a Grid's axes give the bits of the
-    same factors evaluated at every grid point."""
+    """Built-in factors sampled from a Grid's axes give the bits, and the
+    dtype, of the same factors evaluated at every grid point: float64 for
+    the real ones, complex128 for wave and a complex const."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [10, 18])
@@ -311,9 +316,11 @@ class TestGridFactorPath:
                 if factor is None:
                     continue
                 assert factor.takes_grid is True
+                dtype = np.complex128 if s.label.startswith(COMPLEX_FACTORS) else np.float64
                 for grid in (g, g.dual()):
                     got = s.sampled_factor(which, grid)
-                    want = np.asarray(factor(grid.coord_stack()), dtype=np.complex128)
+                    want = np.asarray(factor(grid.coord_stack()))
+                    assert got.dtype == want.dtype == dtype, (s.label, which)
                     assert got.shape == want.shape == grid.shape
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
                         (s.label, which, grid)
@@ -328,7 +335,8 @@ class TestGridFactorPath:
         s = trig_multiplication(smoothness_coefficients(2, terms), 2 * g.half_extent)
         for grid in (g, g.dual()):
             got = s.sampled_factor("x", grid)
-            want = np.asarray(s.x_factor(grid.coord_stack()), dtype=np.complex128)
+            want = np.asarray(s.x_factor(grid.coord_stack()))
+            assert got.dtype == want.dtype == np.float64
             assert got.shape == want.shape == grid.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid
 
