@@ -212,10 +212,10 @@ def _decomposition(params):
 
 def _run_dyadic(params):
     dd, x = _decomposition(params)
-    sym = dd.symbol_values(x)
+    sym = dd.symbol_values(x, dd.even)  # an even symbol on its orthant
     # a piece is zero outside its ring's box: its max, leak and sum are
     # there, and the boxes are nested, so the sum lives on the last one
-    rings = list(dd.rings())
+    rings = list(dd.rings(dd.even))
     top, n = rings[-1][0], dd.dual.points_per_axis
     origin = [b.indices(n)[0] for b in top]
     total = np.zeros(sym[top].shape, dtype=np.complex128)
@@ -225,7 +225,7 @@ def _run_dyadic(params):
         part = total[tuple(slice(b.indices(n)[0] - o, b.indices(n)[1] - o)
                            for b, o in zip(box, origin))]
         part += piece
-        mag, r = np.abs(piece), dd.dual.radius(box)
+        mag, r = np.abs(piece), dd.radius(box, dd.even)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)) if j else r > 2.0
         leak = float(np.max(mag, where=outside, initial=0.0))
         rows.append(reporting.sweep_row(j, float(np.max(mag)), None, leak,

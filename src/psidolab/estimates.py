@@ -78,7 +78,8 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
     log-spaced radial shells and the smallest envelope constant C with
     |k(z)| <= C |z|^predicted on the window.  Window points have all
     |z_k| <= z_hi, so only that centred box is read (1/8 of the grid at
-    d=3 for z_hi = R/2) and the shells are cut from the window's points.
+    d=3 for z_hi = R/2; an even kernel unfolds that box alone) and the
+    shells are cut from the window's points.
     """
     if num_shells < 2:
         raise InvalidInputError(f"num_shells must be at least 2, got {num_shells}")
@@ -106,7 +107,7 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
     in_window = (radius >= z_lo) & (radius <= z_hi)
     if not in_window.any():
         raise InvalidInputError("window contains no grid points")
-    radius, mag = radius[in_window], np.abs(kernel.values[box][in_window])
+    radius, mag = radius[in_window], np.abs(kernel.on_box(box)[in_window])
     if float(mag.max()) == 0.0:
         return DecayFitResult(None, 0.0, exponent, (), (), True, True)
     edges = np.geomspace(z_lo, z_hi, num_shells + 1)

@@ -80,14 +80,14 @@ def write_radial_decay_csv(path, f: SampledFunction) -> None:
 
     Written as one string: the rows csv.writer would write for the same
     repr pairs (float reprs need no quoting, and str.format gives a
-    float's repr), with its \r\n endings.  The sorted radii repeat, so
-    each distinct radius is formatted once."""
+    float's repr), with its \r\n endings.  Rows repeat (mirror points of
+    an even kernel), so each distinct row is formatted once; neither
+    column holds -0.0 or NaN, so equal floats have equal reprs."""
     r = f.grid.radius().reshape(-1)
     order = np.argsort(r, kind="stable")
-    r = r[order]
-    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-    radii = np.array(list(map(repr, r[starts].tolist())), dtype=object)
-    column = np.repeat(radii, np.diff(np.r_[starts, r.size])).tolist()
-    mag = np.abs(f.values).reshape(-1)[order].tolist()
+    # (radius, |k|) as one complex key, built from the parts: 1j * inf is nan
+    pairs = np.stack((r[order], np.abs(f.values).reshape(-1)[order]), axis=-1)
+    rows, inverse = np.unique(pairs.view(np.complex128)[:, 0], return_inverse=True)
+    text = list(map("{},{}\r\n".format, rows.real.tolist(), rows.imag.tolist()))
     with _open(path, "w", newline="") as fh:
-        fh.write("abs_z,abs_k\r\n" + "".join(map("{},{}\r\n".format, column, mag)))
+        fh.write("abs_z,abs_k\r\n" + "".join([text[i] for i in inverse.tolist()]))

@@ -125,7 +125,9 @@ class Symbol:
     sampled from the grid's 1-D axis; they are marked by a true
     `takes_grid` attribute on the callable itself, so wrappers made with
     `functools.wraps` keep the mark.  `sampled_factor` passes the Grid to
-    a marked factor and the grid's coordinate stack to any other.  Real
+    a marked factor and the grid's coordinate stack to any other.  A true
+    `even` attribute, set alike, declares a factor even in each coordinate,
+    bit for bit (`bessel`, `wave`; see `operators.DyadicDecomposition`).  Real
     factor values (`bessel`, `trig`, a real `const`) are sampled as float64,
     any other as complex128; numpy casts a real b to (b, +0), the bits of
     a +0j sample, wherever it meets complex samples.
@@ -197,17 +199,18 @@ class Symbol:
         """
         return self.grid_memo(which, grid, lambda: self._sample_factor(which, grid))
 
-    def _sample_factor(self, which: str, grid) -> np.ndarray:
+    def _sample_factor(self, which: str, grid, points=None) -> np.ndarray:
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
-        arg = grid if getattr(factor, "takes_grid", False) else grid.coord_stack()
+        if points is None and not getattr(factor, "takes_grid", False):
+            points = grid.coord_stack()
         with np.errstate(**_QUIET):
-            values = np.asarray(factor(arg))
+            values = np.asarray(factor(grid if points is None else points))
         real = values.dtype.kind in "biuf"
         # a view, so the read-only flag never reaches an array the factor keeps
         values = values.astype(float if real else complex, copy=False).view()
         if not np.isfinite(values).all():
             raise _nonfinite_error(values, f"{self.label}: non-finite {which}_factor value",
-                                   **{which: grid.coord_stack()})
+                                   **{which: grid.coord_stack() if points is None else points})
         values.flags.writeable = False
         return values
 
@@ -250,11 +253,11 @@ def _nonfinite_error(values: np.ndarray, message: str,
     return SymbolEvaluationError(f"{message} at {named}")
 
 
-def factor_product(a, b) -> Optional[np.ndarray]:
-    """a * b as complex128, the product a factored evaluator forms, or None
-    when a value is not finite (Symbol.eval then names the point)."""
+def factor_product(a, b, dtype=np.complex128) -> Optional[np.ndarray]:
+    """a * b as complex128 (or dtype), the product a factored evaluator
+    forms, or None when a value is not finite (Symbol.eval names it)."""
     with np.errstate(**_QUIET):
-        values = np.asarray(a * b, dtype=np.complex128)
+        values = np.asarray(a * b, dtype=dtype)
     return values if np.isfinite(values).all() else None
 
 
@@ -313,11 +316,12 @@ def _radial(profile: Callable) -> Callable:
     """The factor profile(|p|^2) of points p (..., dim) or of a Grid's points.
 
     On a grid |p|^2 comes from `Grid.squared_radius`, whose bits equal the
-    sum over the coordinate axis of the points."""
+    sum over the coordinate axis of the points.  It is even (see `Symbol`)."""
     def factor(p):
         return profile(p.squared_radius() if isinstance(p, Grid)
                        else np.sum(p**2, axis=-1))
 
+    factor.even = True
     return _takes_grid(factor)
 
 

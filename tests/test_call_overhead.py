@@ -24,6 +24,8 @@ def test_prints_every_entry_point_on_every_grid():
         assert us > 0 and floor_us > 0 and ratio > 0
         if r[2:-4] == ["ascent", "per", "start"]:
             assert r[-3] == "2fftn+2ifftn"
+        # an even kernel sum ends in the orthant's DCT, its floor
+        assert (r[-3] == "rfft-dct") == (r[2] == "kernel_sum")
 
 
 def test_rejects_zero_repeats():

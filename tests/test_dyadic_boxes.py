@@ -6,9 +6,14 @@ which it is exactly zero, and `sum_values` (so `kernel_sum`),
 handlers work on those boxes only.  The references here are the
 whole-grid computations: `whole_grid_rings` walks every cutoff on the
 whole grid (the box of every ring is then the grid), and `whole_grid_*`
-are the full-grid loops.  Every comparison is of uint64 views.
+are the full-grid loops.  Every comparison is of uint64 views, except
+where an even symbol's kernel or CLI figures come from the nonnegative
+orthant: those are held to the orthant's bounds against the whole grid
+(see `within_kernel_bound` and `assert_figures_close`).
 """
 
+import csv
+import io
 import json
 import math
 
@@ -67,8 +72,9 @@ def same_bits(a, b):
     return np.array_equal(bits(a), bits(b))
 
 
-def whole_grid_rings(dd):
+def whole_grid_rings(dd, orthant=False):
     """The cutoffs of pieces 0..levels, each on the whole grid."""
+    assert not orthant
     whole = (slice(None),) * dd.grid.dim
     for j in range(dd.levels + 1):
         yield whole, dd.cutoff_values(j)
@@ -121,6 +127,17 @@ def whole_grid_decay_fit(kernel, window, params, num_shells):
                           False, bool(np.isfinite(envelope)))
 
 
+def within_kernel_bound(got, want):
+    """Kernel samples within 1e-14 of max|k| of the reference."""
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def orthant_index(dd):
+    """Dual index per axis of the orthant: FFT order 0..n/2, with -n/2."""
+    n = dd.grid.points_per_axis
+    return np.r_[n // 2:n, 0]
+
+
 def box_side(dd, j):
     """Points per axis with |xi_k| < 2^(j+1) + dxi, counted on the axis."""
     axis = dd.dual.axis_coords()
@@ -147,7 +164,16 @@ def test_sum_and_kernel_sum_match_the_whole_grid(d, n, R, levels, spec):
     want = whole_grid_sum(dd, x)
     assert same_bits(dd.sum_values(x), want)
     back = fourier_transform(SampledFunction(dd.dual, want), "inverse")
-    assert same_bits(kernel_sum(dd, x).values, back.values)
+    got = kernel_sum(dd, x).values
+    # every symbol here but the general and the x-only one is even, and
+    # its kernel comes from the orthant, whose sum has the whole grid's bits
+    assert dd.even == (spec not in ("general", "trig:2,6"))
+    if dd.even:
+        index = np.ix_(*[orthant_index(dd)] * d)
+        assert same_bits(dd.sum_values(x, orthant=True), want[index])
+        assert within_kernel_bound(got, back.values)
+    else:
+        assert same_bits(got, back.values)
 
 
 @pytest.mark.parametrize("d, n, R, levels, spec", CASES, ids=ids(CASES))
@@ -225,29 +251,33 @@ def test_each_cutoff_is_evaluated_on_its_box_only(monkeypatch, tmp_path):
     dyadic_envelope_check(dd, 0, (0,) * 3, (0,) * 3, x=x)
     assert sizes == want
     sizes.clear()
+    # sep is even, so the CLI cuts each ring on the orthant's part of its box
     assert cli.main(["dyadic", "--symbol", "sep:2,6:-1", "--d", "3", "--n", "32",
                      "--R", "2", "--levels", "3", "--x=-0.0,0.375,-0.0",
                      "--out-dir", str(tmp_path)]) == 0
-    assert sizes == want
+    assert sizes == [(box_side(dd, j) // 2 + 1) ** 3 for j in range(dd.levels + 1)]
 
 
 @pytest.mark.parametrize("spec", ["bessel:-1", "sep:2,6:-1"])
 def test_dyadic_walk_forms_no_whole_grid_radius(spec, monkeypatch, tmp_path):
     # the rings, the leak check and the reconstruction check take |xi| on
-    # the rings' boxes, the top one short of the whole grid here
-    boxes = []
+    # the rings' boxes, on the orthant for these even symbols, the top one
+    # short of the whole orthant here
+    sizes = []
     plain = Grid.radius
 
     def recorded(grid, box=None):
-        boxes.append(box)
-        return plain(grid, box)
+        assert box is not None
+        out = plain(grid, box)
+        sizes.append(out.size)
+        return out
 
     monkeypatch.setattr(Grid, "radius", recorded)
     assert cli.main(["dyadic", "--symbol", spec, "--d", "3", "--n", "32", "--R", "2",
                      "--levels", "3", "--x=-0.0,0.375,-0.0",
                      "--out-dir", str(tmp_path)]) == 0
-    assert len(boxes) == 2 * 4 and None not in boxes
-    assert boxes[-1] != (slice(0, 32),) * 3
+    assert len(sizes) == 2 * 4
+    assert sizes[-1] < (32 // 2 + 1) ** 3
 
 
 def report(path, out_dir):
@@ -256,11 +286,75 @@ def report(path, out_dir):
     return rep
 
 
+def sweep_rows(rows):
+    """Sweep-table rows, from a report or parsed from its CSV, as numbers."""
+    def value(key, v):
+        if isinstance(v, str):
+            return None if v == "" else v == "True" if key == "pass" else float(v)
+        return v
+    return [{k: value(k, v) for k, v in row.items()} for row in rows]
+
+
+def assert_figures_close(got, want):
+    """An even symbol's CLI outputs from the orthant against the full
+    path's: the same keys, flags, radii and row layout; each `dyadic`
+    figure (piece max, leak, reconstruction error) within 1e-14 of
+    max|sigma|; the kernel-decay slope, envelope and predicted bounds
+    within 1e-13 relative; shell maxima and radial |k| within 1e-14 of
+    max|k|, and each shell's ratio within what those allow."""
+    (reports, csvs), (want_reports, want_csvs) = got, want
+    assert csvs.keys() == want_csvs.keys()
+    tables = {}
+    for name, text in want_csvs.items():
+        rows = list(csv.DictReader(io.StringIO(text.decode())))
+        got_rows = list(csv.DictReader(io.StringIO(csvs[name].decode())))
+        if name == "decay.csv":
+            maxk = max(float(row["abs_k"]) for row in rows)
+            assert [row["abs_z"] for row in got_rows] == [row["abs_z"] for row in rows]
+            assert max(abs(float(a["abs_k"]) - float(b["abs_k"]))
+                       for a, b in zip(got_rows, rows)) <= 1e-14 * maxk
+        else:
+            tables[name.rsplit("-", 1)[0]] = (sweep_rows(got_rows), sweep_rows(rows))
+    for rep, want_rep in zip(reports, want_reports):
+        kind = want_rep["experiment"]
+        name, rows = next(iter(want_rep["tables"].items()))
+        pairs = [(sweep_rows(rep["tables"][name]), sweep_rows(rows)), tables[kind]]
+        scale = max(row["measured"] for row in rows)  # max|sigma| for dyadic
+        for check, want_check in zip(rep.pop("checks"), want_rep.pop("checks")):
+            assert check.keys() == want_check.keys()
+            for key, w in want_check.items():
+                g = check[key]
+                if isinstance(w, float):
+                    tol = 1e-14 * scale if kind == "dyadic" else 1e-13 * abs(w)
+                    assert abs(g - w) <= tol, (kind, key, g, w)
+                else:
+                    assert g == w, (kind, key)
+        for got_rows, want_rows in pairs:
+            assert len(got_rows) == len(want_rows)
+            for g, w in zip(got_rows, want_rows):
+                assert g["j_or_t"] == w["j_or_t"] and g["pass"] == w["pass"]
+                if kind == "dyadic":
+                    assert g["predicted"] is w["predicted"] is None
+                    for key in ("measured", "ratio"):
+                        assert abs(g[key] - w[key]) <= 1e-14 * scale, (key, g, w)
+                    continue
+                bound = w["predicted"]
+                assert abs(g["measured"] - w["measured"]) <= 1e-14 * maxk, (g, w)
+                assert abs(g["predicted"] - bound) <= 1e-13 * bound, (g, w)
+                assert abs(g["ratio"] - w["ratio"]) <= (1e-13 * w["ratio"]
+                                                        + 1e-14 * maxk / bound), (g, w)
+        rep.pop("tables"), want_rep.pop("tables")
+        assert rep == want_rep
+
+
 @pytest.mark.parametrize("d, n, R, levels, spec", CASES, ids=ids(CASES))
 def test_cli_outputs_match_the_whole_grid(d, n, R, levels, spec, monkeypatch,
                                           tmp_path):
     # the dyadic report and pieces CSV; for rho > 0 also the kernel-decay
-    # report, shells CSV and radial CSV
+    # report, shells CSV and radial CSV.  The "whole" side runs the full
+    # complex path: no even declaration, every ring on the whole grid.
+    # Other symbols keep their bytes; an even symbol's figures come from
+    # the orthant, within its bounds
     if spec == "general":  # no spec string reaches a coupled symbol
         monkeypatch.setattr(cli, "parse_symbol_spec", lambda s, period: coupled())
     common = ["--symbol", spec, "--d", str(d), "--n", str(n), "--R", str(R),
@@ -275,38 +369,55 @@ def test_cli_outputs_match_the_whole_grid(d, n, R, levels, spec, monkeypatch,
         out = tmp_path / side
         with monkeypatch.context() as m:
             if side == "whole":
+                m.setattr(DyadicDecomposition, "even", property(lambda dd: False))
                 m.setattr(DyadicDecomposition, "rings", whole_grid_rings)
             for command in commands:
                 csv = ["--decay-csv", str(out / "decay.csv")] if command != ["dyadic"] else []
                 assert cli.main(command + csv + common + ["--out-dir", str(out)]) == 0
         outputs[side] = ([report(path, out) for path in sorted(out.glob("*.json"))],
-                         [path.read_bytes() for path in sorted(out.glob("*.csv"))])
+                         {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
     assert len(outputs["boxes"][1]) == 2 * len(commands) - 1
-    assert outputs["boxes"] == outputs["whole"]
+    if case(d, n, R, levels, spec)[0].even:
+        assert_figures_close(outputs["boxes"], outputs["whole"])
+    else:
+        assert outputs["boxes"] == outputs["whole"]
 
 
 @pytest.mark.parametrize("d, j", [(2, 2), (2, 3), (3, 2)])
 def test_ring_support_fails_on_a_planted_leak(d, j, monkeypatch, tmp_path, capsys):
-    # ring j with a nonzero value at its box centre, xi = 0, where
-    # |xi| < 2^(j-1): the dyadic run must report exactly that leak for
-    # piece j (|bessel:-1| is 1 at xi = 0) and fail ring_support; the
-    # centre is in no box's first row, so a leak read from one row misses it
+    # ring j with a nonzero value where |xi| < 2^(j-1), on the orthant the
+    # CLI takes for bessel:-1 and on the whole grid (even declaration
+    # cleared): at the whole grid's box centre, xi = 0, and at the
+    # orthant's index (1, 0, ...), |xi| = pi/R.  The dyadic run must report
+    # exactly that leak for piece j and fail ring_support.  Neither point
+    # is in its box's first row, so a leak read from one row misses it
     planted = 0.25
     plain = DyadicDecomposition.rings
+    for orthant in (True, False):
+        leaks = []
 
-    def leaky(dd):
-        for k, (box, ring) in enumerate(plain(dd)):
-            if k == j:
-                centre = tuple(side // 2 for side in ring.shape)
-                assert dd.dual.radius(box)[centre] == 0.0
-                ring = ring.copy()
-                ring[centre] = planted
-            yield box, ring
+        def leaky(dd, on_orthant=False):
+            assert on_orthant == orthant
+            sym = dd.symbol_values(None, on_orthant)
+            for k, (box, ring) in enumerate(plain(dd, on_orthant)):
+                if k == j:
+                    at = ((1,) + (0,) * (d - 1) if on_orthant
+                          else tuple(side // 2 for side in ring.shape))
+                    assert dd.radius(box, on_orthant)[at] < 2.0 ** (j - 1)
+                    ring = ring.copy()
+                    ring[at] = planted
+                    leaks.append(abs(sym[box][at] * planted))
+                yield box, ring
 
-    monkeypatch.setattr(DyadicDecomposition, "rings", leaky)
-    assert cli.main(["dyadic", "--symbol", "bessel:-1", "--d", str(d), "--n", "16",
-                     "--R", "2", "--levels", "3", "--out-dir", str(tmp_path)]) == 1
-    assert "FAIL ring_support" in capsys.readouterr().out.splitlines()
-    rows = json.loads((tmp_path / "dyadic-report.json").read_text())["tables"]["pieces"]
-    assert [(row["ratio"], row["pass"]) for row in rows] == [
-        (planted if k == j else 0.0, k != j) for k in range(4)]
+        out = tmp_path / str(orthant)
+        with monkeypatch.context() as m:
+            m.setattr(DyadicDecomposition, "rings", leaky)
+            if not orthant:
+                m.setattr(DyadicDecomposition, "even", property(lambda dd: False))
+            assert cli.main(["dyadic", "--symbol", "bessel:-1", "--d", str(d), "--n",
+                             "16", "--R", "2", "--levels", "3", "--out-dir", str(out)]) == 1
+        assert "FAIL ring_support" in capsys.readouterr().out.splitlines()
+        rows = json.loads((out / "dyadic-report.json").read_text())["tables"]["pieces"]
+        assert leaks[0] > 0 and (leaks[0] == planted) == (not orthant)
+        assert [(row["ratio"], row["pass"]) for row in rows] == [
+            (leaks[0] if k == j else 0.0, k != j) for k in range(4)]

@@ -116,6 +116,43 @@ def test_csv_exports(tmp_path):
         assert kpath.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+def test_radial_csv_on_mirror_symmetric_input(tmp_path, d, n):
+    # an even kernel unfolded from the orthant: mirror points repeat both
+    # radius and |k|, some |k| repeat across radii, and the radii tie; the
+    # rows are still byte for byte the per-row writer's, also where |k|
+    # overflows to inf
+    g = Grid(d, n, 1.5)
+    rng = np.random.default_rng(d)
+    orthant = rng.choice([0.0, 0.5, -2.25, 1e-300, 3.0 + 4.0j, 1.7e308 - 1.7e308j],
+                         (n // 2 + 1,) * d)
+    fold = np.abs(np.arange(n) - n // 2)
+    f = SampledFunction(g, orthant[np.ix_(*[fold] * d)])
+    mag = np.abs(f.values).reshape(-1)
+    pairs = np.unique(np.stack((g.radius().reshape(-1), mag), axis=-1), axis=0)
+    assert len(pairs) < len(np.unique(mag)) * len(np.unique(g.radius()))
+    assert len(pairs) < g.total_points // 2
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_radial_decay_csv(got, f)
+    reference_radial_csv(want, f)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_kernel_decay_csv_is_the_per_row_writers(tmp_path):
+    # the CLI writes the unfolded orthant kernel of bessel:-1
+    from psidolab import cli, dyadic_decompose, kernel_sum
+    from psidolab.symbols import bessel_multiplier
+    path = tmp_path / "decay.csv"
+    assert cli.main(["kernel-decay", "--symbol", "bessel:-1", "--d", "2", "--n", "64",
+                     "--R", "3", "--levels", "4", "--decay-csv", str(path),
+                     "--out-dir", str(tmp_path)]) == 0
+    kernel = kernel_sum(dyadic_decompose(bessel_multiplier(-1.0), Grid(2, 64, 3), 4))
+    assert kernel.even
+    want = tmp_path / "want.csv"
+    reference_radial_csv(want, kernel.sampled())
+    assert path.read_bytes() == want.read_bytes()
+
+
 def reference_radial_csv(path, f):
     """The radial decay CSV written one csv.writer row at a time."""
     r = f.grid.radius().reshape(-1)

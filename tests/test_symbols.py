@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -357,6 +358,61 @@ class TestGridFactorPath:
         trig_message = f"non-finite x_factor value at x={g.coord_stack()[1, 1].tolist()}"
         with pytest.raises(SymbolEvaluationError, match=re.escape(trig_message)):
             cases[0][1].sampled_factor("x", g)
+
+
+class TestEvenDeclaration:
+    """A factor's `even` attribute declares its value bit for bit unchanged
+    by a sign flip of any coordinate; the dyadic kernels of an even
+    frequency factor are computed on the nonnegative orthant."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_declared_factors_are_even(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        points = rng.uniform(-50.0, 50.0, (64, dim)) * rng.choice(
+            [1e-3, 1.0, 1e3], (64, 1))
+        declared = []
+        for s in grid_path_symbols(2.0) + [bessel_multiplier(3.0), wave_multiplier(2.0)]:
+            for factor in (s.x_factor, s.xi_factor):
+                if factor is None or not getattr(factor, "even", False):
+                    continue
+                declared.append(s.label)
+                want = np.asarray(factor(points))
+                # -P, and a sign flip of each coordinate alone
+                flips = [-np.ones(dim)] + [np.where(np.arange(dim) == k, -1.0, 1.0)
+                                           for k in range(dim)]
+                for flip in flips:
+                    got = np.asarray(factor(points * flip))
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                        (s.label, flip)
+        # every radial built-in declares it, with both of its profiles
+        assert sorted(set(declared)) == ["bessel:-1.0", "bessel:0.5", "bessel:3.0",
+                                         "sep(trig:6,bessel:-1.0)", "wave:-1.5",
+                                         "wave:0.0", "wave:2.0"]
+
+    def test_only_radial_factors_declare_it(self):
+        for s in builtin_symbols(2.0):
+            for factor in (s.x_factor, s.xi_factor):
+                if factor is not None:
+                    assert getattr(factor, "even", False) == (factor is s.xi_factor), s.label
+
+    def test_user_factors_are_not_even_unless_they_say_so(self):
+        xi_factor = lambda xi: 1.0 / (1.0 + np.sum(xi**2, axis=-1))  # noqa: E731
+        s = Symbol(lambda x, xi: xi_factor(xi) + 0j, SymbolClassParams(m=-2.0),
+                   "multiplier", xi_factor=xi_factor)
+        assert not getattr(s.xi_factor, "even", False)
+        bare = Symbol(s.evaluator, s.params, "multiplier")  # samples its evaluator
+        assert not getattr(bare.xi_factor, "even", False)
+        xi_factor.even = True
+        assert s.xi_factor.even is True
+
+    def test_wrapped_factor_keeps_the_flag(self):
+        factor = bessel_multiplier(-1.0).xi_factor
+
+        @functools.wraps(factor)
+        def wrapped(p):
+            return factor(p)
+
+        assert wrapped.even is True and wrapped.takes_grid is True
 
 
 class TestFiniteDifference:
