@@ -225,7 +225,7 @@ def _run_dyadic(params):
         part = total[tuple(slice(b.indices(n)[0] - o, b.indices(n)[1] - o)
                            for b, o in zip(box, origin))]
         part += piece
-        mag, r = np.abs(piece), dd.radius(box, dd.even)
+        mag, r = np.abs(piece), dd.dual.radius(dd.orthant_box(box) if dd.even else box)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)) if j else r > 2.0
         leak = float(np.max(mag, where=outside, initial=0.0))
         rows.append(reporting.sweep_row(j, float(np.max(mag)), None, leak,

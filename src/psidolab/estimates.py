@@ -77,9 +77,8 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
     Returns the least-squares slope of log max|k| over num_shells >= 2
     log-spaced radial shells and the smallest envelope constant C with
     |k(z)| <= C |z|^predicted on the window.  Window points have all
-    |z_k| <= z_hi, so only that centred box is read (1/8 of the grid at
-    d=3 for z_hi = R/2; an even kernel unfolds that box alone) and the
-    shells are cut from the window's points.
+    |z_k| <= z_hi, so only that centred box is read (or unfolded; 1/8 of
+    the grid at d=3 for z_hi = R/2) and the shells are cut from its points.
     """
     if num_shells < 2:
         raise InvalidInputError(f"num_shells must be at least 2, got {num_shells}")

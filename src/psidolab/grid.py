@@ -360,19 +360,16 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
 def even_inverse_transform(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The inverse `fourier_transform`, to roundoff, of frequency samples
-    even in each coordinate, on the nonnegative orthant (FFT indices 0..n/2
-    per axis, -n/2 standing in for +n/2) in and out: per axis the DCT-I,
-    the real part of the `rfft` of the even extension (Makhoul, IEEE TASSP
-    28, 1980; Martucci, IEEE TSP 42, 1994), real for real samples."""
-    # (re,) or (re, im) per sample: each part transforms alone
+    """The inverse `fourier_transform`, to roundoff, of samples even in each
+    coordinate, on the nonnegative orthant (FFT indices 0..n/2 per axis) in
+    and out: per axis and part (re, im) the DCT-I, the real part of the `rfft`
+    of the even extension (Makhoul, IEEE TASSP 28, 1980; Martucci, IEEE TSP 42, 1994)."""
     parts = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (-1,))
     for axis in range(grid.dim):
         mirror = parts[(slice(None),) * axis + (slice(-2, 0, -1),)]
         parts = np.fft.rfft(np.concatenate((parts, mirror), axis=axis), axis=axis).real
     scale = (grid.points_per_axis * grid.dual().spacing) ** -grid.dim
-    out = np.multiply(parts, scale, order="C")
-    out = out[..., 0] if out.shape[-1] == 1 else out.view(np.complex128)[..., 0]
+    out = np.multiply(parts, scale, order="C").view(values.dtype)[..., 0]
     if not _all_finite(out):
         raise InvalidInputError("values contain NaN or Inf samples")
     return out

@@ -20,11 +20,8 @@ matrix (for a general symbol, of the compressed one), realized
 matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 An `operator_plan` runs the same term loops on raw arrays, with the same
-bits, for callers that apply one operator many times.
-
-Dyadic kernels of even frequency factors (`bessel`, `wave`, `sep`) run
-on the dual grid's nonnegative orthant, within roundoff of the whole
-grid's (`DyadicDecomposition` states the bounds).
+bits, for callers that apply one operator many times.  Dyadic kernels of
+even symbols (`bessel`, `wave`, `sep`) take the dual grid's orthant.
 
 Each factor is sampled, and a general symbol compressed, once per grid:
 `Symbol.grid_memo` keeps the last grid's factor samples and
@@ -38,7 +35,6 @@ decompositions are pure given immutable inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -326,23 +322,18 @@ class DyadicDecomposition:
 
     Piece 0 is the low-frequency cap sigma * eta(|xi|); piece j >= 1 is
     sigma * zeta(2^-j |xi|), supported on 2^(j-1) <= |xi| <= 2^(j+1).
-    Pieces are evaluated lazily on the dual grid, or with `orthant=True`
-    on its nonnegative orthant (`_index`), with |xi| taken on every call.
-    `symbol_values` samples an x-dependent symbol afresh on every call,
-    so a caller walking all pieces at one x takes one sample and
-    multiplies it by each cutoff of `rings()`, as `sum_values` does.
-    Each ring comes on its support box, with |xi| on that box only.
-
-    There samples and rings have the whole grid's bits, whose other half
-    mirrors them to roundoff only.  An `even` frequency factor (`bessel`,
-    `wave`, `sep` on them) makes every piece even, and `kernel_sum`,
-    `kernel_piece` and the CLI `dyadic` and `kernel-decay` then run on the
-    orthant, 2^-d of the points.  Against the whole grid, on the tested
-    grids, kernels stay within 1e-14 of max|k|, decay slopes and envelopes
-    within 1e-13 relative and `dyadic` figures within 1e-14 relative; on
-    small grids, where a cutoff's steep edge magnifies the whole grid's
-    asymmetry, kernels moved up to 5e-14 of max|k|.  Other symbols, and
-    `dyadic_envelope_check` (odd along odd beta_k), take the whole grid.
+    Pieces are evaluated lazily on the dual grid, and |xi| is taken from
+    the grid on every call.  `symbol_values` samples an x-dependent symbol
+    afresh on every call, so a caller walking all pieces at one x takes
+    one sample and multiplies it by each cutoff of `rings()`, as
+    `sum_values` does.  Each ring comes on its support box, with |xi| on
+    that box only.  An `even` symbol's pieces are even: `kernel_sum`,
+    `kernel_piece` and the CLI `dyadic` and `kernel-decay` take them with
+    `orthant=True` on the nonnegative orthant (`orthant_box`), 2^-d of
+    the points; other symbols, and `dyadic_envelope_check` (odd along odd
+    beta_k), the whole grid.  Its other half mirrors the orthant only to
+    roundoff: kernels move up to 5e-14 of max|k|, `dyadic` figures 2e-14
+    of max|sigma|, decay fits as their samples carry them.
     """
 
     symbol: Symbol
@@ -354,52 +345,48 @@ class DyadicDecomposition:
         return self.grid.dual()
 
     @property
-    def even(self) -> bool:
-        """Whether the frequency factor declares itself even (see `Symbol`)."""
+    def even(self) -> bool:  # the frequency factor's declaration, see `Symbol`
         return getattr(self.symbol.xi_factor, "even", False)
 
-    def _index(self, box=None) -> np.ndarray:
-        """The orthant's dual grid index per axis (on a box of it): FFT order
-        0..n/2, the Nyquist index -n/2 (index 0) standing in for +n/2."""
+    def orthant_box(self, box=None) -> tuple:
+        """The dual grid indices of the orthant (of a box of it), per axis FFT
+        order 0..n/2, the Nyquist index -n/2 (index 0) standing in for +n/2."""
+        if not self.even:
+            raise InvalidInputError(f"{self.symbol.label} is not even: no orthant")
         n = self.grid.points_per_axis
-        return np.r_[n // 2:n, 0][box[0] if box else slice(None)]
-
-    def radius(self, box=None, orthant: bool = False) -> np.ndarray:
-        """|xi| on the dual grid or its orthant, or on a box of it."""
-        return self.dual.radius((self._index(box),) * self.grid.dim if orthant else box)
+        return (np.r_[n // 2:n, 0][box[0] if box else slice(None)],) * self.grid.dim
 
     def symbol_values(self, x=None, orthant: bool = False) -> np.ndarray:
         """The raw symbol on the dual grid or its orthant (at x if x-dependent).
 
         Read-only: the symbol's memoised factor sample for an x-independent
         symbol, else a sample evaluated at x on every call."""
-        s, d = self.symbol, self.grid.dim
+        s = self.symbol
         if s.x_independent:
             return self._xi_sample(orthant)
         if x is None:
             raise InvalidInputError(
                 "x is required for pieces of an x-dependent symbol")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (d,):
-            raise InvalidInputError(f"x has shape {x.shape}, expected ({d},)")
+        if x.shape != (self.grid.dim,):
+            raise InvalidInputError(f"x has shape {x.shape}, expected ({self.grid.dim},)")
         values = self._separable_values(x, orthant) if s.kind == "separable" else None
         if values is None:
             # a view, so the read-only flag never reaches an array the evaluator keeps
-            values = s.eval(x, self._points(orthant)).view()
+            values = s.eval(x, self._points() if orthant else self.dual.coord_stack()).view()
         values.flags.writeable = False
         return values
 
-    def _points(self, orthant: bool) -> np.ndarray:
-        """Every point of the dual grid or its orthant, shape (..., dim)."""
-        axis = self.dual.axis_coords()
-        axis = np.abs(axis[self._index()]) if orthant else axis
+    def _points(self) -> np.ndarray:
+        """Every point of the orthant, shape (..., dim)."""
+        axis = np.abs(self.dual.axis_coords()[self.orthant_box()[0]])
         return np.stack(np.meshgrid(*[axis] * self.grid.dim, indexing="ij"), axis=-1)
 
     def _xi_sample(self, orthant: bool) -> np.ndarray:
         s, dual = self.symbol, self.dual
         if not orthant:
             return s.sampled_factor("xi", dual)
-        return s.grid_memo("xi+", dual, lambda: s._sample_factor("xi", dual, self._points(True)))
+        return s.grid_memo("xi+", dual, lambda: s._sample_factor("xi", self._points()))
 
     def _separable_values(self, x: np.ndarray, orthant: bool) -> Optional[np.ndarray]:
         """x_factor(x) times the memoised xi factor sample, the evaluator's
@@ -409,14 +396,17 @@ class DyadicDecomposition:
         try:
             with np.errstate(all="ignore"):
                 a, b = self.symbol.x_factor(x), self._xi_sample(orthant)
+                if not orthant:
+                    return factor_product(a, b)
+                values = a * b
         except SymbolEvaluationError:
             return None
-        return factor_product(a, b, None if orthant else np.complex128)
+        return values if np.isfinite(values).all() else None
 
     def cutoff_values(self, j: int, orthant: bool = False) -> np.ndarray:
         if not 0 <= j <= self.levels:
             raise InvalidInputError(f"piece index {j} outside 0..{self.levels}")
-        r = self.radius(orthant=orthant)
+        r = self.dual.radius(self.orthant_box() if orthant else None)
         if j == 0:
             return low_pass_cutoff(r)
         return ring_cutoff(r / 2.0**j)
@@ -435,7 +425,7 @@ class DyadicDecomposition:
             box = dual.centred_box(2.0 ** (j + 1) + dual.spacing)
             if orthant:  # indices n/2.. of the box, and -n/2 if it holds index 0
                 box = (slice(0, box[0].stop - half + (box[0].start == 0)),) * self.grid.dim
-            low = low_pass_cutoff(self.radius(box, orthant) / 2.0**j)
+            low = low_pass_cutoff(dual.radius(self.orthant_box(box) if orthant else box) / 2.0**j)
             ring = low.copy()
             if below is not None:  # L_(j-1) is +0.0 outside its own box
                 start = box[0].start
@@ -451,8 +441,7 @@ class DyadicDecomposition:
         """Sum of all pieces; equals sigma * eta(2^-J |xi|) up to roundoff.
 
         One symbol sample times each of `rings()`, added on the ring's box:
-        outside, a signed zero would be added to a +0 total, which stays +0.
-        The total is complex128, on the orthant float64 for a real symbol."""
+        outside, a signed zero would be added to a +0 total, which stays +0."""
         sym = self.symbol_values(x, orthant)
         total = np.zeros(sym.shape, dtype=sym.dtype if orthant else np.complex128)
         for box, ring in self.rings(orthant):
@@ -486,9 +475,7 @@ def dyadic_decompose(s: Symbol, grid: Grid, levels: int) -> DyadicDecomposition:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Samples of a kernel slice k(x, .) in the offset variable z: on the
-    whole grid, or if `even` at offsets j h, j = 0..n/2 per axis, unfolded
-    (float64 for a real symbol) where `values` or `on_box` is read."""
+    """Samples of a kernel slice k(x, .) in z; if `even`, at offsets j h, j = 0..n/2 per axis."""
 
     grid: Grid
     samples: np.ndarray
@@ -498,7 +485,7 @@ class Kernel:
     x_point: Optional[tuple] = None
     even: bool = False
 
-    @functools.cached_property
+    @property
     def values(self) -> np.ndarray:
         return self.on_box((slice(None),) * self.grid.dim)
 

@@ -126,11 +126,10 @@ class Symbol:
     `takes_grid` attribute on the callable itself, so wrappers made with
     `functools.wraps` keep the mark.  `sampled_factor` passes the Grid to
     a marked factor and the grid's coordinate stack to any other.  A true
-    `even` attribute, set alike, declares a factor even in each coordinate,
-    bit for bit (`bessel`, `wave`; see `operators.DyadicDecomposition`).  Real
-    factor values (`bessel`, `trig`, a real `const`) are sampled as float64,
-    any other as complex128; numpy casts a real b to (b, +0), the bits of
-    a +0j sample, wherever it meets complex samples.
+    `even` attribute, set alike, declares it even in each coordinate, bit
+    for bit.  Real factor values (`bessel`, `trig`, a real `const`) are
+    sampled as float64, any other as complex128; numpy casts a real b to
+    (b, +0), the bits of a +0j sample, wherever it meets complex samples.
 
     `grid_memo` keeps one entry per name for the last grid only:
     `sampled_factor` the sample of each factor (one read-only array), and
@@ -199,18 +198,19 @@ class Symbol:
         """
         return self.grid_memo(which, grid, lambda: self._sample_factor(which, grid))
 
-    def _sample_factor(self, which: str, grid, points=None) -> np.ndarray:
+    def _sample_factor(self, which: str, at) -> np.ndarray:
+        """The factor at every point of a Grid, or at points (..., dim)."""
         factor = {"x": self.x_factor, "xi": self.xi_factor}[which]
-        if points is None and not getattr(factor, "takes_grid", False):
-            points = grid.coord_stack()
+        if isinstance(at, Grid) and not getattr(factor, "takes_grid", False):
+            at = at.coord_stack()
         with np.errstate(**_QUIET):
-            values = np.asarray(factor(grid if points is None else points))
+            values = np.asarray(factor(at))
         real = values.dtype.kind in "biuf"
         # a view, so the read-only flag never reaches an array the factor keeps
         values = values.astype(float if real else complex, copy=False).view()
         if not np.isfinite(values).all():
             raise _nonfinite_error(values, f"{self.label}: non-finite {which}_factor value",
-                                   **{which: grid.coord_stack() if points is None else points})
+                                   **{which: at.coord_stack() if isinstance(at, Grid) else at})
         values.flags.writeable = False
         return values
 
@@ -253,11 +253,11 @@ def _nonfinite_error(values: np.ndarray, message: str,
     return SymbolEvaluationError(f"{message} at {named}")
 
 
-def factor_product(a, b, dtype=np.complex128) -> Optional[np.ndarray]:
-    """a * b as complex128 (or dtype), the product a factored evaluator
-    forms, or None when a value is not finite (Symbol.eval names it)."""
+def factor_product(a, b) -> Optional[np.ndarray]:
+    """a * b as complex128, the product a factored evaluator forms, or None
+    when a value is not finite (Symbol.eval then names the point)."""
     with np.errstate(**_QUIET):
-        values = np.asarray(a * b, dtype=dtype)
+        values = np.asarray(a * b, dtype=np.complex128)
     return values if np.isfinite(values).all() else None
 
 

@@ -27,9 +27,9 @@ The dyadic layer follows: ``kernel_sum`` and ``decay_fit`` (the CLI's
 default window, 4h to R/2) of ``bessel:-1`` at d=3 n=64 R=4 with 3 levels
 and at d=2 n=256 R=3 with 5 levels.  ``bessel`` is even, so its kernel
 sum runs on the nonnegative orthant of the dual grid, (n/2 + 1)^d points,
-and ends in a DCT-I there; it is shown beside that transform's floor,
-``rfft-dct``: per axis the even extension and one numpy ``rfft`` of the
-orthant, the passes ``grid.even_inverse_transform`` runs.  ``decay_fit``
+and ends in a DCT-I there; it is shown beside that transform alone,
+``rfft-dct``: ``grid.even_inverse_transform`` of the summed orthant band,
+per axis the even extension and one numpy ``rfft``.  ``decay_fit``
 is shown beside ``np.fft.ifftn`` on the whole grid, for scale.  These
 calls take milliseconds, so they are timed ``--repeats`` / 100 times (at
 least once).
@@ -56,6 +56,7 @@ from psidolab import (Grid, KernelDecayParams, MixedExponent,  # noqa: E402
                       decay_fit, discrete_adjoint_apply, dyadic_decompose,
                       fourier_transform, kernel_sum, operator_norm_estimate,
                       random_band_limited, wave_multiplier)
+from psidolab.grid import even_inverse_transform  # noqa: E402
 
 GRIDS = ((1, 64), (1, 512), (2, 64))
 HALF_EXTENT = 8.0
@@ -107,15 +108,6 @@ def measure(dim: int, n: int, repeats: int) -> list:
                     2 * (fftn + ifftn))]
 
 
-def dct_passes(samples: np.ndarray) -> np.ndarray:
-    """The bare DCT-I of orthant samples: per axis, the even extension and
-    numpy's rfft, its real part."""
-    for axis in range(samples.ndim):
-        mirror = samples[(slice(None),) * axis + (slice(-2, 0, -1),)]
-        samples = np.fft.rfft(np.concatenate((samples, mirror), axis=axis), axis=axis).real
-    return samples
-
-
 def measure_dyadic(dim: int, n: int, half_extent: float, levels: int,
                    repeats: int) -> list:
     """Rows (entry point, us per call, floor name, floor us) of the
@@ -129,7 +121,7 @@ def measure_dyadic(dim: int, n: int, half_extent: float, levels: int,
     ifftn = min_us(lambda: np.fft.ifftn(kernel.values), repeats)
     label = f"R={half_extent:g} levels={levels}"
     return [(f"kernel_sum {label}", min_us(lambda: kernel_sum(dd), repeats),
-             "rfft-dct", min_us(lambda: dct_passes(band), repeats)),
+             "rfft-dct", min_us(lambda: even_inverse_transform(band, dd.dual), repeats)),
             (f"decay_fit {label}",
              min_us(lambda: decay_fit(kernel, window, params), repeats),
              "ifftn", ifftn)]
