@@ -27,6 +27,8 @@ from .operators import (DyadicDecomposition, Kernel, OperatorPlan, _terms,
 from .symbols import Symbol, as_multi_index, multi_index_order
 
 ZERO_MEAN_TOL = 1e-12
+# shell maxima up to this share of max|k| are roundoff (kernel paths differ by 5e-14)
+DECAY_ROUNDOFF_FLOOR = 256 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,8 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
     |k(z)| <= C |z|^predicted on the window.  Window points have all
     |z_k| <= z_hi, so only that centred box is read (or unfolded; 1/8 of
     the grid at d=3 for z_hi = R/2) and the shells are cut from its points.
+    Shells whose maximum is at most DECAY_ROUNDOFF_FLOOR of max|k| there are
+    dropped as roundoff; with fewer than two shells left the fit is degenerate.
     """
     if num_shells < 2:
         raise InvalidInputError(f"num_shells must be at least 2, got {num_shells}")
@@ -106,16 +110,18 @@ def decay_fit(kernel: Kernel, window, params: KernelDecayParams,
     in_window = (radius >= z_lo) & (radius <= z_hi)
     if not in_window.any():
         raise InvalidInputError("window contains no grid points")
-    radius, mag = radius[in_window], np.abs(kernel.on_box(box)[in_window])
+    boxed = np.abs(kernel.on_box(box))
+    radius, mag = radius[in_window], boxed[in_window]
     if float(mag.max()) == 0.0:
         return DecayFitResult(None, 0.0, exponent, (), (), True, True)
+    floor = DECAY_ROUNDOFF_FLOOR * float(boxed.max())
     edges = np.geomspace(z_lo, z_hi, num_shells + 1)
     centers, maxima = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (radius >= a) & (radius < b)
         if sel.any():
             top = float(mag[sel].max())
-            if top > 0:
+            if top > floor:
                 centers.append(math.sqrt(a * b))
                 maxima.append(top)
     if len(centers) < 2:

@@ -36,11 +36,12 @@ def _open(path, mode: str, **kwargs):
         raise InvalidInputError(f"cannot open {path}: {exc.strerror or exc}") from None
 
 
-def write_pslb(path, f: SampledFunction) -> None:
-    g = f.grid
+def write_pslb(path, f) -> None:
+    """Write f: a SampledFunction, or a (grid, values) pair checked finite."""
+    g, values = (f.grid, f.values) if isinstance(f, SampledFunction) else f
     # a little-endian complex128 sample is its (re, im) f8 pair: the samples
     # are the payload, written without a copy
-    payload = np.ascontiguousarray(f.values, dtype="<c16")
+    payload = np.ascontiguousarray(values, dtype="<c16")
     with _open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.dim, g.points_per_axis, g.half_extent))
         fh.write(payload)
@@ -79,15 +80,18 @@ def write_radial_decay_csv(path, f: SampledFunction) -> None:
     """(|z|, |k(z)|) pairs sorted by radius, for decay fitting.
 
     Written as one string: the rows csv.writer would write for the same
-    repr pairs (float reprs need no quoting, and str.format gives a
-    float's repr), with its \r\n endings.  Rows repeat (mirror points of
-    an even kernel), so each distinct row is formatted once; neither
-    column holds -0.0 or NaN, so equal floats have equal reprs."""
+    repr pairs (float reprs need no quoting), with its \r\n endings.  Each
+    distinct radius is formatted once and joined to each distinct row's |k|
+    (rows repeat at mirror points of an even kernel); neither column holds
+    -0.0 or NaN, so equal floats have equal reprs."""
     r = f.grid.radius().reshape(-1)
     order = np.argsort(r, kind="stable")
     # (radius, |k|) as one complex key, built from the parts: 1j * inf is nan
     pairs = np.stack((r[order], np.abs(f.values).reshape(-1)[order]), axis=-1)
     rows, inverse = np.unique(pairs.view(np.complex128)[:, 0], return_inverse=True)
-    text = list(map("{},{}\r\n".format, rows.real.tolist(), rows.imag.tolist()))
+    radii, which = np.unique(rows.real, return_inverse=True)
+    # object arrays of str: numpy gathers and concatenates them per element
+    heads = np.array([z + "," for z in map(repr, radii.tolist())], dtype=object)
+    text = heads[which] + np.array(list(map(repr, rows.imag.tolist())), dtype=object)
     with _open(path, "w", newline="") as fh:
-        fh.write("abs_z,abs_k\r\n" + "".join([text[i] for i in inverse.tolist()]))
+        fh.write("\r\n".join(["abs_z,abs_k", *text[inverse].tolist(), ""]))

@@ -20,7 +20,7 @@ matrix (for a general symbol, of the compressed one), realized
 matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 An `operator_plan` runs the same term loops on raw arrays, with the same
-bits, for callers that apply one operator many times.  Dyadic kernels of
+bits, for the norm ascent and the CLI's `apply`.  Dyadic kernels of
 even symbols (`bessel`, `wave`, `sep`) take the dual grid's orthant.
 
 Each factor is sampled, and a general symbol compressed, once per grid:
@@ -35,6 +35,7 @@ decompositions are pure given immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -274,8 +275,12 @@ class OperatorPlan:
     symbol: Symbol
     grid: Grid
     terms: list             # (a_r, b_r), b_r in FFT order, None where absent
-    conj_terms: list        # (conj(a_r), conj(b_r)), likewise
     scales: tuple           # h^d of the forward transform, of the inverse
+
+    @functools.cached_property
+    def conj_terms(self) -> list:
+        """(conj(a_r), conj(b_r)), None where absent, at the first adjoint."""
+        return list(_conjugated(self.terms))
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
         spectrum = _forward_passes(v, self.grid.dim)
@@ -304,7 +309,7 @@ class OperatorPlan:
 def operator_plan(s: Symbol, grid: Grid) -> OperatorPlan:
     """The plan of s on grid (see `OperatorPlan`), from its sampled terms."""
     terms = [(a, None if b is None else np.fft.ifftshift(b)) for a, b in _terms(s, grid)]
-    return OperatorPlan(s, grid, terms, list(_conjugated(terms)),
+    return OperatorPlan(s, grid, terms,
                         (grid.spacing**grid.dim, grid.dual().dual().spacing**grid.dim))
 
 
@@ -500,10 +505,16 @@ class Kernel:
         return SampledFunction(self.grid, self.values)
 
 
+@np.errstate(all="ignore")  # an overflowing transform raises below, unwarned
 def _kernel_from_band(dd: DyadicDecomposition, band_values: np.ndarray,
                       piece_index, x) -> Kernel:
-    samples = (even_inverse_transform(band_values, dd.dual) if dd.even else  # on the orthant
-               fourier_transform(SampledFunction(dd.dual, band_values), "inverse").values)
+    try:
+        samples = (even_inverse_transform(band_values, dd.dual) if dd.even else  # on the orthant
+                   fourier_transform(SampledFunction(dd.dual, band_values), "inverse").values)
+    except InvalidInputError:  # a non-finite kernel from finite samples
+        raise SymbolEvaluationError(
+            f"{dd.symbol.label}: the kernel overflows on {dd.grid}, though "
+            f"every symbol sample is finite") from None
     xp = None if x is None else tuple(float(v) for v in np.atleast_1d(x))
     return Kernel(grid=dd.grid, samples=samples, symbol_params=dd.symbol.params,
                   levels=dd.levels, piece_index=piece_index, x_point=xp, even=dd.even)
@@ -519,6 +530,7 @@ def kernel_sum(dd: DyadicDecomposition, x=None) -> Kernel:
 
     The transform is linear, so this is one inverse transform of the
     summed pieces; it equals the sum of `kernel_piece` up to roundoff.
+    An overflowing kernel raises SymbolEvaluationError, as in `kernel_piece`.
     """
     return _kernel_from_band(dd, dd.sum_values(x, dd.even), None, x)
 

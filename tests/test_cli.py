@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from psidolab import Grid, SampledFunction, Symbol, random_band_limited
-from psidolab import cli
+from psidolab import apply_psido, cli, fileio
 from psidolab.cli import main, parse_symbol_spec
 from psidolab.errors import InvalidInputError
 from psidolab.fileio import read_pslb, write_pslb
@@ -107,6 +107,29 @@ class TestApplyCommand:
         assert code == 0
         out = read_pslb(dst)
         assert np.max(np.abs(out.values - f.values)) <= 1e-10
+
+    @pytest.mark.parametrize("spec", ["const:0.5-2j", "bessel:-1", "wave:0",
+                                      "trig:2,6", "sep:2,6:-1"])
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_payload_is_apply_psidos(self, tmp_path, spec, d, n):
+        # the CLI applies T on one operator plan: apply_psido's bits, signed
+        # zeros included, for an input holding signed zeros and an all-zero one
+        g = Grid(d, n, 4.0)
+        signed = random_band_limited(g, np.random.default_rng(d)).values.copy()
+        flat = signed.reshape(-1)
+        flat[::3], flat[1::5] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        flat[2::7] = complex(-0.0, -0.0)
+        header = fileio._HEADER.size
+        for name, values in (("signed", signed), ("zero", np.zeros(g.shape, complex))):
+            src, dst = tmp_path / f"{name}.pslb", tmp_path / f"{name}-out.pslb"
+            write_pslb(src, SampledFunction(g, values))
+            assert run_cli("apply", "--symbol", spec, "--input", str(src),
+                           "--output", str(dst), "--out-dir", str(tmp_path)) == 0
+            want = apply_psido(parse_symbol_spec(spec, 2.0 * g.half_extent), read_pslb(src))
+            got = dst.read_bytes()
+            assert got[:header] == src.read_bytes()[:header]
+            assert np.array_equal(np.frombuffer(got, "<u8", offset=header),
+                                  want.values.view(np.uint64).reshape(-1))
 
     def test_missing_paths_exit_two(self, tmp_path):
         assert run_cli("apply", "--symbol", "const:1",

@@ -376,6 +376,17 @@ class TestOperatorPlan:
             rhs = np.vdot(plan.adjoint(phi), u)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0), s.label
 
+    def test_apply_takes_no_conjugates(self):
+        # the CLI's apply builds a plan per run: a complex factor (wave:0)
+        # is conjugated only at the first adjoint, not for the apply
+        g = Grid(2, 16, 4.0)
+        plan = operators.operator_plan(wave_multiplier(0.0), g)
+        v = random_band_limited(g, np.random.default_rng(0)).values
+        plan.apply(v)
+        assert "conj_terms" not in vars(plan)
+        plan.adjoint(v)
+        assert np.iscomplexobj(vars(plan)["conj_terms"][0][1])
+
     def test_zero_rank_symbol_gives_zeros(self):
         g = Grid(2, 8, 4.0)
         zero = Symbol(lambda x, xi: np.zeros(np.broadcast_shapes(x.shape, xi.shape)[:-1]),

@@ -22,8 +22,10 @@ import numpy as np
 import pytest
 
 from psidolab import (Grid, InvalidInputError, KernelDecayParams, SampledFunction,
-                      Symbol, SymbolClassParams, decay_fit, dyadic_decompose,
-                      fourier_transform, kernel_piece, kernel_sum, operators)
+                      Symbol, SymbolClassParams, SymbolEvaluationError, decay_fit,
+                      dyadic_decompose, fourier_transform, kernel_piece, kernel_sum,
+                      operators)
+from psidolab.estimates import DECAY_ROUNDOFF_FLOOR
 from psidolab.cli import parse_symbol_spec
 from psidolab.operators import Kernel
 
@@ -115,7 +117,7 @@ def assert_fit_within(got, want, maxk, shift, base, z_hi):
     sum_i w_i log m_i with least-squares weights w_i of log c_i, by
     sum_i |w_i| |log(1 - shift / m_i)|, unbounded once shift >= m_i.  The
     fits' own roundoff: 4 ulp of C, 1e-13 of sum_i |w_i log m_i|."""
-    assert got.shell_centers == want.shell_centers and len(got.shell_maxima) > 2
+    assert got.shell_centers == want.shell_centers and len(got.shell_maxima) >= 2
     maxima = np.array(want.shell_maxima)
     assert np.max(np.abs(np.array(got.shell_maxima) - maxima)) <= shift
     assert abs(got.envelope_constant - want.envelope_constant) <= \
@@ -128,9 +130,10 @@ def assert_fit_within(got, want, maxk, shift, base, z_hi):
         np.sum(np.abs(w) * moves) + 1e-13 * np.sum(np.abs(w * np.log(maxima)))
 
 
-# (d, n, R, levels, spec); the last three decay into roundoff within the
-# window, where a sample move of 5e-14 of max|k| leaves the fit unbounded
-# (bessel:2 at d=2 n=22: slopes 7% apart)
+# (d, n, R, levels, spec); the last three decay steeply: at n=256 to 1.6e-6
+# of max|k| inside the window, where a sample move of 5e-14 of max|k| moves
+# the slope by up to 3e-11 relative, and at n=22 into roundoff, whose
+# shells the fit drops, keeping two or three
 FITS = [(1, 256, 8.0, 5, "bessel:-1"), (2, 64, 4.0, 4, "bessel:-1"),
         (3, 32, 4.0, 3, "bessel:-1"), (1, 256, 8.0, 5, "sep:2,6:-1"),
         (2, 64, 4.0, 4, "sep:2,6:-1"), (3, 32, 4.0, 3, "sep:2,6:-1"),
@@ -151,12 +154,35 @@ def test_decay_fit_figures_match_the_full_path(d, n, R, levels, spec):
     for window, shells in (((4 * h, R / 2), 16), ((2 * h, 3 * R / 8), 5)):
         a, b = (decay_fit(k, window, params, num_shells=shells) for k in (got, want))
         assert_fit_within(a, b, maxk, WHOLE_GRID_BOUND * maxk, base, window[1])
-        if spec != "bessel:2":  # far above roundoff: within 1e-13 relative
+        if n != 256 or spec != "bessel:2":  # far above roundoff: within 1e-13 relative
             assert max(abs(p - q) for p, q in zip(a.shell_maxima, b.shell_maxima)) \
                 <= 1e-14 * maxk
             assert math.isclose(a.slope, b.slope, rel_tol=1e-13, abs_tol=0.0)
             assert math.isclose(a.envelope_constant, b.envelope_constant,
                                 rel_tol=1e-13, abs_tol=0.0)
+
+
+def test_decay_fit_drops_roundoff_shells():
+    # bessel:2 at d=2 n=22 R=8 decays into roundoff inside the default
+    # window: shell maxima down to 2.5e-18 of max|k|, once fitted to slopes
+    # of -16.27 on the orthant and -15.24 on the full path.  Above the floor
+    # both keep the same two shells and one slope; a window of roundoff
+    # shells, or of one shell above it, is degenerate on both
+    dd, _ = case(2, 22, 8.0, 3, "bessel:2")
+    want = Kernel(dd.grid, full_path(dd, dd.sum_values()), dd.symbol.params, 3)
+    kernels = (kernel_sum(dd), want)
+    params = KernelDecayParams((0, 0), (0, 0), 2.0)
+    floor = DECAY_ROUNDOFF_FLOOR * np.max(np.abs(want.values))
+    a, b = (decay_fit(k, (4 * dd.grid.spacing, 4.0), params) for k in kernels)
+    for fit in (a, b):
+        assert not fit.degenerate and len(fit.shell_maxima) == 2
+        assert min(fit.shell_maxima) > floor
+    assert a.shell_centers == b.shell_centers
+    assert math.isclose(a.slope, b.slope, rel_tol=1e-13, abs_tol=0.0)
+    for window in ((2.95, 3.3), (2.95, 3.7)):
+        for k in kernels:
+            fit = decay_fit(k, window, params)
+            assert fit.degenerate and fit.slope is None and len(fit.shell_maxima) < 2
 
 
 def test_non_even_symbols_keep_the_full_path():
@@ -189,18 +215,21 @@ def test_a_dropped_nyquist_fold_fails(monkeypatch):
 
 
 def test_an_overflowing_kernel_raises_a_typed_error():
-    # finite samples whose transform overflows: the full path's
-    # InvalidInputError, with no numpy warning on the way
+    # finite samples whose transform overflows, on the orthant and on the
+    # full path: an error naming the overflow, with no numpy warning (the
+    # suite turns RuntimeWarnings into errors) and not as invalid input
     def factor(xi):
         return np.full(xi.shape[:-1], 1e308)
 
-    factor.even = True
-    s = Symbol(lambda x, xi: factor(xi) + 0j, SymbolClassParams(m=0.0), "multiplier",
-               xi_factor=factor)
-    dd = dyadic_decompose(s, Grid(2, 32, 4.0), 3)
-    assert dd.even
-    with pytest.raises(InvalidInputError, match="NaN or Inf"):
-        kernel_sum(dd)
+    for even in (True, False):
+        factor.even = even
+        s = Symbol(lambda x, xi: factor(xi) + 0j, SymbolClassParams(m=0.0),
+                   "multiplier", xi_factor=factor)
+        dd = dyadic_decompose(s, Grid(2, 32, 4.0), 3)
+        assert dd.even == even
+        for call in (lambda: kernel_sum(dd), lambda: kernel_piece(dd, 1)):
+            with pytest.raises(SymbolEvaluationError, match="kernel overflows"):
+                call()
 
 
 def test_only_an_even_symbol_has_an_orthant():

@@ -6,10 +6,12 @@ For d=1 n=64, d=1 n=512 and d=2 n=64 (the small grids where fixed
 per-call cost shows) it prints, in microseconds, the minimum over
 ``--repeats`` in-process calls of each entry point: ``fourier_transform``
 in both directions, ``apply_psido`` and ``discrete_adjoint_apply`` of the
-multiplier ``bessel:-1``, ``SampledFunction`` validation and
-``random_band_limited``.  Beside each is its bare numpy floor, the same
-minimum for ``np.fft.fftn`` / ``np.fft.ifftn`` on the same shape: fftn for
-the forward transform and for ``SampledFunction`` (which runs no FFT; the
+multiplier ``bessel:-1``, ``OperatorPlan.apply`` of the separable
+``sep:2,6:-1`` (what the CLI's ``apply`` runs, on a plan built before
+timing), ``SampledFunction`` validation and ``random_band_limited``.
+Beside each is its bare numpy floor, the same minimum for
+``np.fft.fftn`` / ``np.fft.ifftn`` on the same shape: fftn for the
+forward transform and for ``SampledFunction`` (which runs no FFT; the
 floor gives the scale), ifftn for the inverse and ``random_band_limited``,
 and their sum for the applies.  Every call runs once before timing, so
 per-grid set-up (dual grid, sign pattern, band mask, factor samples) is
@@ -56,7 +58,9 @@ from psidolab import (Grid, KernelDecayParams, MixedExponent,  # noqa: E402
                       decay_fit, discrete_adjoint_apply, dyadic_decompose,
                       fourier_transform, kernel_sum, operator_norm_estimate,
                       random_band_limited, wave_multiplier)
+from psidolab.cli import parse_symbol_spec  # noqa: E402
 from psidolab.grid import even_inverse_transform  # noqa: E402
+from psidolab.operators import operator_plan  # noqa: E402
 
 GRIDS = ((1, 64), (1, 512), (2, 64))
 HALF_EXTENT = 8.0
@@ -82,6 +86,7 @@ def measure(dim: int, n: int, repeats: int) -> list:
     f = random_band_limited(grid, rng)
     fhat = fourier_transform(f, "forward")
     symbol = bessel_multiplier(-1.0)
+    plan = operator_plan(parse_symbol_spec("sep:2,6:-1", 2.0 * HALF_EXTENT), grid)
     fftn = min_us(lambda: np.fft.fftn(f.values), repeats)
     ifftn = min_us(lambda: np.fft.ifftn(fhat.values), repeats)
     cases = (
@@ -92,6 +97,8 @@ def measure(dim: int, n: int, repeats: int) -> list:
         ("apply_psido", lambda: apply_psido(symbol, f), "fftn+ifftn", fftn + ifftn),
         ("discrete_adjoint_apply", lambda: discrete_adjoint_apply(symbol, f),
          "fftn+ifftn", fftn + ifftn),
+        ("plan apply sep:2,6:-1", lambda: plan.apply(f.values), "fftn+ifftn",
+         fftn + ifftn),
         ("SampledFunction", lambda: SampledFunction(grid, f.values), "fftn", fftn),
         ("random_band_limited", lambda: random_band_limited(grid, rng),
          "ifftn", ifftn),
