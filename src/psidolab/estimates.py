@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InfeasibleBudgetError, InvalidInputError, PreconditionError
 from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
-from .mixed_norm import (MixedExponent, holder_dual, iterated_pnorm,
-                         leading_pnorms, pnorm_levels)
+from .mixed_norm import (MixedExponent, _abs_power, holder_dual,
+                         iterated_pnorm, leading_pnorms, pnorm_levels)
 from .operators import (DyadicDecomposition, Kernel, OperatorPlan, _terms,
                         apply_psido, discrete_adjoint_apply, operator_plan,
                         support_mask)
@@ -503,14 +503,12 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
         peak = np.unravel_index(np.argmax(mag), grid.shape)
         top = float(mag[peak])
         return peak, top, top if math.isfinite(top) else None
-    weight = sum((1.0 if a is None else _l2_norm(a)) * np.abs(b)
-                 for a, b in terms)
-    peak = np.unravel_index(np.argmax(np.broadcast_to(weight, dual.shape)),
-                            dual.shape)
     if s.kind == "general":
-        return peak, 0.0, None
+        weight = sum(_l2_norm(a) * np.abs(b) for a, b in terms)
+        return np.unravel_index(np.argmax(weight), dual.shape), 0.0, None
     [(a, b)] = terms
     b = np.broadcast_to(b, dual.shape)
+    peak = np.unravel_index(np.argmax(np.abs(b)), dual.shape)
     top = bound = float(abs(b[peak]))
     theta = min(2.0 * min(1.0 / q, 1.0 - 1.0 / q) for q in p.p)
     if theta < 1.0:
@@ -550,12 +548,16 @@ def _l2_norm(v: np.ndarray) -> float:
 
 
 def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
-    """sgn(v) |v|^(q - 1), given a = |v|."""
+    """J_q(v) = sgn(v) |v|^(q - 1) = v a^(q - 2), given a = |v|: a real
+    factor (`_abs_power`) times v, no complex division; a copy of v at
+    q = 2, and +0 where a is 0."""
+    if q == 2.0:
+        return v.copy()
     if a.all():  # no zero sample: the same operations without the gathers
-        return a ** (q - 1.0) * (v / a)
+        return v * _abs_power(a, q - 2.0)
     out = np.zeros_like(v)
     nz = a > 0
-    out[nz] = a[nz] ** (q - 1.0) * (v[nz] / a[nz])
+    out[nz] = v[nz] * _abs_power(a[nz], q - 2.0)
     return out
 
 
@@ -656,7 +658,8 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
             fresh = np.stack([starts[k] for k in new])
             for k in new:
                 starts[k] = None   # its samples live on in the stack only
-            fresh /= pnorm_levels(fresh, h, pp)[-1]
+            # numpy divides by c + 0j as this multiply does, at twice its cost
+            fresh *= 1.0 / pnorm_levels(fresh, h, pp)[-1]
             x = fresh if x is None else np.concatenate([x, fresh])
             ids += new
         y = plan.apply(x)
@@ -686,7 +689,7 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                 ids, z = [k for k, m in zip(ids, moving) if m], z[moving]
             if ids:
                 x = _duality_map(z, h, qq)
-                x /= pnorm_levels(x, h, pp)[-1]
+                x *= 1.0 / pnorm_levels(x, h, pp)[-1]
     best, used = 0.0, 0
     for ratios in history:
         for ratio in ratios:

@@ -60,6 +60,21 @@ def holder_dual(p: MixedExponent) -> MixedExponent:
     return MixedExponent(tuple(v / (v - 1.0) for v in p.p), p.split)
 
 
+def _abs_power(a: np.ndarray, e: float) -> np.ndarray:
+    """a ** e for a float64 array a >= 0.  At e = 3, 4, 1.5 and -0.5 it
+    takes squares, square roots, products and one reciprocal instead of
+    libm's pow, several times faster and within 2 ulp of it; every other e
+    goes through `a ** e`, which numpy itself computes exactly at 2, 1 and
+    0.5."""
+    if e in (3.0, 4.0):
+        r = np.square(a)
+        return np.multiply(r, a if e == 3.0 else r, out=r)
+    if e in (1.5, -0.5):
+        r = np.sqrt(a)
+        return np.multiply(r, a, out=r) if e == 1.5 else np.divide(1.0, r, out=r)
+    return a ** e
+
+
 def pnorm_levels(values: np.ndarray, spacing: float, exponents) -> list:
     """Levels A_0 = |values|, A_1, ..., A_k of the iterated Riemann p-norm
     of a stack of samples, for any exponents >= 1.  Axis 0 indexes the
@@ -73,7 +88,7 @@ def pnorm_levels(values: np.ndarray, spacing: float, exponents) -> list:
     a = np.abs(np.asarray(values))
     levels = [a]
     for k, q in enumerate(exponents, start=1):
-        total = spacing * np.sum(a**q, axis=k, keepdims=True)
+        total = spacing * np.sum(_abs_power(a, q), axis=k, keepdims=True)
         if k + 1 < a.ndim:
             a = total ** (1.0 / q)
         else:

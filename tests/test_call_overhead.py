@@ -6,7 +6,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_overhead.py"
 ENTRY_POINTS = ("fourier_transform forward", "fourier_transform inverse",
                 "apply_psido", "discrete_adjoint_apply", "plan apply sep:2,6:-1",
                 "SampledFunction",
-                "random_band_limited", "ascent per start")
+                "random_band_limited", "duality maps p=4", "ascent per start")
 DYADIC_ROWS = {("d=3 n=64", f"{e} R=4 levels=3") for e in ("kernel_sum", "decay_fit")} \
     | {("d=2 n=256", f"{e} R=3 levels=5") for e in ("kernel_sum", "decay_fit")}
 
@@ -25,6 +25,7 @@ def test_prints_every_entry_point_on_every_grid():
         assert us > 0 and floor_us > 0 and ratio > 0
         if r[2:-4] == ["ascent", "per", "start"]:
             assert r[-3] == "2fftn+2ifftn"
+        assert (r[-3] == "2abs") == (r[2:-4] == ["duality", "maps", "p=4"])
         # an even kernel sum ends in the orthant's DCT, its floor
         assert (r[-3] == "rfft-dct") == (r[2] == "kernel_sum")
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from psidolab import (Grid, InvalidInputError, MixedExponent, SampledFunction,
                       holder_dual, mixed_norm, partial_norm, quadrature)
+from psidolab.mixed_norm import _abs_power, iterated_pnorm
 
 exponents = st.floats(1.05, 8.0)
 
@@ -159,3 +160,54 @@ class TestNormProperties:
         pairing = abs(quadrature(SampledFunction(g, f.values * np.conj(h.values))))
         bound = mixed_norm(f, p) * mixed_norm(h, holder_dual(p))
         assert pairing <= bound + 1e-10
+
+
+class TestAbsPower:
+    """mixed_norm._abs_power: exact small powers where pow is not needed."""
+
+    @staticmethod
+    def _samples(e):
+        rng = np.random.default_rng(int(8 * (e + 1)))
+        tiny = np.finfo(float).smallest_subnormal
+        big = np.finfo(float).max
+        parts = [rng.random(20000) * 10.0 ** rng.uniform(-40, 40, 20000),
+                 np.abs(rng.standard_normal(20000)),
+                 [0.0, tiny, 3 * tiny, 2.0**-1060, np.finfo(float).tiny,
+                  1.0, 2.0, big, np.inf],
+                 tiny * rng.uniform(1.0, 2.0**40, 200),    # subnormal inputs
+                 big * rng.uniform(0.5, 1.0, 200)]         # near overflow
+        if e > 1.0:
+            # results near overflow and in the subnormal range
+            parts += [big ** (1.0 / e) * rng.uniform(0.9, 1.1, 200),
+                      1e-315 ** (1.0 / e) * rng.uniform(0.5, 2.0, 200)]
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("e", [3.0, 4.0, 1.5, -0.5])
+    def test_within_two_ulp_of_pow(self, e):
+        a = self._samples(e)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            got, want = _abs_power(a, e), a ** e
+        assert got.dtype == want.dtype == np.float64
+        assert not np.isnan(got).any()
+        # nonnegative floats, 0 and inf included, order like their bits
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+
+    @pytest.mark.parametrize("e", [2.0, 1.0, 0.5, 4.0 / 3.0, 1.25, -2.0 / 3.0,
+                                   2.0000000000000004, 3.5])
+    def test_other_exponents_are_numpys_power(self, e):
+        a = self._samples(e)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            got, want = _abs_power(a, e), a ** e
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("p", [(3.0,), (4.0, 1.5), (1.5, 3.0, 4.0)])
+    def test_iterated_norm_at_the_exact_powers(self, p):
+        # within roundoff of the same reduction through pow
+        rng = np.random.default_rng(3)
+        shape = (9, 8, 7)[:len(p)]
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = np.abs(v)
+        for q in p:
+            a = (0.25 * np.sum(a**q, axis=0)) ** (1.0 / q)
+        assert iterated_pnorm(v, 0.25, p) == pytest.approx(float(a), rel=1e-14)

@@ -17,6 +17,13 @@ and their sum for the applies.  Every call runs once before timing, so
 per-grid set-up (dual grid, sign pattern, band mask, factor samples) is
 not counted.  BLAS runs on one thread, as in ``psidobench/run.py``.
 
+The row ``duality maps p=4`` is the nonlinear layer of one Boyd ascent
+iteration at p=4 on one sample: the sample's iterated-norm levels, its
+duality map J_4 from them, the map J_(4/3) of the same sample and that
+result's normalisation, as ``estimates._boyd_ascent`` runs them.  Its
+floor, ``2abs``, is two ``np.abs`` of the sample, the moduli the two
+maps cannot do without.
+
 The last row per grid is the stacked Boyd ascent per start: the minimum
 time of a ``random_ascent`` estimate of ``wave:0`` at p=4 (whose bracket
 stays open, so its six starts iterate together until they settle) over
@@ -59,7 +66,9 @@ from psidolab import (Grid, KernelDecayParams, MixedExponent,  # noqa: E402
                       fourier_transform, kernel_sum, operator_norm_estimate,
                       random_band_limited, wave_multiplier)
 from psidolab.cli import parse_symbol_spec  # noqa: E402
+from psidolab.estimates import _duality_map  # noqa: E402
 from psidolab.grid import even_inverse_transform  # noqa: E402
+from psidolab.mixed_norm import holder_dual, pnorm_levels  # noqa: E402
 from psidolab.operators import operator_plan  # noqa: E402
 
 GRIDS = ((1, 64), (1, 512), (2, 64))
@@ -106,6 +115,16 @@ def measure(dim: int, n: int, repeats: int) -> list:
     rows = [(name, min_us(fn, repeats), floor, floor_us)
             for name, fn, floor, floor_us in cases]
     wave, p4 = wave_multiplier(0.0), MixedExponent.uniform(4.0, dim)
+    sample, h, pp, qq = f.values[None], grid.spacing, p4.p, holder_dual(p4).p
+
+    def duality_maps():
+        w = _duality_map(sample, h, pp, pnorm_levels(sample, h, pp))
+        x = _duality_map(sample, h, qq)
+        x *= 1.0 / pnorm_levels(x, h, pp)[-1]
+        return w, x
+
+    rows.append(("duality maps p=4", min_us(duality_maps, repeats), "2abs",
+                 min_us(lambda: (np.abs(sample), np.abs(sample)), repeats)))
 
     def ascent():
         return operator_norm_estimate(wave, grid, p4, "random_ascent")
