@@ -29,10 +29,10 @@ from .estimates import (CZCheckConfig, KernelDecayParams, condition_report,
                         cz_condition_check, cz_sweep, decay_fit,
                         necessary_condition_probe, operator_norm_estimate,
                         smoothness_budget)
-from .grid import Grid
+from .grid import Grid, SampledFunction
 from .mixed_norm import MixedExponent
-from .operators import (apply_psido, default_levels, dyadic_decompose,
-                        kernel_sum, operator_plan)
+from .operators import (default_levels, dyadic_decompose, kernel_sum,
+                        operator_plan)
 from .symbols import (Symbol, bessel_multiplier, constant_symbol,
                       separable_symbol, smoothness_coefficients,
                       SampleSpec, trig_multiplication, verify_symbol_class,
@@ -171,7 +171,7 @@ def _run_apply(params):
         raise InvalidInputError("apply needs --input and --output PSLB paths")
     f = fileio.read_pslb(params["input"])
     sym = _symbol(params, f.grid.half_extent)
-    # apply_psido's bits without its shifts and copies; the plan checks finiteness
+    # apply_psido's values without its shifts, signs or copies, checked finite
     out = operator_plan(sym, f.grid).apply(f.values)
     fileio.write_pslb(params["output"], (f.grid, out))
     sup = float(np.max(np.abs(out)))
@@ -290,7 +290,8 @@ def _run_cz_check(params):
     if len(inner) != l:
         raise InvalidInputError(f"--pbar must list {l} inner exponents")
     full = MixedExponent(tuple(inner) + (2.0,) * (grid.dim - l), split=l)
-    apply_fn = lambda f: apply_psido(sym, f)  # noqa: E731
+    plan = operator_plan(sym, grid)  # every width's test function runs on it
+    apply_fn = lambda f: SampledFunction(grid, plan.apply(f.values))  # noqa: E731
     if loaded is not None:
         ts = _floats(params.get("t", "1"), "t")
         cfg = CZCheckConfig(l=l, t=ts[0], x0prime=x0prime,

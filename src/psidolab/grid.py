@@ -41,9 +41,10 @@ real multiply by 1/c gives the same bits; the inverse divides only when a
 float is zero, keeping its signed zeros.  Both directions give the bits of
 the out-of-place fftshift formulation, signed zeros included.  Wrapping
 the result in a SampledFunction adds one reduction, the finiteness sum,
-and each grid computes its dual grid once.  The passes act on the
-trailing d axes, so an operator plan can run a stack of samples, shape
-(S, n, ..., n), through them in one call per pass.
+and each grid computes its dual grid once.  An operator plan runs the
+FFT passes alone, on the trailing d axes of a sample or a stack of them,
+shape (S, n, ..., n): its signs cancel and its shifts commute (see
+`OperatorPlan`).
 """
 
 from __future__ import annotations
@@ -258,10 +259,9 @@ def _apply_alternating_sign(arr: np.ndarray, dim: int) -> np.ndarray:
     # and imaginary parts: multiplying a float by +-1.0 is exact, signed
     # zeros included, so this gives the bits of negating the odd-sum
     # samples (a complex product with -1 + 0j would not: it turns 0 into
-    # -0 + 0j).  n is even, so leading stack axes keep the parity of the
-    # first grid axis and the pattern repeats over them.  Callers must pass
-    # a C-contiguous array they own: both pass a fresh FFT output or
-    # shifted copy.
+    # -0 + 0j).  n is even, so the pattern's two first-axis indices repeat
+    # along that axis.  Callers must pass a C-contiguous array they own:
+    # both directions pass a fresh FFT output or shifted copy.
     pattern = _sign_pattern(dim, arr.shape[-1])
     parts = arr.view(np.float64).reshape((-1,) + pattern.shape)
     np.multiply(parts, pattern, out=parts)
@@ -293,26 +293,17 @@ def _opposite_half_blocks(ndim: int, n: int) -> tuple:
 
 def _forward_passes(values: np.ndarray, dim: int) -> np.ndarray:
     """fftn's 1-D passes over the trailing dim axes, the last axis into a
-    fresh array, and the sign pass."""
+    fresh array."""
     spectrum = np.fft.fft(values, out=np.empty(values.shape, np.complex128))
     for axis in range(-2, -dim - 1, -1):
         np.fft.fft(spectrum, axis=axis, out=spectrum)
-    return _apply_alternating_sign(spectrum, dim)
+    return spectrum
 
 
-def _inverse_passes(spectrum: np.ndarray, scale: float, dim: int) -> np.ndarray:
-    """The sign pass, ifftn's 1-D passes over the trailing dim axes and
-    / scale, in place (C order)."""
-    _apply_alternating_sign(spectrum, dim)
+def _inverse_passes(spectrum: np.ndarray, dim: int) -> np.ndarray:
+    """ifftn's 1-D passes over the trailing dim axes, in place."""
     for axis in range(-1, -dim - 1, -1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    parts = spectrum.view(np.float64)
-    if scale and parts.all():
-        # no zero float (and h^d has not underflowed to 0): the real
-        # multiply gives the division's bits
-        np.multiply(parts, 1.0 / scale, out=parts)
-    else:
-        np.divide(spectrum, scale, out=spectrum)
     return spectrum
 
 
@@ -337,7 +328,7 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
     d, n = f.grid.dim, f.grid.points_per_axis
     if direction == "forward":
         scale = f.grid.spacing**d
-        spectrum = _forward_passes(f.values, d)
+        spectrum = _apply_alternating_sign(_forward_passes(f.values, d), d)
         # fftshift and the h^d scaling in one in-place pass; the sign flip
         # stays a negation, as a -h^d factor would turn -0.0 into +0.0
         block = np.empty((n // 2,) * d, dtype=spectrum.dtype)
@@ -354,7 +345,15 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
         for p, q in _opposite_half_blocks(d, n):
             spectrum[p] = f.values[q]
             spectrum[q] = f.values[p]
-        return SampledFunction(out_grid, _inverse_passes(spectrum, out_grid.spacing**d, d))
+        _inverse_passes(_apply_alternating_sign(spectrum, d), d)
+        scale, parts = out_grid.spacing**d, spectrum.view(np.float64)
+        if scale and parts.all():
+            # no zero float (and h^d has not underflowed to 0): the real
+            # multiply gives the division's bits
+            np.multiply(parts, 1.0 / scale, out=parts)
+        else:
+            np.divide(spectrum, scale, out=spectrum)
+        return SampledFunction(out_grid, spectrum)
     raise InvalidInputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 

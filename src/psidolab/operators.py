@@ -20,8 +20,9 @@ matrix (for a general symbol, of the compressed one), realized
 matrix-free, so the pairing identity
 h^d sum (T u) conj(phi) = h^d sum u conj(T* phi) holds to roundoff.
 An `operator_plan` runs the same term loops on raw arrays, with the same
-bits, for the norm ascent and the CLI's `apply`.  Dyadic kernels of
-even symbols (`bessel`, `wave`, `sep`) take the dual grid's orthant.
+values, for the norm ascent and the CLI's `apply` and `cz-check`.  Dyadic
+kernels of even symbols (`bessel`, `wave`, `sep`) take the dual grid's
+orthant.
 
 Each factor is sampled, and a general symbol compressed, once per grid:
 `Symbol.grid_memo` keeps the last grid's factor samples and
@@ -263,19 +264,24 @@ def discrete_adjoint_apply(s: Symbol, g: SampledFunction) -> SampledFunction:
 class OperatorPlan:
     """The operator of a symbol on a grid, on raw complex arrays: the term
     loops of `apply_psido` and `discrete_adjoint_apply` with each b_r in
-    FFT order and conj(a_r), conj(b_r) taken once, and transforms without
-    shifts.  Each shift is undone by the next unshift, and a permutation
-    commutes with every pointwise operation, so the floating-point
-    operations and the bits stay, with no SampledFunction or copy per call;
-    one finiteness check per result raises the same `_overflow_error`.
-    apply and adjoint take samples of the grid's shape or a stack of them,
-    shape (S, *grid.shape): every pass acts on the trailing axes and every
-    factor broadcasts over the stack, so each sample gets its own bits."""
+    FFT order and conj(a_r), conj(b_r) taken once.  An apply or adjoint
+    is an FFT, the products and an inverse FFT, with h^d and 1/h^d as real
+    multiplies of the float view: the centring shifts commute with every
+    pointwise operation, and the inverse's (-1)^(m_1 + ... + m_d) signs
+    would undo the forward's, as negation commutes with rounding.  So the
+    results are the reference path's values, and its bits but for the
+    sign of an exact zero, with no SampledFunction or copy per call; one
+    finiteness check per result raises the same `_overflow_error`.  Cost:
+    1.07-1.23x the bare fftn + ifftn pair at d = 1, n = 64, 512 and d = 2,
+    n = 64 (`tools/call_overhead.py`).  apply and adjoint take samples of
+    the grid's shape or a stack of them, shape (S, *grid.shape): every pass
+    acts on the trailing axes and every factor broadcasts over the stack,
+    so each sample gets its own bits."""
 
     symbol: Symbol
     grid: Grid
     terms: list             # (a_r, b_r), b_r in FFT order, None where absent
-    scales: tuple           # h^d of the forward transform, of the inverse
+    scales: tuple           # h^d of the forward transform, 1/h^d of the inverse
 
     @functools.cached_property
     def conj_terms(self) -> list:
@@ -283,11 +289,10 @@ class OperatorPlan:
         return list(_conjugated(self.terms))
 
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        spectrum = _forward_passes(v, self.grid.dim)
-        return np.multiply(spectrum, self.scales[0], out=spectrum)
+        return _scaled(_forward_passes(v, self.grid.dim), self.scales[0])
 
     def _inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        return _inverse_passes(spectrum, self.scales[1], self.grid.dim)
+        return _scaled(_inverse_passes(spectrum, self.grid.dim), self.scales[1])
 
     def _checked(self, out: np.ndarray) -> np.ndarray:
         if not _all_finite(out):
@@ -296,21 +301,28 @@ class OperatorPlan:
 
     @np.errstate(all="ignore")
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """T v, the bits of `apply_psido`."""
+        """T v, the values of `apply_psido`."""
         return self._checked(_apply_terms(self.terms, v, self._forward, self._inverse))
 
     @np.errstate(all="ignore")
     def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """T* v, the bits of `discrete_adjoint_apply`."""
+        """T* v, the values of `discrete_adjoint_apply`."""
         return self._checked(
             _adjoint_terms(self.conj_terms, v, self._forward, self._inverse))
+
+
+def _scaled(spectrum: np.ndarray, factor: float) -> np.ndarray:
+    parts = spectrum.view(np.float64)  # a transform's own C-ordered result
+    np.multiply(parts, factor, out=parts)
+    return spectrum
 
 
 def operator_plan(s: Symbol, grid: Grid) -> OperatorPlan:
     """The plan of s on grid (see `OperatorPlan`), from its sampled terms."""
     terms = [(a, None if b is None else np.fft.ifftshift(b)) for a, b in _terms(s, grid)]
+    inverse = grid.dual().dual().spacing**grid.dim  # if 0, inf: no result is finite
     return OperatorPlan(s, grid, terms,
-                        (grid.spacing**grid.dim, grid.dual().dual().spacing**grid.dim))
+                        (grid.spacing**grid.dim, 1.0 / inverse if inverse else math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_overhead.py"
 ENTRY_POINTS = ("fourier_transform forward", "fourier_transform inverse",
                 "apply_psido", "discrete_adjoint_apply", "plan apply sep:2,6:-1",
-                "SampledFunction",
+                "plan adjoint wave:0", "SampledFunction",
                 "random_band_limited", "duality maps p=4", "ascent per start")
 DYADIC_ROWS = {("d=3 n=64", f"{e} R=4 levels=3") for e in ("kernel_sum", "decay_fit")} \
     | {("d=2 n=256", f"{e} R=3 levels=5") for e in ("kernel_sum", "decay_fit")}

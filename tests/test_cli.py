@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psidolab import Grid, SampledFunction, Symbol, random_band_limited
+from psidolab import (CZCheckConfig, Grid, MixedExponent, SampledFunction, Symbol,
+                      cz_condition_check, cz_sweep, make_cancellation_test_function,
+                      random_band_limited)
 from psidolab import apply_psido, cli, fileio
 from psidolab.cli import main, parse_symbol_spec
 from psidolab.errors import InvalidInputError
@@ -196,6 +198,39 @@ class TestCzCommand:
         assert rows[0] == "j_or_t,measured,predicted,ratio,pass"
         assert len(rows) == 3
 
+
+    @pytest.mark.parametrize("spec, d, n, l, ts", [
+        ("sep:2,6:-2", 3, 32, 2, (1.0, 2.0)), ("bessel:-4", 2, 64, 1, (0.5, 1.0, 2.0)),
+        ("wave:0", 2, 64, 0, (0.5, 1.0))])
+    def test_ratios_are_apply_psidos(self, tmp_path, spec, d, n, l, ts):
+        # cz-check applies T on one operator plan: each width's lhs, rhs and
+        # ratio carry the bits of the same check through apply_psido, on
+        # the sweep's test functions and on a PSLB input
+        g = Grid(d, n, 4.0)
+        sym = parse_symbol_spec(spec, 2.0 * g.half_extent)
+        pbar = MixedExponent((2.0, 3.0)[:l] + (2.0,) * (d - l), split=l)
+        x0 = [0.0] * (d - l)
+        common = ["--symbol", spec, "--l", str(l), "--x0prime", ",".join(["0"] * (d - l)),
+                  "--Nconst", "3", "--out-dir", str(tmp_path)]
+        if l:
+            common += ["--pbar", ",".join(["2", "3"][:l])]
+        report = tmp_path / "cz-check-report.json"
+
+        def rows():
+            return [(r["measured"].hex(), r["predicted"].hex(), r["ratio"].hex())
+                    for r in json.loads(report.read_text())["tables"]["ratios"]]
+
+        assert run_cli("cz-check", *common, "--d", str(d), "--n", str(n), "--R", "4",
+                       "--t", ",".join(map(str, ts))) == 0
+        want = cz_sweep(lambda u: apply_psido(sym, u), g, l, x0, 3.0, pbar, ts)
+        assert rows() == [(r.lhs.hex(), r.rhs.hex(), r.ratio.hex()) for r in want]
+        assert any(r.lhs > 0 for r in want)  # N t > R excludes no point
+        src = tmp_path / "f.pslb"
+        write_pslb(src, make_cancellation_test_function(g, l, ts[0], x0))
+        assert run_cli("cz-check", *common, "--input", str(src), "--t", str(ts[0])) == 0
+        cfg = CZCheckConfig(l=l, t=ts[0], x0prime=x0, Nconst=3.0, pbar=pbar)
+        want = cz_condition_check(lambda u: apply_psido(sym, u), cfg, read_pslb(src))
+        assert rows() == [(want.lhs.hex(), want.rhs.hex(), want.ratio.hex())]
 
     def test_sweep_leaves_numpy_ma_unimported(self, tmp_path):
         # np.median imports numpy.ma for its NaN check, about 15 ms a process

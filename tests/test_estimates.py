@@ -214,6 +214,26 @@ class TestCZCondition:
         with pytest.raises(PreconditionError, match="slab"):
             cz_condition_check(lambda u: u, cfg, f)
 
+    @pytest.mark.parametrize("d, n, l, seed", [
+        (1, 64, 0, 1), (2, 32, 0, 2), (2, 32, 1, 3), (3, 16, 1, 4), (3, 16, 2, 5)])
+    def test_escape_reports_the_reach_of_every_support_point(self, d, n, l, seed):
+        # the reach is taken per trailing axis over the support's
+        # projection: the maximum the coordinate stack of the support gives
+        g = Grid(d, n, 4.0)
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1.0, 1.0, d - l)
+        for density in (0.02, 0.3):
+            values = np.where(rng.uniform(size=g.shape) < density,
+                              rng.standard_normal(g.shape), 0.0)
+            mask = np.abs(values) > 1e-14
+            reach = np.max(np.abs(g.coord_stack()[mask][:, l:] - x0), axis=-1).max()
+            cfg = CZCheckConfig(l=l, t=0.5 * reach, x0prime=x0, Nconst=3.0,
+                                pbar=MixedExponent((2.0,) * d, split=l))
+            with pytest.raises(PreconditionError) as err:
+                cz_condition_check(lambda u: u, cfg, SampledFunction(g, values))
+            assert f"support escapes the slab: |x' - x0'|_inf reaches {reach:.6g} " \
+                in str(err.value)
+
     def test_translation_invariance(self):
         g = Grid(2, 64, 4.0)
         s = bessel_multiplier(-4.0)

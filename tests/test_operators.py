@@ -365,6 +365,63 @@ class TestOperatorPlan:
         assert kinds == {"multiplier", "multiplication", "separable", "general"}
         assert len(operators._terms(self.symbols(g)[-1], g)) > 1
 
+    @staticmethod
+    def zero_heavy_inputs(g, rng):
+        """Inputs whose transforms and products meet exact zeros: all +0,
+        all -0, real and imaginary constants, a delta and scattered signed
+        zeros in a band-limited sample."""
+        ones = np.ones(g.shape, dtype=np.complex128)
+        delta = np.zeros(g.shape, dtype=np.complex128)
+        delta[(0,) * g.dim] = 1.0 - 2.0j
+        scattered = random_band_limited(g, rng).values.copy()
+        flat = scattered.reshape(-1)
+        flat[::3], flat[1::5] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        flat[2::7] = complex(-0.0, -0.0)
+        return [np.zeros(g.shape, dtype=np.complex128), np.full(g.shape, complex(-0.0, -0.0)),
+                0.5 * ones, -3j * ones, delta, scattered]
+
+    @pytest.mark.parametrize("R", [4.0, 0.67])
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_values_and_nonzero_bits_of_the_reference_path(self, d, n, R):
+        # the plan skips the centring signs and scales its float view: its
+        # values are the reference path's, and so are its bits, but for
+        # the sign of a float that is exactly zero; a stack gives each
+        # sample the bits of that sample alone
+        g = Grid(d, n, R)
+        inputs = self.zero_heavy_inputs(g, np.random.default_rng(20 + d))
+        stack = np.stack(inputs)
+        before = stack.copy()
+        complex_b = set()
+        for s in self.symbols(g):
+            plan = operators.operator_plan(s, g)
+            complex_b.update(np.iscomplexobj(b) for _, b in plan.terms if b is not None)
+            for run, op in ((plan.apply, apply_psido), (plan.adjoint, discrete_adjoint_apply)):
+                stacked = run(stack)
+                for v, got_stacked in zip(inputs, stacked):
+                    got = run(v)
+                    want = op(s, SampledFunction(g, v)).values
+                    assert np.array_equal(got, want), (s.label, op.__name__)
+                    nonzero = want.view(np.float64) != 0
+                    assert np.array_equal(got.view(np.float64)[nonzero].view(np.uint64),
+                                          want.view(np.float64)[nonzero].view(np.uint64))
+                    assert np.array_equal(got_stacked.view(np.uint64), got.view(np.uint64))
+                assert np.array_equal(stack.view(np.uint64), before.view(np.uint64))
+        assert complex_b == {False, True}
+
+    def test_underflowed_scale_raises_the_reference_error(self):
+        # at R = 1e-110, d = 3 both h^d underflow to 0: the plan's inverse
+        # scale is inf, and no result is finite, as on the reference path
+        g = Grid(3, 8, 1e-110)
+        assert g.dual().dual().spacing**3 == 0.0
+        s, f = bessel_multiplier(-1.0), SampledFunction(g, np.ones(g.shape))
+        plan = operators.operator_plan(s, g)
+        for run, op in ((plan.apply, apply_psido), (plan.adjoint, discrete_adjoint_apply)):
+            with pytest.raises(SymbolEvaluationError) as want:
+                op(s, f)
+            with pytest.raises(SymbolEvaluationError) as got:
+                run(f.values)
+            assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
     def test_pairing(self, d, n):
         g = Grid(d, n, 4.0)

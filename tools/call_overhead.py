@@ -8,7 +8,9 @@ per-call cost shows) it prints, in microseconds, the minimum over
 in both directions, ``apply_psido`` and ``discrete_adjoint_apply`` of the
 multiplier ``bessel:-1``, ``OperatorPlan.apply`` of the separable
 ``sep:2,6:-1`` (what the CLI's ``apply`` runs, on a plan built before
-timing), ``SampledFunction`` validation and ``random_band_limited``.
+timing), ``OperatorPlan.adjoint`` of ``wave:0`` (the conjugate-``b``
+adjoint every ascent iteration runs), ``SampledFunction`` validation and
+``random_band_limited``.
 Beside each is its bare numpy floor, the same minimum for
 ``np.fft.fftn`` / ``np.fft.ifftn`` on the same shape: fftn for the
 forward transform and for ``SampledFunction`` (which runs no FFT; the
@@ -96,6 +98,7 @@ def measure(dim: int, n: int, repeats: int) -> list:
     fhat = fourier_transform(f, "forward")
     symbol = bessel_multiplier(-1.0)
     plan = operator_plan(parse_symbol_spec("sep:2,6:-1", 2.0 * HALF_EXTENT), grid)
+    wave_plan = operator_plan(wave_multiplier(0.0), grid)
     fftn = min_us(lambda: np.fft.fftn(f.values), repeats)
     ifftn = min_us(lambda: np.fft.ifftn(fhat.values), repeats)
     cases = (
@@ -107,6 +110,8 @@ def measure(dim: int, n: int, repeats: int) -> list:
         ("discrete_adjoint_apply", lambda: discrete_adjoint_apply(symbol, f),
          "fftn+ifftn", fftn + ifftn),
         ("plan apply sep:2,6:-1", lambda: plan.apply(f.values), "fftn+ifftn",
+         fftn + ifftn),
+        ("plan adjoint wave:0", lambda: wave_plan.adjoint(f.values), "fftn+ifftn",
          fftn + ifftn),
         ("SampledFunction", lambda: SampledFunction(grid, f.values), "fftn", fftn),
         ("random_band_limited", lambda: random_band_limited(grid, rng),
