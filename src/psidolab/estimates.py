@@ -245,8 +245,8 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float, yprime,
     |x' - y'|_inf <= t with zero mean in x' for every leading point.
 
     Built as g(xbar) * (B(x' - a) - B(x' - b)) with B a compactly supported
-    bump of radius t/2 and grid-aligned translates a, b, so the per-row
-    mean cancels exactly and the support mask is exact.
+    bump of radius t/2 and grid-aligned translates a, b: an exact support
+    mask, and row means that cancel to roundoff (`cz_condition_check` checks).
     """
     d = grid.dim
     if not 0 <= l <= d - 1:
@@ -287,11 +287,7 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float, yprime,
         for k in range(l):
             leading = leading * inner_fn(ax).reshape((-1,) + (1,) * (l - 1 - k))
         values = leading.reshape(leading.shape + (1,) * (d - l)) * trailing
-    f = SampledFunction(grid, values)
-    row_means = np.abs(values.sum(axis=tuple(range(l, d)))) * h ** (d - l)
-    if float(np.max(row_means)) > ZERO_MEAN_TOL * max(1.0, float(np.max(np.abs(values)))):
-        raise RuntimeError("constructed function failed its own zero-mean check")
-    return f
+    return SampledFunction(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +373,7 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
     # periodic inf-distance of each trailing grid point from the slab center
     ax = f.grid.axis_coords()
     two_r = 2.0 * f.grid.half_extent
-    excl = np.zeros((f.grid.points_per_axis,) * (d - l), dtype=bool)
-    dist = np.zeros_like(excl, dtype=float)
+    dist = 0.0   # broadcast to the trailing grid by the per-axis maxima
     for k in range(d - l):
         delta = np.abs(ax - cfg.x0prime[k])
         per = np.minimum(delta, two_r - delta)
@@ -564,16 +559,20 @@ def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
-                        plane: float, upper: Optional[float]) -> tuple:
-    """Power iteration on T*T from the delta at peak for a multiplication,
-    else from the plane wave at peak, one inverse transform of a dual-grid
-    impulse: (best ratio, reason, iterations).  The norms are
-    `_l2_norm`s, so the bits do not depend on BLAS threads."""
+def _top_start(s: Symbol, grid: Grid, peak: tuple) -> np.ndarray:
+    """The delta at peak for a multiplication, else the plane wave at peak
+    (one inverse transform): exact eigenfunctions of those and multipliers."""
     v = np.zeros(grid.shape, dtype=np.complex128)
     v[peak] = 1.0
-    if s.kind != "multiplication":
-        v = fourier_transform(SampledFunction(grid.dual(), v), "inverse").values
+    return v if s.kind == "multiplication" else fourier_transform(
+        SampledFunction(grid.dual(), v), "inverse").values
+
+
+def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
+                        plane: float, upper: Optional[float]) -> tuple:
+    """Power iteration on T*T from `_top_start`: (best ratio, reason,
+    iterations).  Its `_l2_norm`s keep the bits off BLAS threads."""
+    v = _top_start(s, grid, peak)
     best, prev, it = 0.0, -1.0, 0
     for it in range(1, budget + 1):
         tv = apply_psido(s, SampledFunction(grid, v)).values
@@ -593,15 +592,21 @@ def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
     return best, "budget", it
 
 
-def _ascent_starts(plan: OperatorPlan, rng: np.random.Generator,
-                   count: int) -> list:
+def _ascent_starts(s: Symbol, plan: OperatorPlan, peak: tuple, rng) -> np.ndarray:
+    """One stack of `_top_start`, the band-limited impulse, its adjoint
+    image (dropped if it vanishes, as for a zero operator) and four random
+    band-limited functions, each written as made."""
     grid = plan.grid
     dual = grid.dual()
     band = dual.radius() <= 0.5 * grid.nyquist
-    impulse = fourier_transform(SampledFunction(dual, band.astype(np.complex128)),
-                                "inverse").values
-    return [impulse, plan.adjoint(impulse)] + [
-        random_band_limited(grid, rng).values for _ in range(count)]
+    x = np.empty((7,) + grid.shape, dtype=np.complex128)
+    x[0] = _top_start(s, grid, peak)
+    x[1] = fourier_transform(SampledFunction(dual, band.astype(np.complex128)),
+                             "inverse").values
+    x[2] = plan.adjoint(x[1])
+    for j in range(3, 7):
+        x[j] = random_band_limited(grid, rng).values
+    return x if x[2].any() else np.delete(x, 2, axis=0)
 
 
 def _duality_map(v: np.ndarray, spacing: float, p: tuple,
@@ -626,82 +631,78 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
 
 
 def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
-                 rng: np.random.Generator, plane: float,
+                 rng: np.random.Generator, peak: tuple, plane: float,
                  upper: Optional[float]) -> tuple:
     """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
     ratio never falls along one start's path, up to roundoff.
 
-    The starts iterate together as one stack of at most
-    ASCENT_STACK_SAMPLES samples (one start at least) on one
-    `operator_plan`; every pass and reduction acts per start, so each
-    start keeps the bits it has alone.  A start leaves the stack when it
-    settles (its ratio stops moving or its T* step vanishes), when it has
-    run its share of the budget, or when it closes the bracket, which also
-    drops every later start; waiting starts take the free places.  The
-    ratio histories are then replayed in start order, as if the starts ran
-    one after another: the bracket is tested as
-    _closed(max(best, plane), upper) after each apply.  Returns (best
-    ratio, reason, iterations); "settled" if some start settled."""
-    pp, qq = p.p, holder_dual(p).p
-    h = grid.spacing
+    The S `_ascent_starts` share the budget by successive halving
+    (Jamieson & Talwalkar 2016): each round runs every live start k
+    iterations, from k = max(4, budget // sum_r ceil(S/2^r) 2^r), keeps the
+    better half (rounded up) of the contenders by best ratio, settled ones
+    included, and doubles k.  Live starts iterate as one stack on one
+    `operator_plan`, in chunks of at most ASCENT_STACK_SAMPLES samples,
+    each with its bits alone; ratios count as iterations in start order,
+    each followed by the test _closed(max(best, plane), upper).  Returns
+    (best ratio, reason, iterations); "settled" if the best start settled
+    (its ratio stopped moving or its T* step vanished)."""
+    pp, qq, h = p.p, holder_dual(p).p, grid.spacing
     plan = operator_plan(s, grid)
-    starts = _ascent_starts(plan, rng, count=4)
-    iters = max(8, budget // len(starts))
+    x = _ascent_starts(s, plan, peak, rng)
+    for row in x:
+        row *= 1.0 / pnorm_levels(row[None], h, pp)[-1][0]
+    count = len(x)
+    best, prev, settled = [0.0] * count, [-1.0] * count, [False] * count
+    live, contenders = list(range(count)), list(range(count))   # start order
     width = max(1, ASCENT_STACK_SAMPLES // grid.total_points)
-    history = [[] for _ in starts]
-    settled = [False] * len(starts)
-    # the adjoint start of a zero operator vanishes: it never runs
-    waiting = [k for k, start in enumerate(starts) if start.any()]
-    ids, x = [], None
-    while ids or waiting:
-        new = waiting[:width - len(ids)]
-        if new:
-            del waiting[:len(new)]
-            fresh = np.stack([starts[k] for k in new])
-            for k in new:
-                starts[k] = None   # its samples live on in the stack only
-            # numpy divides by c + 0j as this multiply does, at twice its cost
-            fresh *= 1.0 / pnorm_levels(fresh, h, pp)[-1]
-            x = fresh if x is None else np.concatenate([x, fresh])
-            ids += new
-        y = plan.apply(x)
-        levels = pnorm_levels(y, h, pp)
-        keep = []
-        for i, (k, ratio) in enumerate(zip(ids, levels[-1].flat)):
-            ratio = float(ratio)
-            prev = history[k][-1] if history[k] else -1.0
-            history[k].append(ratio)
-            if _closed(max(ratio, plane), upper):
-                waiting = []   # the replay stops here: later starts never count
+    k = max(4, budget // sum(-(-count >> r) << r
+                             for r in range((count - 1).bit_length() + 1)))
+    top, used = 0.0, 0
+    while live and used < budget:
+        for _ in range(k):
+            ids = []   # the live starts of the next iteration, rows x[:len(ids)]
+            for c in range(0, min(len(live), budget - used), width):
+                chunk = live[c:c + width][:budget - used]
+                y = plan.apply(x[c:c + len(chunk)])
+                levels = pnorm_levels(y, h, pp)
+                keep = []
+                for i, (j, ratio) in enumerate(zip(chunk, levels[-1].flat)):
+                    ratio, used = float(ratio), used + 1
+                    best[j], top = max(best[j], ratio), max(top, ratio)
+                    if closed := _closed(max(top, plane), upper):
+                        return top, closed, used
+                    settled[j] = abs(ratio - prev[j]) <= 1e-10 * max(ratio, 1.0)
+                    prev[j] = ratio
+                    if not settled[j]:
+                        keep.append(i)
+                if not keep:
+                    continue
+                w = _duality_map(y, h, pp, levels)
+                del y, levels   # one start's arrays fewer at the peak of a large grid
+                z = plan.adjoint(w if len(keep) == len(chunk) else w[keep])
+                del w
+                moving = z.reshape(len(keep), -1).any(axis=1)
+                for i, m in zip(keep, moving):   # a vanished T* step settles
+                    settled[chunk[i]] = not m
+                if moving.any():
+                    x_next = _duality_map(z if moving.all() else z[moving], h, qq)
+                    x_next *= 1.0 / pnorm_levels(x_next, h, pp)[-1]
+                    x[len(ids):len(ids) + len(x_next)] = x_next   # rows read already
+                    ids += [chunk[i] for i, m in zip(keep, moving) if m]
+            live, x = ids, x[:len(ids)]
+            if not live or used == budget:
                 break
-            if abs(ratio - prev) <= 1e-10 * max(ratio, 1.0):
-                settled[k] = True
-            elif len(history[k]) < iters:
-                keep.append(i)
-        stacked = len(ids)
-        ids, x = [ids[i] for i in keep], None
-        if ids:
-            w = _duality_map(y, h, pp, levels)
-            del y, levels   # one start's arrays fewer at the peak of a large grid
-            z = plan.adjoint(w if len(ids) == stacked else w[keep])
-            moving = z.reshape(len(ids), -1).any(axis=1)
-            if not moving.all():   # a vanished T* step settles its start
-                for i in np.flatnonzero(~moving):
-                    settled[ids[i]] = True
-                ids, z = [k for k, m in zip(ids, moving) if m], z[moving]
-            if ids:
-                x = _duality_map(z, h, qq)
-                x *= 1.0 / pnorm_levels(x, h, pp)[-1]
-    best, used = 0.0, 0
-    for ratios in history:
-        for ratio in ratios:
-            used += 1
-            best = max(best, ratio)
-            closed = _closed(max(best, plane), upper)
-            if closed:
-                return best, closed, used
-    return best, "settled" if any(settled) else "budget", used
+        else:   # the round ran its k iterations: halve the contenders
+            ranked = sorted(contenders, key=lambda j: -best[j])
+            contenders = sorted(ranked[:(len(contenders) + 1) // 2])
+            kept = [i for i, j in enumerate(live) if j in contenders]
+            for i, row in enumerate(kept):   # in place: row >= i
+                x[i] = x[row]
+            live, x = [live[i] for i in kept], x[:len(kept)]
+            k *= 2
+    lead = max(contenders, key=best.__getitem__)
+    return top, "settled" if settled[lead] else "budget", used
 
 
 def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
@@ -710,15 +711,14 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     """Estimate the discrete operator norm on the grid, inside a bracket.
 
     "power_iteration_p2" (p identically 2) runs power iteration on T*T
-    from the plane wave at the largest |b| (see `_norm_bracket`), an
-    exact eigenfunction of a multiplier, so a multiplier closes its
-    bracket at the first apply; the seed is not used.  "random_ascent"
-    runs Boyd's fixed-point ascent for any exponent, uniform or mixed,
-    through the iterated norm's duality map, from a band-limited impulse,
-    its adjoint image and random band-limited starts, which iterate
-    together as one stack of at most ASCENT_STACK_SAMPLES samples (one
-    start at a time above it) with the bits of one start after another
-    (see `_boyd_ascent`).  Either stops early once
+    from the plane wave at the largest |b| (see `_norm_bracket`; the delta
+    at the largest |a| for a multiplication), an exact eigenfunction of a
+    multiplier, so a multiplier closes its bracket at the first apply; the
+    seed is not used.  "random_ascent" runs Boyd's fixed-point ascent for
+    any exponent, uniform or mixed, through the iterated norm's duality
+    map, from that plane wave, a band-limited impulse, its adjoint image
+    and random band-limited starts, which share the budget by successive
+    halving on one stack (see `_boyd_ascent`).  Either stops early once
     lower = max(best ratio, plane-wave ratio) comes within BRACKET_RTOL of
     the certified upper bound, so a bracket closed in closed form (a p=2
     multiplier, a multiplication) stops at the first apply.  value is the
@@ -745,7 +745,7 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     else:
         value, reason, used = _boyd_ascent(s, grid, p, budget,
                                            np.random.default_rng(seed),
-                                           plane, upper)
+                                           peak, plane, upper)
     return NormEstimate(value, method, reason, used, p.p, max(value, plane), upper)
 
 

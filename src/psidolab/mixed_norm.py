@@ -55,9 +55,23 @@ class MixedExponent:
         return self.p[: self.split]
 
 
+def _conjugate(v: float) -> float:
+    """v / (v - 1), rounded once, of the fraction a/b with the smallest
+    b <= 1000 that rounds to v, else of v itself (int division rounds
+    once): so the float nearest 4/3 maps to 4.0, not 4.000000000000001,
+    and back."""
+    for b in range(1, 1001):
+        a = round(v * b)
+        if a / b == v:
+            return a / (a - b)
+    a, b = v.as_integer_ratio()
+    return a / (a - b)
+
+
 def holder_dual(p: MixedExponent) -> MixedExponent:
-    """Componentwise conjugate exponents: 1/p_i + 1/p'_i = 1."""
-    return MixedExponent(tuple(v / (v - 1.0) for v in p.p), p.split)
+    """Componentwise conjugate exponents: 1/p_i + 1/p'_i = 1, exact for
+    the floats nearest simple fractions (`_conjugate`)."""
+    return MixedExponent(tuple(_conjugate(v) for v in p.p), p.split)
 
 
 def _abs_power(a: np.ndarray, e: float) -> np.ndarray:

@@ -344,7 +344,7 @@ class TestDeterminism:
 class TestNormEstimateCommand:
     def test_closed_bracket_reports_its_lower_bound(self, tmp_path, capsys):
         # a p=2 multiplier's bracket [1, 1] closes at the first apply, whose
-        # measured ratio is far below 1: the report and the line give lower
+        # measured ratio need not reach it: the report and the line give lower
         code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--d", "1",
                        "--n", "512", "--R", "8", "--p", "2",
                        "--out-dir", str(tmp_path))

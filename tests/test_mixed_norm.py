@@ -28,6 +28,14 @@ class TestMixedExponent:
         assert dual.p[0] == pytest.approx(1.5)
         assert dual.p[1] == pytest.approx(3.0)
 
+    def test_holder_dual_of_simple_fractions_is_exact(self):
+        # v / (v - 1) of the float nearest 4/3 is 4.000000000000001, which
+        # would send the duality map through pow instead of a square
+        ps = (4.0 / 3.0, 1.25, 1.5, 2.0, 3.0, 4.0, 5.0)
+        dual = holder_dual(MixedExponent(ps)).p
+        assert dual == (4.0, 5.0, 3.0, 2.0, 1.5, 4.0 / 3.0, 1.25)
+        assert holder_dual(MixedExponent(dual)).p == ps
+
     @given(st.lists(exponents, min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_holder_dual_involution(self, ps):

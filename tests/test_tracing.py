@@ -64,9 +64,9 @@ def test_power_iteration_self_check_and_uninstall(spec, d):
 def test_mixed_ascent_runs_on_the_plan():
     # the ascent applies T and T* through an operator plan, which calls
     # numpy's FFT directly: the traced transforms are the bracket's kernel
-    # (theta < 1 at (3, 1.5)), the band-limited impulse and the 4 random
-    # starts, and no apply or adjoint span opens, so the applies counter
-    # reads 0 while the iterations are still counted
+    # (theta < 1 at (3, 1.5)), the plane-wave start, the band-limited
+    # impulse and the 4 random starts, and no apply or adjoint span opens,
+    # so the applies counter reads 0 while the iterations are still counted
     tracer = tracing.Tracer().install()
     try:
         est = psidolab.operator_norm_estimate(
@@ -74,7 +74,7 @@ def test_mixed_ascent_runs_on_the_plan():
             MixedExponent((3.0, 1.5)), "random_ascent", budget=40, seed=1)
     finally:
         tracer.uninstall()
-    assert tracer.calls["grid.fourier_transform"] == 6
+    assert tracer.calls["grid.fourier_transform"] == 7
     assert tracer.calls["grid.random_band_limited"] == 4
     assert tracer.counters["estimates.norm.applies"] == 0
     assert not any(n.startswith(("operators.apply.", "operators.adjoint."))

@@ -28,9 +28,9 @@ maps cannot do without.
 
 The last row per grid is the stacked Boyd ascent per start: the minimum
 time of a ``random_ascent`` estimate of ``wave:0`` at p=4 (whose bracket
-stays open, so its six starts iterate together until they settle) over
-its iterations, each one start's apply, adjoint and duality maps inside
-the stack.  Its floor is one iteration's four transforms alone, twice
+stays open, so its starts share the budget by successive halving on one
+stack until they settle) over its iterations, each one start's apply,
+adjoint and duality maps inside the stack.  Its floor is one iteration's four transforms alone, twice
 fftn plus ifftn.  An estimate takes milliseconds, so it is timed
 ``--repeats`` / 100 times (at least once), as the dyadic rows are.
 
