@@ -441,10 +441,10 @@ class NormEstimate:
 
     value is the best ratio ||T f||_p / ||f||_p the iteration reached;
     lower = max(value, the plane-wave ratio certified in closed form) and
-    upper is a certified bound, None for a coupled ("general") symbol.  All
-    three carry roundoff: value <= upper * (1 + BRACKET_RTOL) holds, not
-    value <= upper (power iteration on a multiplier can end one ulp above
-    max|b|).  reason says why the iteration stopped: "settled" (a ratio
+    upper is a certified bound, None for a coupled ("general") symbol.  A
+    closed bracket caps value and lower at upper; else value can end an ulp
+    above it: value <= upper * (1 + BRACKET_RTOL) holds, not value <= upper.
+    reason says why the iteration stopped: "settled" (a ratio
     stopped moving, or its adjoint step vanished), "bracket_closed"
     (upper - lower <= BRACKET_RTOL * upper), "zero_operator" (upper == 0)
     or "budget" (out of iterations).  The bracket is tested after each
@@ -637,16 +637,17 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
     ratio never falls along one start's path, up to roundoff.
 
-    The S `_ascent_starts` share the budget by successive halving
-    (Jamieson & Talwalkar 2016): each round runs every live start k
-    iterations, from k = max(4, budget // sum_r ceil(S/2^r) 2^r), keeps the
-    better half (rounded up) of the contenders by best ratio, settled ones
-    included, and doubles k.  Live starts iterate as one stack on one
+    The `_ascent_starts` run in rounds of k iterations per live start.
+    After each round the contenders are ranked by best ratio; behind the
+    lead, settled starts (they never lead) and starts not above plane drop
+    out, and a settled lead left alone ends the ascent.  Round 0 (k = 4)
+    only screens; round 1 gives the live starts half the budget left; then
+    successive halving (Jamieson & Talwalkar 2016) keeps the better half,
+    rounded up, and doubles k.  Live starts iterate as one stack on one
     `operator_plan`, in chunks of at most ASCENT_STACK_SAMPLES samples,
-    each with its bits alone; ratios count as iterations in start order,
-    each followed by the test _closed(max(best, plane), upper).  Returns
-    (best ratio, reason, iterations); "settled" if the best start settled
-    (its ratio stopped moving or its T* step vanished)."""
+    each with its bits alone; ratios count in start order, each followed
+    by the test _closed(max(best, plane), upper).  Returns (best ratio,
+    reason, iterations), "settled" if the lead settled."""
     pp, qq, h = p.p, holder_dual(p).p, grid.spacing
     plan = operator_plan(s, grid)
     x = _ascent_starts(s, plan, peak, rng)
@@ -656,9 +657,7 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
     best, prev, settled = [0.0] * count, [-1.0] * count, [False] * count
     live, contenders = list(range(count)), list(range(count))   # start order
     width = max(1, ASCENT_STACK_SAMPLES // grid.total_points)
-    k = max(4, budget // sum(-(-count >> r) << r
-                             for r in range((count - 1).bit_length() + 1)))
-    top, used = 0.0, 0
+    k, halving, top, used = 4, False, 0.0, 0
     while live and used < budget:
         for _ in range(k):
             ids = []   # the live starts of the next iteration, rows x[:len(ids)]
@@ -693,14 +692,17 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
             live, x = ids, x[:len(ids)]
             if not live or used == budget:
                 break
-        else:   # the round ran its k iterations: halve the contenders
-            ranked = sorted(contenders, key=lambda j: -best[j])
-            contenders = sorted(ranked[:(len(contenders) + 1) // 2])
+        else:   # the round ran its k iterations: rank the contenders
+            lead = max(contenders, key=best.__getitem__)
+            ranked = sorted((j for j in contenders if j == lead or not settled[j]
+                             and best[j] > plane), key=lambda j: -best[j])
+            contenders = sorted(ranked[:(len(ranked) + 1) // 2] if halving else ranked)
             kept = [i for i, j in enumerate(live) if j in contenders]
             for i, row in enumerate(kept):   # in place: row >= i
                 x[i] = x[row]
             live, x = [live[i] for i in kept], x[:len(kept)]
-            k *= 2
+            k = 2 * k if halving else max(4, (budget - used) // (2 * len(live) or 1))
+            halving = True
     lead = max(contenders, key=best.__getitem__)
     return top, "settled" if settled[lead] else "budget", used
 
@@ -717,16 +719,12 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     seed is not used.  "random_ascent" runs Boyd's fixed-point ascent for
     any exponent, uniform or mixed, through the iterated norm's duality
     map, from that plane wave, a band-limited impulse, its adjoint image
-    and random band-limited starts, which share the budget by successive
-    halving on one stack (see `_boyd_ascent`).  Either stops early once
-    lower = max(best ratio, plane-wave ratio) comes within BRACKET_RTOL of
-    the certified upper bound, so a bracket closed in closed form (a p=2
-    multiplier, a multiplication) stops at the first apply.  value is the
-    best ratio reached, a lower bound on the discrete norm; lower adds the
-    certified plane-wave ratio and upper the certified bound (None for a
-    coupled symbol), both to roundoff: value <= upper * (1 + BRACKET_RTOL).
-    reason, converged (reason is not "budget") and estimate (lower once
-    the bracket is closed, else value) are described on `NormEstimate`.
+    and random band-limited starts, screened and then halved on one stack
+    (see `_boyd_ascent`).  Either stops early once lower = max(best ratio,
+    plane-wave ratio) comes within BRACKET_RTOL of the certified upper
+    bound, so a bracket closed in closed form (a p=2 multiplier, a
+    multiplication) stops at the first apply.  value, lower, upper,
+    reason, converged and estimate are described on `NormEstimate`.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
@@ -746,6 +744,8 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
         value, reason, used = _boyd_ascent(s, grid, p, budget,
                                            np.random.default_rng(seed),
                                            peak, plane, upper)
+    if reason == "bracket_closed":   # both within BRACKET_RTOL of upper
+        value, plane = min(value, upper), min(plane, upper)
     return NormEstimate(value, method, reason, used, p.p, max(value, plane), upper)
 
 

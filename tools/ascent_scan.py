@@ -6,9 +6,10 @@
 
 The scan runs ``operator_norm_estimate(..., "random_ascent")`` at the
 default budget on every symbol of ``builtin_symbols(R)`` on the grids
-(d, n, R) = (1, 512, 8), (2, 32, 8), (2, 64, 8) and (3, 16, 4), at the
+(d, n, R) = (1, 512, 8), (2, 32, 8), (2, 64, 8), (3, 16, 4) and
+(1, 64, 32), the first grid of the benchmark's ``probe wave:0`` op, at the
 uniform exponents 2, 4 and 4/3 and, at d >= 2, the alternating exponents
-(3, 1.5, ...) and (1.5, 3, ...), for seeds 1-3: 270 cases.  ``--grid``
+(3, 1.5, ...) and (1.5, 3, ...), for seeds 1-3: 315 cases.  ``--grid``
 (d,n,R, repeatable) narrows it to the grids given.
 
 ``--out`` writes the table: one row per case with the symbol's index in
@@ -40,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from psidolab import (Grid, MixedExponent, builtin_symbols,  # noqa: E402
                       operator_norm_estimate)
 
-GRIDS = ((1, 512, 8.0), (2, 32, 8.0), (2, 64, 8.0), (3, 16, 4.0))
+GRIDS = ((1, 512, 8.0), (2, 32, 8.0), (2, 64, 8.0), (3, 16, 4.0), (1, 64, 32.0))
 SEEDS = (1, 2, 3)
 CHECK_RTOL = 1e-10
 

@@ -28,11 +28,12 @@ maps cannot do without.
 
 The last row per grid is the stacked Boyd ascent per start: the minimum
 time of a ``random_ascent`` estimate of ``wave:0`` at p=4 (whose bracket
-stays open, so its starts share the budget by successive halving on one
-stack until they settle) over its iterations, each one start's apply,
-adjoint and duality maps inside the stack.  Its floor is one iteration's four transforms alone, twice
-fftn plus ifftn.  An estimate takes milliseconds, so it is timed
-``--repeats`` / 100 times (at least once), as the dyadic rows are.
+stays open, so its starts are screened and then halved on one stack
+until they settle) over its iterations, each one start's apply, adjoint
+and duality maps inside the stack.  Its floor is one iteration's four
+transforms alone, twice fftn plus ifftn.  An estimate takes
+milliseconds, so it is timed ``--repeats`` / 100 times (at least once),
+as the dyadic rows are.
 
 The dyadic layer follows: ``kernel_sum`` and ``decay_fit`` (the CLI's
 default window, 4h to R/2) of ``bessel:-1`` at d=3 n=64 R=4 with 3 levels
