@@ -476,7 +476,8 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
     """(peak, plane, upper) from the sampled terms a_r(x) b_r(xi) of s
     (`operators._terms`).
 
-    peak is the dual-grid index of the largest sum_r ||a_r||_2 |b_r(xi)|,
+    peak is the dual-grid index of the largest sum_r ||a_r||_2 |b_r(xi)|
+    (each ||a_r||_2 by `iterated_pnorm`, as every norm here is taken),
     the argmax of |b| for a factored symbol, or for a multiplication a(x)
     the grid index of the largest |a|.  The plane wave e at peak is an
     exact eigenfunction of a multiplier, and the delta at peak one of a
@@ -502,7 +503,9 @@ def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
         top = float(mag[peak])
         return peak, top, top if math.isfinite(top) else None
     if s.kind == "general":
-        weight = sum(_l2_norm(a) * np.abs(b) for a, b in terms)
+        two = (2.0,) * grid.dim
+        weight = sum(iterated_pnorm(a, grid.spacing, two) * np.abs(b)
+                     for a, b in terms)
         return np.unravel_index(np.argmax(weight), dual.shape), 0.0, None
     [(a, b)] = terms
     b = np.broadcast_to(b, dual.shape)
@@ -528,21 +531,6 @@ def _closed(lower: float, upper: Optional[float]) -> Optional[str]:
     if upper is None or upper - lower > BRACKET_RTOL * upper:
         return None
     return "zero_operator" if upper == 0.0 else "bracket_closed"
-
-
-def _l2_norm(v: np.ndarray) -> float:
-    """sqrt(sum |v_k|^2): the squares of v's real and imaginary parts
-    summed in np.longdouble by einsum, without BLAS, whose threads reorder
-    the sum and so change the bits.  Where long double is wider than
-    float64 (a 64-bit mantissa on x86-64 Linux) the sum's rounding stays
-    far below the result's: power iteration's first ratio on bessel:2 at
-    d=3 n=32 lands 1 ulp below max|b|, 147 ulps above it with a BLAS dot
-    product.  The bits therefore depend on the long double format: the
-    tests pin those of the x86-64 80-bit one, and where long double is
-    float64 (Windows, macOS on arm64) or binary128 (aarch64 Linux) the
-    last bit can differ."""
-    parts = v.reshape(-1).view(np.float64).astype(np.longdouble)
-    return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
 
 def _dual_map(v: np.ndarray, q: float, a: np.ndarray) -> np.ndarray:
@@ -571,12 +559,15 @@ def _top_start(s: Symbol, grid: Grid, peak: tuple) -> np.ndarray:
 def _power_iteration_p2(s: Symbol, grid: Grid, budget: int, peak: tuple,
                         plane: float, upper: Optional[float]) -> tuple:
     """Power iteration on T*T from `_top_start`: (best ratio, reason,
-    iterations).  Its `_l2_norm`s keep the bits off BLAS threads."""
+    iterations).  Its ratio ||T v||_2 / ||v||_2 takes both norms from
+    `iterated_pnorm`, float64 numpy sums without BLAS, so the bits do not
+    depend on BLAS threads."""
+    h, two = grid.spacing, (2.0,) * grid.dim
     v = _top_start(s, grid, peak)
     best, prev, it = 0.0, -1.0, 0
     for it in range(1, budget + 1):
         tv = apply_psido(s, SampledFunction(grid, v)).values
-        est = _l2_norm(tv) / _l2_norm(v)
+        est = iterated_pnorm(tv, h, two) / iterated_pnorm(v, h, two)
         best = max(best, est)
         closed = _closed(max(best, plane), upper)
         if closed:
@@ -768,6 +759,8 @@ def condition_report(m: float, rho: float, delta: float, d: int, p) -> Condition
     necessary:  m <= -d (1 - rho) |1/2 - 1/p_i|   (per component)
     sufficient: m <= -(1 - rho) (d + 1 + rho)
     """
+    if not math.isfinite(m):
+        raise InvalidInputError(f"m: expected a finite number, got {m}")
     if not (0.0 <= rho <= 1.0 and 0.0 <= delta < 1.0):
         raise InvalidInputError(f"bad class parameters rho={rho}, delta={delta}")
     if isinstance(p, MixedExponent):

@@ -170,7 +170,7 @@ class Grid:
             object.__setattr__(self, "_dual", dual)
         return dual
 
-    def index_of(self, point, tol: float = 1e-9) -> tuple:
+    def index_of(self, point) -> tuple:
         """Grid index of an on-grid point; raises if any coordinate is off-grid."""
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         if pt.shape != (self.dim,):
@@ -178,7 +178,7 @@ class Grid:
                 f"point has shape {pt.shape}, expected ({self.dim},)")
         idx = (pt + self.half_extent) / self.spacing
         rounded = np.rint(idx)
-        if np.any(np.abs(idx - rounded) > tol * max(1.0, 1.0 / self.spacing)):
+        if np.any(np.abs(idx - rounded) > 1e-9 * max(1.0, 1.0 / self.spacing)):
             raise InvalidInputError(f"point {pt.tolist()} is not on the grid")
         if np.any(rounded < 0) or np.any(rounded >= self.points_per_axis):
             raise InvalidInputError(f"point {pt.tolist()} lies outside the box")
@@ -190,11 +190,11 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def compatible_grids(a: Grid, b: Grid, rel_tol: float = 1e-12) -> bool:
+def compatible_grids(a: Grid, b: Grid) -> bool:
     return (
         a.dim == b.dim
         and a.points_per_axis == b.points_per_axis
-        and math.isclose(a.half_extent, b.half_extent, rel_tol=rel_tol)
+        and math.isclose(a.half_extent, b.half_extent, rel_tol=1e-12)
     )
 
 
@@ -414,18 +414,15 @@ def japanese_bracket(xi) -> float:
     return float(np.sqrt(1.0 + np.sum(xi**2)))
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator,
-                        band_fraction: float = 0.4) -> SampledFunction:
-    """Random function whose spectrum lives in |xi| <= band_fraction * Nyquist.
+def random_band_limited(grid: Grid, rng: np.random.Generator) -> SampledFunction:
+    """Random function whose spectrum lives in |xi| <= 0.4 * Nyquist.
 
     Normalized to unit sup norm; used as generic test input wherever the
     periodic surrogate must not feel the grid cutoff.  The band mask is
     built from the dual grid's radius on every draw.
     """
-    if not 0 < band_fraction <= 1:
-        raise InvalidInputError(f"band_fraction must be in (0, 1], got {band_fraction}")
     dual = grid.dual()
-    mask = dual.radius() <= band_fraction * grid.nyquist
+    mask = dual.radius() <= 0.4 * grid.nyquist
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spectrum = SampledFunction(dual, coeffs * mask)
     f = fourier_transform(spectrum, "inverse")

@@ -550,8 +550,8 @@ def kernel_sum(dd: DyadicDecomposition, x=None) -> Kernel:
 # ---------------------------------------------------------------------------
 # off-support integral representation
 
-def support_mask(f: SampledFunction, threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
-    return np.abs(f.values) > threshold
+def support_mask(f: SampledFunction) -> np.ndarray:
+    return np.abs(f.values) > SUPPORT_THRESHOLD
 
 
 def offsupport_apply(k: Kernel, f: SampledFunction, x) -> complex:

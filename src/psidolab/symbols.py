@@ -31,7 +31,6 @@ point then the product of the two, as its evaluator forms it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -374,13 +373,13 @@ def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
                      f"wave:{m}", xi_factor=_radial(profile))
 
 
-def smoothness_coefficients(smoothness: int, count: int, amplitude: float = 0.4) -> tuple:
+def smoothness_coefficients(smoothness: int, count: int) -> tuple:
     """Cosine-series coefficients decaying like k^-(smoothness+1), normalized
-    so the series sums to `amplitude` (keeps the factor in [1-a, 1+a])."""
+    so the series sums to 0.4 (keeps the factor in [0.6, 1.4])."""
     if count < 1 or smoothness < 0:
         raise InvalidInputError("need count >= 1 and smoothness >= 0")
     raw = np.arange(1, count + 1, dtype=float) ** (-(smoothness + 1.0))
-    return tuple(amplitude * raw / raw.sum())
+    return tuple(0.4 * raw / raw.sum())
 
 
 def trig_multiplication(coeffs, period: float, N: int = 2) -> Symbol:
@@ -768,20 +767,6 @@ class DerivativeBoundReport:
             if e.alpha == tuple(alpha) and e.beta == tuple(beta):
                 return e
         raise KeyError((alpha, beta))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "beta", "fitted_C", "witness_x", "witness_xi", "pass"])
-            for e in self.entries:
-                writer.writerow([
-                    " ".join(map(str, e.alpha)),
-                    " ".join(map(str, e.beta)),
-                    repr(e.fitted_constant),
-                    " ".join(repr(v) for v in e.witness_x),
-                    " ".join(repr(v) for v in e.witness_xi),
-                    e.passed,
-                ])
 
 
 def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> DerivativeBoundReport:

@@ -508,6 +508,8 @@ class TestMalformedParameters:
          {"budget": True}, "budget"),
         (KERNEL_DECAY, {"alpha": [True, 0]}, "alpha"),
         (("probe",), {"expect": "bogus"}, "expect"),
+        (("conditions", "--m", "inf"), None, "m"),
+        (("conditions", "--m=-inf"), None, "m"),
     ])
     def test_exit_two_naming_the_parameter(self, tmp_path, capsys, argv,
                                            config, name):

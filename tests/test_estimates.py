@@ -517,9 +517,9 @@ class TestOperatorNorm:
         # no l2 norm of a real x factor: only a general symbol's complex
         # terms are weighted by theirs
         seen = []
-        l2_norm = estimates._l2_norm
-        monkeypatch.setattr(estimates, "_l2_norm",
-                            lambda v: seen.append(v.dtype) or l2_norm(v))
+        pnorm = estimates.iterated_pnorm
+        monkeypatch.setattr(estimates, "iterated_pnorm",
+                            lambda v, h, p: seen.append((v.dtype, p)) or pnorm(v, h, p))
         g = Grid(2, 16, 4.0)
         for spec in ("sep:2,6:-1", "sep:4,6:-2", "bessel:-1", "wave:0"):
             s = stack_symbol(spec, g)
@@ -527,9 +527,11 @@ class TestOperatorNorm:
             b = np.abs(s.sampled_factor("xi", g.dual()))
             assert b[peak] == b.max()
             assert peak == np.unravel_index(np.argmax(b), b.shape)
-        assert seen == []
+        # only the two sep symbols' plane ratios, ||a||_p at p itself
+        assert seen == [(np.dtype(np.float64), (3.0, 1.5))] * 2
+        seen.clear()
         estimates._norm_bracket(coupled_symbol(), g, MixedExponent((3.0, 1.5)))
-        assert len(seen) == 2 and set(seen) == {np.dtype(np.complex128)}
+        assert seen == [(np.dtype(np.complex128), (2.0, 2.0))] * 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bracket_holds_for_every_builtin(self, d):
@@ -719,15 +721,6 @@ class TestOperatorNorm:
             assert (est.reason, est.iterations) == ("bracket_closed", 1)
             assert est.lower == pytest.approx(est.upper, rel=estimates.BRACKET_RTOL)
 
-    def test_pinned_norm_bits_assume_an_x87_long_double(self):
-        # estimates._l2_norm sums in np.longdouble: the pinned power
-        # iteration bits (e.g. the lower == upper of
-        # test_power_iteration_starts_at_the_top_plane_wave) are those of
-        # its 64-bit mantissa and may move by an ulp on other formats
-        assert np.finfo(np.longdouble).nmant == 63, (
-            "long double is not the x86-64 80-bit format: pinned norm bits "
-            "may differ in the last place")
-
     def test_power_iteration_bits_ignore_blas_threads(self):
         # the norms are summed without BLAS, whose threads (above about 16k
         # samples) reorder a dot product's sum
@@ -835,6 +828,27 @@ class TestOperatorNorm:
             operator_norm_estimate(constant_symbol(1.0), g,
                                    MixedExponent((3.0,)),
                                    "power_iteration_p2", budget=10)
+
+    @pytest.mark.parametrize("spec, d, n, R", [("sep:2,6:-1", 1, 512, 8.0),
+                                                ("sep:2,6:-1", 3, 8, 4.0),
+                                                ("sep:2,6:-2", 2, 16, 8.0)])
+    def test_p2_estimates_match_the_largest_singular_value(self, spec, d, n, R):
+        # the bracket stays open here, so only the dense matrix knows the
+        # norm: with the weight h^d on both sides ||T||_2 is its top
+        # singular value; one stacked plan apply of the identity builds it
+        g = Grid(d, n, R)
+        s = cli.parse_symbol_spec(spec, 2.0 * R)
+        units = np.eye(g.total_points, dtype=complex).reshape((-1,) + g.shape)
+        svd = np.linalg.norm(operator_plan(s, g).apply(units).reshape(len(units), -1).T, 2)
+        p = MixedExponent.uniform(2.0, d)
+        ests = [operator_norm_estimate(s, g, p, "power_iteration_p2")]
+        ests += [operator_norm_estimate(s, g, p, "random_ascent", seed=seed)
+                 for seed in (1, 2, 3)]
+        for est in ests:
+            assert est.reason == "settled"
+            assert est.estimate == pytest.approx(svd, rel=1e-10)
+            assert est.lower <= svd * (1 + estimates.BRACKET_RTOL)
+            assert svd <= est.upper * (1 + estimates.BRACKET_RTOL)
 
 
 class TestNecessaryConditionProbe:

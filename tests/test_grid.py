@@ -323,9 +323,9 @@ class TestRandomBandLimited:
         # a fresh grid per draw gives the bits of one grid drawn from again
         rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
         g = Grid(2, 32, 4.0)
-        for band in (0.4, 0.4, 1.0, 0.4):
-            a = random_band_limited(g, rng_a, band).values
-            b = random_band_limited(Grid(2, 32, 4.0), rng_b, band).values
+        for _ in range(4):
+            a = random_band_limited(g, rng_a).values
+            b = random_band_limited(Grid(2, 32, 4.0), rng_b).values
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 

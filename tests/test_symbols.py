@@ -755,14 +755,6 @@ class TestVerifySymbolClass:
         assert str(got.value) == str(want.value)
         assert f"x=[{float(x_last)!r}]" in str(got.value)
 
-    def test_report_csv(self, tmp_path):
-        report = verify_symbol_class(constant_symbol(1.0),
-                                     SampleSpec(dim=1, xi_max=8.0), cap=2.0)
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "alpha,beta,fitted_C,witness_x,witness_xi,pass"
-
 
 class TestSchwartzSeminorm:
     def test_gaussian_sup(self):
