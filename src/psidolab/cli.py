@@ -25,7 +25,8 @@ import numpy as np
 from . import fileio, reporting
 from .errors import (InfeasibleBudgetError, InvalidInputError,
                      SymbolEvaluationError)
-from .estimates import (CZCheckConfig, KernelDecayParams, condition_report,
+from .estimates import (PROBE_GROWTH_THRESHOLD, CZCheckConfig,
+                        KernelDecayParams, condition_report,
                         cz_condition_check, cz_sweep, decay_fit,
                         necessary_condition_probe, operator_norm_estimate,
                         smoothness_budget)
@@ -37,6 +38,9 @@ from .symbols import (Symbol, bessel_multiplier, constant_symbol,
                       separable_symbol, smoothness_coefficients,
                       SampleSpec, trig_multiplication, verify_symbol_class,
                       wave_multiplier, with_params)
+
+CZ_MEDIAN_FACTOR = 10.0   # sweep_stability: max ratio <= this times the median
+PROBE_STABLE_TOLERANCE = 0.05   # norm_stability: max/min - 1 <= this
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +144,11 @@ def _float(params: dict, key: str, default) -> float:
 
 def _int(params: dict, key: str, default) -> int:
     """The whole number params[key]; `default` when it is missing or null.
-    An int passes as it is, so seeds beyond 2^53 stay exact."""
+    An int or a string of digits is read exactly, so seeds beyond 2^53 stay
+    exact."""
     value = params.get(key)
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
     return default if value is None else (
         value if type(value) is int else _ints(value, key, 1)[0])
 
@@ -285,7 +292,6 @@ def _run_cz_check(params):
     l = _int(params, "l", 0)
     x0prime = _floats(params.get("x0prime", ",".join("0" * (grid.dim - l))), "x0prime")
     Nconst = _float(params, "Nconst", grid.dim + 1.0)
-    factor = _float(params, "max_median_factor", 10.0)
     inner = _floats(params["pbar"], "pbar") if params.get("pbar") else ()
     if len(inner) != l:
         raise InvalidInputError(f"--pbar must list {l} inner exponents")
@@ -299,18 +305,16 @@ def _run_cz_check(params):
         reports = [cz_condition_check(apply_fn, cfg, loaded)]
     else:
         ts = _floats(params.get("t", "0.5,1"), "t")
-        reports = cz_sweep(apply_fn, grid, l, x0prime, Nconst, full, ts,
-                           inner_profile=params.get("inner_profile", "gaussian"),
-                           outer_profile=params.get("outer_profile", "bump"))
+        reports = cz_sweep(apply_fn, grid, l, x0prime, Nconst, full, ts)
     ratios = [r.ratio for r in reports]
     finite = all(math.isfinite(r) for r in ratios)
     checks = [reporting.make_check("ratios_finite", finite, ratios=ratios)]
     if len(ratios) >= 2:
         med = _median(ratios)
-        ok = max(ratios) <= factor * med if med > 0 else max(ratios) == 0.0
+        ok = max(ratios) <= CZ_MEDIAN_FACTOR * med if med > 0 else max(ratios) == 0.0
         checks.append(reporting.make_check(
             "sweep_stability", ok, max_ratio=max(ratios), median=med,
-            factor=factor))
+            factor=CZ_MEDIAN_FACTOR))
     rows = [reporting.sweep_row(r.t, r.lhs, r.rhs, r.ratio, True) for r in reports]
     return checks, {"ratios": rows}, [f"ratios: {ratios}"]
 
@@ -371,7 +375,6 @@ def _run_probe(params):
     expect = params.get("expect", "report")
     if expect not in ("report", "growth", "stable"):
         raise InvalidInputError(f"expect: expected report, growth or stable, got {expect!r}")
-    tol = _float(params, "stable_tolerance", 0.05)
     half_extent = _float(params, "R", 32.0)
     sym = parse_symbol_spec(params.get("symbol", "wave:0"),
                             period=2.0 * half_extent)
@@ -383,17 +386,16 @@ def _run_probe(params):
         dim=_int(params, "d", 1),
         budget=_int(params, "budget", 300),
         seed=_int(params, "seed", 0),
-        growth_threshold=_float(params, "growth_threshold", 0.2),
     )
     checks = []
     if expect == "growth":
         checks.append(reporting.make_check("norm_growth", rep.grows,
                                            growth=rep.growth,
-                                           threshold=rep.growth_threshold))
+                                           threshold=PROBE_GROWTH_THRESHOLD))
     elif expect == "stable":
-        checks.append(reporting.make_check("norm_stability",
-                                           rep.variation <= tol,
-                                           variation=rep.variation, tolerance=tol))
+        checks.append(reporting.make_check(
+            "norm_stability", rep.variation <= PROBE_STABLE_TOLERANCE,
+            variation=rep.variation, tolerance=PROBE_STABLE_TOLERANCE))
     rows = [reporting.sweep_row(n, est, rep.estimates[0],
                                 est / rep.estimates[0], conv, lower=lower,
                                 upper=upper, reason=reason)
@@ -413,13 +415,11 @@ _COMMANDS = {
     "dyadic": (_run_dyadic, "--symbol --levels --x"),
     "kernel-decay": (_run_kernel_decay, "--symbol --levels --x --window --L "
                      "--alpha --beta --shells --slope-range --decay-csv"),
-    "cz-check": (_run_cz_check, "--symbol --l --t --x0prime --Nconst --pbar "
-                 "--input --max-median-factor --inner-profile --outer-profile"),
+    "cz-check": (_run_cz_check, "--symbol --l --t --x0prime --Nconst --pbar --input"),
     "norm-estimate": (_run_norm_estimate, "--symbol --p --method --budget"),
     "budget": (_run_budget, "--m --rho --delta"),
     "conditions": (_run_conditions, "--m --rho --delta --p"),
-    "probe": (_run_probe, "--symbol --p --resolutions --budget "
-              "--growth-threshold --stable-tolerance --expect"),
+    "probe": (_run_probe, "--symbol --p --resolutions --budget --expect"),
 }
 
 
@@ -454,11 +454,8 @@ def run(kind: str, params: dict) -> int:
 # argument parsing
 
 def _add_common(sub):
-    # typed, so reports echo the common numbers as numbers
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--R", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    for flag in ("--d", "--n", "--R", "--seed"):   # read in `_merge_params`
+        sub.add_argument(flag, default=None)
     sub.add_argument("--out-dir", dest="out_dir", default=None)
     sub.add_argument("--json", action=argparse.BooleanOptionalAction, default=None)
     sub.add_argument("--csv", action=argparse.BooleanOptionalAction, default=None)
@@ -491,10 +488,13 @@ def _merge_params(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise InvalidInputError(f"config {args.config} must hold a JSON object")
         params.update(loaded)
+    numbers = {"d": _int, "n": _int, "R": _float, "seed": _int}
     for key, value in vars(args).items():
         if key in ("kind", "config") or value is None:
             continue
         params[key] = value
+        if key in numbers:   # echoed as numbers: --n 64.0 as 64
+            params[key] = numbers[key](params, key, None)
     return params
 
 

@@ -27,6 +27,8 @@ from .operators import (DyadicDecomposition, Kernel, OperatorPlan, _terms,
 from .symbols import Symbol, as_multi_index, multi_index_order
 
 ZERO_MEAN_TOL = 1e-12
+ENVELOPE_PASS_FACTOR = 3.0   # largest ring spread `dyadic_envelope_check` passes
+PROBE_GROWTH_THRESHOLD = 0.2   # smallest last/first - 1 the probe calls growth
 # shell maxima up to this share of max|k| are roundoff (kernel paths differ by 5e-14)
 DECAY_ROUNDOFF_FLOOR = 256 * np.finfo(float).eps
 
@@ -168,7 +170,7 @@ def _over_power_of_two(value: float, power: float) -> float:
 
 
 def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
-                          x=None, pass_factor: float = 3.0) -> EnvelopeReport:
+                          x=None) -> EnvelopeReport:
     """Check that ring kernels scale like 2^(j (d + m + delta|alpha| + |beta| - rho M)).
 
     beta-derivatives are spectral on each piece (|beta| <= 2); alpha > 0 is
@@ -209,20 +211,13 @@ def dyadic_envelope_check(dd: DyadicDecomposition, M: int, alpha, beta,
     if len(ring) >= 2:
         spread = max(ring) / min(ring)
         return EnvelopeReport(exponent, M, tuple(ratios), tuple(sups),
-                              spread, spread <= pass_factor, False)
+                              spread, spread <= ENVELOPE_PASS_FACTOR, False)
     return EnvelopeReport(exponent, M, tuple(ratios), tuple(sups),
                           None, True, True)
 
 
 # ---------------------------------------------------------------------------
 # cancellation test class
-
-_INNER_PROFILES = {
-    "gaussian": lambda u: np.exp(-0.5 * u**2),
-    "bump": lambda u: np.where(np.abs(u) < 1.0,
-                               np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0),
-}
-
 
 def _radial_bump(u2: np.ndarray) -> np.ndarray:
     """exp(-1/(1-|u|^2)) on |u| < 1, exactly zero outside."""
@@ -232,21 +227,14 @@ def _radial_bump(u2: np.ndarray) -> np.ndarray:
     return out
 
 
-_OUTER_PROFILES = {
-    "bump": _radial_bump,
-    "cos": lambda u2: np.where(u2 < 1.0, np.cos(0.5 * math.pi * np.sqrt(u2)) ** 2, 0.0),
-}
-
-
-def make_cancellation_test_function(grid: Grid, l: int, t: float, yprime,
-                                    inner_profile: str = "gaussian",
-                                    outer_profile: str = "bump") -> SampledFunction:
+def make_cancellation_test_function(grid: Grid, l: int, t: float,
+                                    yprime) -> SampledFunction:
     """Member of the cancellation class: supported in the slab
     |x' - y'|_inf <= t with zero mean in x' for every leading point.
 
-    Built as g(xbar) * (B(x' - a) - B(x' - b)) with B a compactly supported
-    bump of radius t/2 and grid-aligned translates a, b: an exact support
-    mask, and row means that cancel to roundoff (`cz_condition_check` checks).
+    Built as g(xbar) * (B(x' - a) - B(x' - b)) with g = exp(-|xbar|^2 / 2), B
+    the `_radial_bump` of radius t/2 and grid-aligned translates a, b: an exact
+    support mask, and row means that cancel to roundoff (`cz_condition_check`).
     """
     d = grid.dim
     if not 0 <= l <= d - 1:
@@ -259,11 +247,6 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float, yprime,
         raise InvalidInputError(f"y' has shape {yprime.shape}, expected ({d - l},)")
     if np.max(np.abs(yprime)) + t > grid.half_extent - h:
         raise InvalidInputError("slab does not fit inside the box")
-    try:
-        inner_fn = _INNER_PROFILES[inner_profile]
-        outer_fn = _OUTER_PROFILES[outer_profile]
-    except KeyError as exc:
-        raise InvalidInputError(f"unknown profile {exc.args[0]!r}") from None
 
     width = t / 2.0
     offset = round((t / 2.0) / h) * h
@@ -277,15 +260,16 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float, yprime,
             shift = center_shift if k == 0 else 0.0
             u = (ax - yprime[k] - shift) / width
             u2 = u2 + (u**2).reshape((-1,) + (1,) * (d - l - 1 - k))
-        return outer_fn(u2)
+        return _radial_bump(u2)
 
     trailing = outer_factor(offset) - outer_factor(-offset)
     if l == 0:
         values = trailing
     else:
+        gauss = np.exp(-0.5 * ax**2)
         leading = np.ones((grid.points_per_axis,) * l)
         for k in range(l):
-            leading = leading * inner_fn(ax).reshape((-1,) + (1,) * (l - 1 - k))
+            leading = leading * gauss.reshape((-1,) + (1,) * (l - 1 - k))
         values = leading.reshape(leading.shape + (1,) * (d - l)) * trailing
     return SampledFunction(grid, values)
 
@@ -386,14 +370,12 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
 
 
 def cz_sweep(apply_fn: Callable, grid: Grid, l: int, x0prime, Nconst: float,
-             pbar: MixedExponent, ts, inner_profile: str = "gaussian",
-             outer_profile: str = "bump") -> list:
+             pbar: MixedExponent, ts) -> list:
     """Run the mass-condition check across slab widths, building the test
     function for each t."""
     reports = []
     for t in ts:
-        f = make_cancellation_test_function(grid, l, float(t), x0prime,
-                                            inner_profile, outer_profile)
+        f = make_cancellation_test_function(grid, l, float(t), x0prime)
         cfg = CZCheckConfig(l=l, t=float(t), x0prime=x0prime, Nconst=Nconst,
                             pbar=pbar)
         reports.append(cz_condition_check(apply_fn, cfg, f))
@@ -767,6 +749,8 @@ def condition_report(m: float, rho: float, delta: float, d: int, p) -> Condition
         ps = p.p
     else:
         ps = (float(p),)
+        if not ps[0] >= 1.0:   # 1 and inf are the endpoint spaces
+            raise InvalidInputError(f"p: expected an exponent >= 1, got {p}")
     nec_rhs = tuple(-d * (1.0 - rho) * abs(0.5 - 1.0 / q) for q in ps)
     nec_margins = tuple(r - m for r in nec_rhs)
     suf_rhs = -(1.0 - rho) * (d + 1.0 + rho)
@@ -906,14 +890,12 @@ class ProbeReport:
     reasons: tuple
     growth: float            # last/first - 1
     variation: float         # max/min - 1
-    grows: bool
-    growth_threshold: float
+    grows: bool              # growth >= PROBE_GROWTH_THRESHOLD
 
 
 def necessary_condition_probe(s: Symbol, p: float, resolutions,
                               half_extent: float, dim: int = 1,
-                              budget: int = 300, seed: int = 0,
-                              growth_threshold: float = 0.2) -> ProbeReport:
+                              budget: int = 300, seed: int = 0) -> ProbeReport:
     """Track random-ascent norm lower bounds across grid resolutions at a
     fixed box size.
 
@@ -945,6 +927,5 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
         reasons=tuple(est.reason for est in runs),
         growth=growth,
         variation=variation,
-        grows=growth >= growth_threshold,
-        growth_threshold=growth_threshold,
+        grows=growth >= PROBE_GROWTH_THRESHOLD,
     )

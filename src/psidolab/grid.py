@@ -88,6 +88,18 @@ class Grid:
         if n**d > MAX_TOTAL_POINTS:
             raise InvalidInputError(
                 f"grid has {n}^{d} points, exceeding the 2^28 cap")
+        # the transform scales h^d, (pi/R)^d, their reciprocals and the squared
+        # radii d R^2, d nyquist^2 must be finite and nonzero (** raises on overflow)
+        try:
+            h, k = self.spacing**d, (2.0 * self.nyquist / n)**d
+            ok = all(0.0 < v < math.inf for v in (h, k, 1.0 / h, 1.0 / k, d * R * R,
+                                                  d * self.nyquist**2))
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise InvalidInputError(
+                f"half_extent {R!r} puts the transform scales or squared radii "
+                f"out of float64 range (n = {n}, d = {d})")
 
     @property
     def spacing(self) -> float:
@@ -347,9 +359,8 @@ def fourier_transform(f: SampledFunction, direction: str = "forward") -> Sampled
             spectrum[q] = f.values[p]
         _inverse_passes(_apply_alternating_sign(spectrum, d), d)
         scale, parts = out_grid.spacing**d, spectrum.view(np.float64)
-        if scale and parts.all():
-            # no zero float (and h^d has not underflowed to 0): the real
-            # multiply gives the division's bits
+        if parts.all():
+            # no zero float: the real multiply gives the division's bits
             np.multiply(parts, 1.0 / scale, out=parts)
         else:
             np.divide(spectrum, scale, out=spectrum)

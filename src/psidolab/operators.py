@@ -320,9 +320,8 @@ def _scaled(spectrum: np.ndarray, factor: float) -> np.ndarray:
 def operator_plan(s: Symbol, grid: Grid) -> OperatorPlan:
     """The plan of s on grid (see `OperatorPlan`), from its sampled terms."""
     terms = [(a, None if b is None else np.fft.ifftshift(b)) for a, b in _terms(s, grid)]
-    inverse = grid.dual().dual().spacing**grid.dim  # if 0, inf: no result is finite
-    return OperatorPlan(s, grid, terms,
-                        (grid.spacing**grid.dim, 1.0 / inverse if inverse else math.inf))
+    return OperatorPlan(s, grid, terms, (grid.spacing**grid.dim,
+                                         1.0 / grid.dual().dual().spacing**grid.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,14 @@ def _fd_plan(s: Symbol, pairs, dim: int, step: float):
     shift.  plans[j] is None for a derivative the kind tag rules out
     (identically zero, not stencil noise), _RAW for order 0, or (rows,
     weights, denom) of the pair's terms in term order, the weights integer.
+    Rejects a step not positive, below 1e-4 at order >= 4, or whose denominators underflow.
     """
+    order = max(multi_index_order(a) + multi_index_order(b) for a, b in pairs)
+    if not step > 0:
+        raise InvalidInputError(f"step must be positive, got {step}")
+    if order >= 4 and step < 1e-4:
+        raise InvalidInputError(
+            f"step {step} too small for order {order} (cancellation guard)")
     plans, pairs_used, axis_stencils = [], [], {}
     for alpha, beta in pairs:
         a, b = multi_index_order(alpha), multi_index_order(beta)
@@ -550,6 +557,8 @@ def _fd_plan(s: Symbol, pairs, dim: int, step: float):
         ids.append(pair_ids)
         weights.append(weight)
         denoms.append(denom)
+    if min(denoms) < np.finfo(float).tiny:   # e.g. 12 step^2 at step = 1e-300
+        raise InvalidInputError(f"step {step} too small: a stencil denominator underflows")
     shift_ids = np.concatenate(ids)
     first, index = _first_use(shift_ids.sum(axis=1))
     shift_ids = shift_ids[first]
@@ -684,11 +693,6 @@ def finite_diff_derivative(s: Symbol, alpha, beta, x, xi, step: float) -> comple
     if total > FD_ORDER_CAP:
         raise InvalidInputError(
             f"|alpha| + |beta| = {total} exceeds the finite-difference cap {FD_ORDER_CAP}")
-    if not step > 0:
-        raise InvalidInputError(f"step must be positive, got {step}")
-    if total >= 4 and step < 1e-4:
-        raise InvalidInputError(
-            f"step {step} too small for order {total} (cancellation guard)")
     plans, table, raw, _ = _fd_plan(s, [(alpha, beta)], dim, step)
     vals = [s.eval(x, xi)] * raw + [s.eval(x + dx, xi + dxi) for dx, dxi in table]
     (deriv,) = _fd_sum(plans, np.reshape(vals, (len(vals), 1)), 1)

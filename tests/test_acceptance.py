@@ -109,8 +109,8 @@ def test_criterion_06_dyadic_envelope():
     watch = Stopwatch(10.0)
     g = Grid(1, 2048, 16.0)
     dd = dyadic_decompose(bessel_multiplier(-1.0), g, 6)
-    rep = dyadic_envelope_check(dd, 0, (0,), (0,), pass_factor=3.0)
-    assert rep.ring_spread is not None and rep.ring_spread <= 3.0
+    rep = dyadic_envelope_check(dd, 0, (0,), (0,))
+    assert rep.passed and rep.ring_spread is not None and rep.ring_spread <= 3.0
     watch.done("criterion-06 envelope",
                f"max r_j / min r_j = {rep.ring_spread:.3f} <= 3 over j=1..6")
 
@@ -187,8 +187,7 @@ def test_criterion_10_necessary_condition_probe():
     watch = Stopwatch(120.0)
     resolutions = (64, 128, 256, 512)
     grow = necessary_condition_probe(wave_multiplier(0.0), 4.0, resolutions,
-                                     half_extent=32.0, budget=300, seed=12345,
-                                     growth_threshold=0.2)
+                                     half_extent=32.0, budget=300, seed=12345)
     assert grow.grows, f"growth {grow.growth:+.1%} below 20%"
     flat = necessary_condition_probe(bessel_multiplier(-1.0), 4.0, resolutions,
                                      half_extent=32.0, budget=300, seed=12345)

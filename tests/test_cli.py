@@ -197,6 +197,10 @@ class TestCzCommand:
         rows = (tmp_path / "cz-check-ratios.csv").read_text().splitlines()
         assert rows[0] == "j_or_t,measured,predicted,ratio,pass"
         assert len(rows) == 3
+        report = json.loads((tmp_path / "cz-check-report.json").read_text())
+        stability = report["checks"][1]
+        assert stability["name"] == "sweep_stability" and stability["passed"]
+        assert repr(stability["factor"]) == "10.0" and cli.CZ_MEDIAN_FACTOR == 10.0
 
 
     @pytest.mark.parametrize("spec, d, n, l, ts", [
@@ -287,6 +291,17 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "budget-report.json").read_text())
         assert report["checks"][0]["N"] == 12
 
+    @pytest.mark.parametrize("symbol", ["wave:0", "bessel:-1"])
+    def test_step_too_small_exits_two(self, tmp_path, capsys, symbol):
+        # the stencils of step 1e-300 cannot be evaluated: one error line
+        # naming the step, no RuntimeWarning, no report
+        code = run_cli("verify-symbol", "--symbol", symbol, "--step", "1e-300",
+                       "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: step 1e-300 too small") and err.count("\n") == 1
+        assert not (tmp_path / "verify-symbol-report.json").exists()
+
     @pytest.mark.parametrize("flags", [
         ("--xi-max", "inf"), ("--x-extent", "inf"), ("--step", "0"),
         ("--step", "-0.05")])
@@ -354,6 +369,33 @@ class TestNormEstimateCommand:
         row = report["tables"]["estimate"][0]
         assert row["measured"] == row["lower"] == row["upper"] == 1.0
         assert row["reason"] == "bracket_closed"
+
+    @pytest.mark.parametrize("d, n, R", [(1, 16, "1e-300"), (3, 8, "1e-110")])
+    def test_box_out_of_float_range_exits_two(self, tmp_path, capsys, d, n, R):
+        # such a box once printed overflow warnings and a bracket [1, 1], or
+        # reported its underflowed transform as NaN or Inf samples
+        code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--d", str(d),
+                       "--n", str(n), "--R", R, "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: half_extent {float(R)!r}") and err.count("\n") == 1
+
+
+class TestProbeCommand:
+    @pytest.mark.parametrize("expect, check, key, value", [
+        ("growth", "norm_growth", "threshold", 0.2),
+        ("stable", "norm_stability", "tolerance", 0.05)])
+    def test_verdicts_state_their_constants(self, tmp_path, capsys, expect,
+                                            check, key, value):
+        # wave:0 at p=4 grows 13.76% from n=64 to n=128: short of the growth
+        # threshold and beyond the stable tolerance, so either verdict fails
+        code = run_cli("probe", "--symbol", "wave:0", "--p", "4", "--resolutions",
+                       "64,128", "--R", "32", "--expect", expect,
+                       "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "variation = 13.76%" in capsys.readouterr().out
+        [got] = json.loads((tmp_path / "probe-report.json").read_text())["checks"]
+        assert got["name"] == check and not got["passed"] and got[key] == value
 
 
 class TestDyadicCommand:
@@ -510,6 +552,9 @@ class TestMalformedParameters:
         (("probe",), {"expect": "bogus"}, "expect"),
         (("conditions", "--m", "inf"), None, "m"),
         (("conditions", "--m=-inf"), None, "m"),
+        (("conditions", "--p", "0"), None, "p"),
+        (("conditions", "--p", "0.5"), None, "p"),
+        (("dyadic", "--symbol", "bessel:-1", "--n", "64.9"), None, "n"),
     ])
     def test_exit_two_naming_the_parameter(self, tmp_path, capsys, argv,
                                            config, name):
@@ -531,6 +576,32 @@ class TestMalformedParameters:
         report = json.loads((tmp_path / "norm-estimate-report.json").read_text())
         assert report["config"]["n"] == 64.0 and report["config"]["budget"] == "1e3"
         assert report["tables"]["estimate"][0]["j_or_t"] == 64
+
+    def test_common_flags_echo_as_numbers(self, tmp_path):
+        # --n 64.0 is 64 and writes the report of --n 64; a seed above 2^53
+        # given as digits stays exact
+        reports = []
+        for n in ("64", "64.0"):
+            assert run_cli("dyadic", "--symbol", "bessel:-1", "--d", "1", "--n", n,
+                           "--R", "8", "--seed", str(2**53 + 1),
+                           "--out-dir", str(tmp_path / n)) == 0
+            report = json.loads((tmp_path / n / "dyadic-report.json").read_text())
+            report.pop("timestamp")
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert report["config"]["n"] == 64 and report["config"]["R"] == 8.0
+        assert report["seed"] == report["config"]["seed"] == 2**53 + 1
+
+    @pytest.mark.parametrize("argv", [
+        ("cz-check", "--inner-profile", "bump"), ("cz-check", "--outer-profile", "cos"),
+        ("cz-check", "--max-median-factor", "10"), ("probe", "--growth-threshold", "0.2"),
+        ("probe", "--stable-tolerance", "0.05")])
+    def test_removed_flags_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestPaths:

@@ -99,6 +99,18 @@ class TestDyadicEnvelope:
         assert all(r <= 1e-10 * rep.ratios[0] for r in rep.ratios[1:])
         assert rep.degenerate
 
+    @pytest.mark.parametrize("m, spread, passed", [(-1.25, 2.649, True),
+                                                    (-1.3, 3.150, False)])
+    def test_ring_spread_passes_up_to_three(self, m, spread, passed):
+        # claiming m = -1.25 or -1.3 for <xi>^-1 tilts r_j by 2^(0.25 j) or
+        # 2^(0.3 j): spreads either side of ENVELOPE_PASS_FACTOR = 3
+        g = Grid(1, 2048, 16.0)
+        dd = dyadic_decompose(with_params(bessel_multiplier(-1.0), m=m), g, 6)
+        rep = dyadic_envelope_check(dd, 0, (0,), (0,))
+        assert estimates.ENVELOPE_PASS_FACTOR == 3.0
+        assert rep.ring_spread == pytest.approx(spread, abs=1e-3)
+        assert rep.passed is passed and not rep.degenerate
+
     def test_weighted_envelope_changes_slope_by_two_rho(self):
         # raising M from 0 to 2 lowers the per-ring growth rate of the raw
         # suprema by rho * 2
@@ -107,7 +119,7 @@ class TestDyadicEnvelope:
         dd = dyadic_decompose(s, g, 6)
         slopes = []
         for M in (0, 2):
-            rep = dyadic_envelope_check(dd, M, (0,), (0,), pass_factor=100.0)
+            rep = dyadic_envelope_check(dd, M, (0,), (0,))
             sups = np.array(rep.suprema[2:])
             slopes.append(np.mean(np.log2(sups[1:] / sups[:-1])))
         assert slopes[1] - slopes[0] == pytest.approx(-2.0, abs=0.3)

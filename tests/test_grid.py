@@ -45,6 +45,23 @@ class TestGridValidation:
         with pytest.raises(InvalidInputError):
             Grid(**bad)
 
+    @pytest.mark.parametrize("d, n, R", [
+        (1, 16, 1e-300),   # nyquist^2 overflows
+        (3, 8, 1e-110),    # h^3 underflows to 0: no plan could scale a transform
+        (2, 16, 1e-160),   # 1 / h^2 overflows
+        (3, 8, 1e200),     # h^3 overflows
+        (1, 8, 1e155),     # R^2 overflows
+    ])
+    def test_rejects_boxes_out_of_float_range(self, d, n, R):
+        with pytest.raises(InvalidInputError, match="half_extent"):
+            Grid(d, n, R)
+
+    @pytest.mark.parametrize("d, n, R", [(1, 16, 1e-150), (3, 8, 1e-95),
+                                         (3, 8, 1e90), (1, 8, 1e150)])
+    def test_keeps_extreme_boxes_in_float_range(self, d, n, R):
+        g = Grid(d, n, R)
+        assert 0.0 < g.dual().dual().spacing ** d < math.inf
+
     def test_all_finite_semantics(self):
         # a sum proves finiteness: NaN, +-inf and an inf / -inf pair (whose
         # sum is NaN) are caught, finite samples whose sum overflows pass,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from psidolab import Grid, random_band_limited
-from psidolab.cli import main
+from psidolab.cli import _COMMANDS, main
 from psidolab.fileio import write_pslb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -40,3 +40,15 @@ def test_command_line_examples_run(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, argv
         printed = capsys.readouterr().out.splitlines()
         assert all(line in printed for line in lines), argv
+
+
+def test_flag_table_lists_every_experiments_own_flags():
+    # the README's table of each experiment's own flags is the parser's:
+    # no flag is missing from it, and no flag stays in it once removed
+    text = README.read_text().split("| experiment | its own flags |\n", 1)[1]
+    rows = text.split("\n\n", 1)[0].splitlines()[1:]
+    table = {}
+    for row in rows:
+        name, flags = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        table[name] = flags.split()
+    assert table == {name: flags.split() for name, (_run, flags) in _COMMANDS.items()}

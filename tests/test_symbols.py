@@ -450,6 +450,17 @@ class TestFiniteDifference:
             finite_diff_derivative(s, 2, 2, [0.0], [1.0], step=1e-5)
         with pytest.raises(InvalidInputError):
             finite_diff_derivative(s, 0, 1, [0.0], [1.0], step=0.0)
+        # order 2 passes the cancellation guard, but 12 step^2 underflows
+        with pytest.raises(InvalidInputError, match="step 1e-300 .* underflows"):
+            finite_diff_derivative(wave_multiplier(0.0), 0, 2, [0.0], [1.0], step=1e-300)
+
+    @pytest.mark.parametrize("s, step, reason", [
+        (bessel_multiplier(-1.0), 1e-5, "cancellation guard"),
+        (wave_multiplier(0.0), 1e-300, "underflows")])
+    def test_class_verification_applies_the_step_guards(self, s, step, reason):
+        spec = SampleSpec(dim=1, xi_max=64.0, step=step)
+        with pytest.raises(InvalidInputError, match=f"step {step}.*{reason}"):
+            verify_symbol_class(s, spec, 10.0)
 
 
 class TestMatchesPerTermReference:
