@@ -1,13 +1,14 @@
 """Configuration-driven experiment runner (console script ``psido-lab``).
 
 One experiment per invocation, stated once in `_COMMANDS` as its handler
-and flags.  Parameters come from an optional JSON config file plus
-command-line flags; flags win.  Every number is read where it arrives, by
-`_int` / `_float` or the list readers `_ints` / `_floats`: integers must be
-whole (3.0 is 3, 2.5 an error) and booleans are not numbers.  Every
-experiment writes a JSON report (and CSV sweep tables unless disabled) into
---out-dir and exits 0 when all enabled assertions pass, 1 on an assertion
-failure, and 2 on invalid input or an unreadable or unwritable path.
+and flags.  Parameters come from an optional JSON config file, keyed by
+the experiment's flags, plus those flags; flags win.  Every number is read
+where it arrives, by `_int` / `_float` or the list readers `_ints` /
+`_floats`: integers must be whole (3.0 is 3, 2.5 an error) and booleans
+are not numbers.  Every experiment writes a JSON report (and CSV sweep
+tables unless disabled) into --out-dir and exits 0 when all enabled
+assertions pass, 1 on an assertion failure, and 2 on invalid input or an
+unreadable or unwritable path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .estimates import (PROBE_GROWTH_THRESHOLD, CZCheckConfig,
                         necessary_condition_probe, operator_norm_estimate,
                         smoothness_budget)
 from .grid import Grid, SampledFunction
-from .mixed_norm import MixedExponent
+from .mixed_norm import MixedExponent, exponent_tuple
 from .operators import (default_levels, dyadic_decompose, kernel_sum,
                         operator_plan)
 from .symbols import (Symbol, bessel_multiplier, constant_symbol,
@@ -292,20 +293,19 @@ def _run_cz_check(params):
     l = _int(params, "l", 0)
     x0prime = _floats(params.get("x0prime", ",".join("0" * (grid.dim - l))), "x0prime")
     Nconst = _float(params, "Nconst", grid.dim + 1.0)
-    inner = _floats(params["pbar"], "pbar") if params.get("pbar") else ()
-    if len(inner) != l:
+    pbar = _floats(params["pbar"], "pbar") if params.get("pbar") else ()
+    if len(pbar) != l:
         raise InvalidInputError(f"--pbar must list {l} inner exponents")
-    full = MixedExponent(tuple(inner) + (2.0,) * (grid.dim - l), split=l)
+    pbar = exponent_tuple(pbar)
     plan = operator_plan(sym, grid)  # every width's test function runs on it
     apply_fn = lambda f: SampledFunction(grid, plan.apply(f.values))  # noqa: E731
     if loaded is not None:
         ts = _floats(params.get("t", "1"), "t")
-        cfg = CZCheckConfig(l=l, t=ts[0], x0prime=x0prime,
-                            Nconst=Nconst, pbar=full)
+        cfg = CZCheckConfig(ts[0], x0prime, Nconst, pbar)
         reports = [cz_condition_check(apply_fn, cfg, loaded)]
     else:
         ts = _floats(params.get("t", "0.5,1"), "t")
-        reports = cz_sweep(apply_fn, grid, l, x0prime, Nconst, full, ts)
+        reports = cz_sweep(apply_fn, grid, x0prime, Nconst, pbar, ts)
     ratios = [r.ratio for r in reports]
     finite = all(math.isfinite(r) for r in ratios)
     checks = [reporting.make_check("ratios_finite", finite, ratios=ratios)]
@@ -487,14 +487,15 @@ def _merge_params(args: argparse.Namespace) -> dict:
             raise InvalidInputError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise InvalidInputError(f"config {args.config} must hold a JSON object")
+        for key in loaded:   # the experiment's flags, as the parser names them
+            if key == "kind" or key not in vars(args):
+                raise InvalidInputError(f"config key {key!r} is not a parameter of {args.kind}")
         params.update(loaded)
-    numbers = {"d": _int, "n": _int, "R": _float, "seed": _int}
-    for key, value in vars(args).items():
-        if key in ("kind", "config") or value is None:
-            continue
-        params[key] = value
-        if key in numbers:   # echoed as numbers: --n 64.0 as 64
-            params[key] = numbers[key](params, key, None)
+    params.update((key, value) for key, value in vars(args).items()
+                  if key not in ("kind", "config") and value is not None)
+    for key, number in {"d": _int, "n": _int, "R": _float, "seed": _int}.items():
+        if params.get(key) is not None:   # echoed as numbers: --n 64.0 as 64
+            params[key] = number(params, key, None)
     return params
 
 

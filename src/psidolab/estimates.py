@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InfeasibleBudgetError, InvalidInputError, PreconditionError
 from .grid import (Grid, SampledFunction, fourier_transform,
                    random_band_limited)
-from .mixed_norm import (MixedExponent, _abs_power, holder_dual,
+from .mixed_norm import (MixedExponent, _abs_power, exponent_tuple, holder_dual,
                          iterated_pnorm, leading_pnorms, pnorm_levels)
 from .operators import (DyadicDecomposition, Kernel, OperatorPlan, _terms,
                         apply_psido, discrete_adjoint_apply, operator_plan,
@@ -227,24 +227,24 @@ def _radial_bump(u2: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_cancellation_test_function(grid: Grid, l: int, t: float,
+def make_cancellation_test_function(grid: Grid, t: float,
                                     yprime) -> SampledFunction:
     """Member of the cancellation class: supported in the slab
-    |x' - y'|_inf <= t with zero mean in x' for every leading point.
+    |x' - y'|_inf <= t with zero mean in x' for every leading point; the
+    d - l coordinates of y' fix the split l.
 
     Built as g(xbar) * (B(x' - a) - B(x' - b)) with g = exp(-|xbar|^2 / 2), B
     the `_radial_bump` of radius t/2 and grid-aligned translates a, b: an exact
     support mask, and row means that cancel to roundoff (`cz_condition_check`).
     """
     d = grid.dim
-    if not 0 <= l <= d - 1:
-        raise InvalidInputError(f"split l = {l} outside 0..{d - 1}")
+    yprime = np.atleast_1d(np.asarray(yprime, dtype=float))
+    l = d - yprime.size
+    if yprime.ndim != 1 or not 0 <= l <= d - 1:
+        raise InvalidInputError(f"y' has shape {yprime.shape}, expected 1 to {d} coordinates")
     h = grid.spacing
     if t < 4 * h:
         raise InvalidInputError(f"t = {t} too small for the grid (needs t >= 4h = {4 * h})")
-    yprime = np.atleast_1d(np.asarray(yprime, dtype=float))
-    if yprime.shape != (d - l,):
-        raise InvalidInputError(f"y' has shape {yprime.shape}, expected ({d - l},)")
     if np.max(np.abs(yprime)) + t > grid.half_extent - h:
         raise InvalidInputError("slab does not fit inside the box")
 
@@ -263,14 +263,11 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float,
         return _radial_bump(u2)
 
     trailing = outer_factor(offset) - outer_factor(-offset)
-    if l == 0:
-        values = trailing
-    else:
-        gauss = np.exp(-0.5 * ax**2)
-        leading = np.ones((grid.points_per_axis,) * l)
-        for k in range(l):
-            leading = leading * gauss.reshape((-1,) + (1,) * (l - 1 - k))
-        values = leading.reshape(leading.shape + (1,) * (d - l)) * trailing
+    gauss = np.exp(-0.5 * ax**2)
+    leading = np.ones((grid.points_per_axis,) * l)   # the scalar 1.0 at l = 0
+    for k in range(l):
+        leading = leading * gauss.reshape((-1,) + (1,) * (l - 1 - k))
+    values = leading.reshape(leading.shape + (1,) * (d - l)) * trailing
     return SampledFunction(grid, values)
 
 
@@ -279,26 +276,27 @@ def make_cancellation_test_function(grid: Grid, l: int, t: float,
 
 @dataclass(frozen=True)
 class CZCheckConfig:
-    """Geometry of one mass-condition check: split l, slab width t, slab
-    center x0prime, exclusion multiplier Nconst (> 1), and the inner
-    exponent vector (a MixedExponent whose split equals l)."""
+    """Geometry of one mass-condition check: slab width t, slab center
+    x0prime, exclusion multiplier Nconst (> 1), and the inner exponents
+    pbar = (p_1, ..., p_l), a tuple (empty at l = 0): the split l is its length."""
 
-    l: int
     t: float
     x0prime: tuple
     Nconst: float
-    pbar: MixedExponent
+    pbar: tuple
 
     def __post_init__(self):
         if self.t <= 0:
             raise InvalidInputError(f"t must be positive, got {self.t}")
         if not self.Nconst > 1:
             raise InvalidInputError(f"Nconst must exceed 1, got {self.Nconst}")
-        if self.pbar.split != self.l:
-            raise InvalidInputError(
-                f"pbar.split = {self.pbar.split} must equal l = {self.l}")
+        object.__setattr__(self, "pbar", exponent_tuple(self.pbar))
         object.__setattr__(self, "x0prime",
                            tuple(float(v) for v in np.atleast_1d(self.x0prime)))
+
+    @property
+    def l(self) -> int:
+        return len(self.pbar)
 
 
 @dataclass(frozen=True)
@@ -337,7 +335,8 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
 
         integral_{|x'-x0'|_inf > N t} ||T f(., x')|| dx'  /  ||f||_(pbar, 1)
 
-    for one cancellation-class function.  Distances on the periodic box use
+    for one cancellation-class function, the inner norm over the leading
+    l = len(cfg.pbar) axes.  Distances on the periodic box use
     the wrapped inf-metric, which makes the ratio exactly translation
     invariant under grid shifts.
     """
@@ -349,11 +348,10 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
         raise InvalidInputError(
             f"x0prime has {len(cfg.x0prime)} components, expected {d - l}")
     _verify_cancellation_class(f, l, cfg.t, cfg.x0prime)
-    inner = cfg.pbar.p[:l]
     h = f.grid.spacing
     Tf = apply_fn(f)
-    field_T = leading_pnorms(Tf.values, h, inner)
-    field_f = leading_pnorms(f.values, h, inner)
+    field_T = leading_pnorms(Tf.values, h, cfg.pbar)
+    field_f = leading_pnorms(f.values, h, cfg.pbar)
     # periodic inf-distance of each trailing grid point from the slab center
     ax = f.grid.axis_coords()
     two_r = 2.0 * f.grid.half_extent
@@ -369,15 +367,13 @@ def cz_condition_check(apply_fn: Callable, cfg: CZCheckConfig,
                     excluded_points=int(excl.sum()))
 
 
-def cz_sweep(apply_fn: Callable, grid: Grid, l: int, x0prime, Nconst: float,
-             pbar: MixedExponent, ts) -> list:
+def cz_sweep(apply_fn: Callable, grid: Grid, x0prime, Nconst: float, pbar, ts) -> list:
     """Run the mass-condition check across slab widths, building the test
-    function for each t."""
+    function for each t; l = len(pbar) and x0prime holds d - l coordinates."""
     reports = []
     for t in ts:
-        f = make_cancellation_test_function(grid, l, float(t), x0prime)
-        cfg = CZCheckConfig(l=l, t=float(t), x0prime=x0prime, Nconst=Nconst,
-                            pbar=pbar)
+        f = make_cancellation_test_function(grid, float(t), x0prime)
+        cfg = CZCheckConfig(float(t), x0prime, Nconst, pbar)
         reports.append(cz_condition_check(apply_fn, cfg, f))
     return reports
 

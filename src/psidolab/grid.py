@@ -77,7 +77,8 @@ class Grid:
             raise InvalidInputError(f"dim must be 1, 2 or 3, got {d!r}")
         if not _is_integer(n) or n < 8 or n % 2 != 0:
             raise InvalidInputError(f"points_per_axis must be even and >= 8, got {n!r}")
-        if not ((_is_integer(R) or isinstance(R, float)) and math.isfinite(R) and R > 0):
+        # compared, not converted: an int beyond float64 meets the range check below
+        if not ((_is_integer(R) or isinstance(R, float)) and 0 < R < math.inf):
             raise InvalidInputError(f"half_extent must be a positive real, got {R!r}")
         # plain Python numbers: equal grids compare, hash and print alike,
         # and n**d cannot wrap around as a fixed-width integer would
@@ -92,8 +93,8 @@ class Grid:
         # radii d R^2, d nyquist^2 must be finite and nonzero (** raises on overflow)
         try:
             h, k = self.spacing**d, (2.0 * self.nyquist / n)**d
-            ok = all(0.0 < v < math.inf for v in (h, k, 1.0 / h, 1.0 / k, d * R * R,
-                                                  d * self.nyquist**2))
+            ok = all(0.0 < v < math.inf for v in (h, k, 1.0 / h, 1.0 / k,
+                                                  d * float(R)**2, d * self.nyquist**2))
         except (OverflowError, ZeroDivisionError):
             ok = False
         if not ok:

@@ -2,16 +2,16 @@
 
 The iterated norm integrates the x1 axis innermost and the xd axis
 outermost, matching the row-major (x1 slowest) sample layout.  Exponents
-are restricted to the open interval (1, inf); the endpoint cases needed
-internally (the outer L^1 of the cancellation condition) bypass the
-public type on purpose.
+lie in the open interval (1, inf) (`exponent_tuple`): one per axis in a
+MixedExponent, the l leading ones alone in a partial norm.  The endpoint
+cases needed internally (the outer L^1 of the cancellation condition)
+bypass the rule on purpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,40 +19,36 @@ from .errors import InvalidInputError
 from .grid import SampledFunction
 
 
+def exponent_tuple(values) -> tuple:
+    """`values` as floats, each strictly inside (1, inf): a MixedExponent's
+    components, or the (at l = 0 no) inner exponents of the cancellation class."""
+    p = tuple(float(v) for v in values)
+    for v in p:
+        if not (math.isfinite(v) and 1.0 < v):
+            raise InvalidInputError(
+                f"exponents must lie strictly inside (1, inf), got {v}")
+    return p
+
+
 @dataclass(frozen=True)
 class MixedExponent:
-    """Exponent vector p in (1, inf)^d with an optional split index l
-    designating the leading block (p_1, ..., p_l)."""
+    """Exponent vector p in (1, inf)^d, one exponent per axis."""
 
     p: tuple
-    split: Optional[int] = None
 
     def __post_init__(self):
-        p = tuple(float(v) for v in self.p)
+        p = exponent_tuple(self.p)
         if len(p) == 0:
             raise InvalidInputError("exponent vector must be nonempty")
-        for v in p:
-            if not (math.isfinite(v) and 1.0 < v):
-                raise InvalidInputError(
-                    f"exponents must lie strictly inside (1, inf), got {v}")
-        if self.split is not None and not 0 <= self.split <= len(p) - 1:
-            raise InvalidInputError(
-                f"split index {self.split} outside 0..{len(p) - 1}")
         object.__setattr__(self, "p", p)
 
     @classmethod
-    def uniform(cls, value: float, dim: int, split: Optional[int] = None) -> "MixedExponent":
-        return cls((float(value),) * dim, split)
+    def uniform(cls, value: float, dim: int) -> "MixedExponent":
+        return cls((float(value),) * dim)
 
     @property
     def dim(self) -> int:
         return len(self.p)
-
-    def leading(self) -> tuple:
-        """The split-off leading exponents (empty tuple when split = 0)."""
-        if self.split is None:
-            raise InvalidInputError("exponent has no split index")
-        return self.p[: self.split]
 
 
 def _conjugate(v: float) -> float:
@@ -71,7 +67,7 @@ def _conjugate(v: float) -> float:
 def holder_dual(p: MixedExponent) -> MixedExponent:
     """Componentwise conjugate exponents: 1/p_i + 1/p'_i = 1, exact for
     the floats nearest simple fractions (`_conjugate`)."""
-    return MixedExponent(tuple(_conjugate(v) for v in p.p), p.split)
+    return MixedExponent(tuple(_conjugate(v) for v in p.p))
 
 
 def _abs_power(a: np.ndarray, e: float) -> np.ndarray:
@@ -132,22 +128,20 @@ def mixed_norm(f: SampledFunction, p: MixedExponent) -> float:
     return iterated_pnorm(f.values, f.grid.spacing, p.p)
 
 
-def partial_norm(f: SampledFunction, pbar: MixedExponent, xprime) -> float:
-    """Norm of the inner slice f(., x') over the leading split axes.
+def partial_norm(f: SampledFunction, pbar, xprime) -> float:
+    """Norm of the inner slice f(., x') over the leading l = len(pbar)
+    axes, with the inner exponents pbar = (p_1, ..., p_l).
 
-    With split l = 0 this is just |f(x')|; x' must be a grid point of the
-    trailing axes.
+    With pbar = () (l = 0) this is just |f(x')|; x' must be a grid point of
+    the trailing d - l axes.
     """
-    if pbar.split is None:
-        raise InvalidInputError("partial_norm needs an exponent with a split index")
-    l = pbar.split
+    pbar = exponent_tuple(pbar)
+    l = len(pbar)
     d = f.grid.dim
     xprime = np.atleast_1d(np.asarray(xprime, dtype=float))
     if xprime.shape != (d - l,):
         raise InvalidInputError(
             f"outer point has shape {xprime.shape}, expected ({d - l},)")
     idx = f.grid.index_of(np.r_[np.zeros(l), xprime])[l:]
-    if l == 0:
-        return float(np.abs(f.values[idx]))
     inner = f.values[(slice(None),) * l + idx]
-    return iterated_pnorm(inner, f.grid.spacing, pbar.p[:l])
+    return iterated_pnorm(inner, f.grid.spacing, pbar)

@@ -764,7 +764,10 @@ class DerivativeBoundReport:
 
     entries: list
     cap: float
-    global_pass: bool = field(default=False)
+
+    @property
+    def global_pass(self) -> bool:
+        return all(e.passed for e in self.entries)
 
     def entry(self, alpha, beta) -> DerivativeBoundEntry:
         for e in self.entries:
@@ -834,8 +837,7 @@ def verify_symbol_class(s: Symbol, sample_spec: SampleSpec, cap: float) -> Deriv
             witness_xi=tuple(float(v) for v in xi_all[i]),
             passed=bool(np.isfinite(fitted) and fitted <= cap),
         ))
-    return DerivativeBoundReport(entries=entries, cap=cap,
-                                 global_pass=all(e.passed for e in entries))
+    return DerivativeBoundReport(entries=entries, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,16 @@ def test_criterion_06_dyadic_envelope():
 def test_criterion_07_cz_condition():
     watch = Stopwatch(60.0)
     g = Grid(2, 128, 4.0)
-    pbar = MixedExponent((2.0, 2.0), split=1)
+    pbar = (2.0,)
     sym = bessel_multiplier(-4.0)
-    reports = cz_sweep(lambda f: apply_psido(sym, f), g, 1, [0.0], 3.0, pbar,
+    reports = cz_sweep(lambda f: apply_psido(sym, f), g, [0.0], 3.0, pbar,
                        (0.25, 0.5, 1.0, 2.0))
     ratios = [r.ratio for r in reports]
     assert all(math.isfinite(r) for r in ratios)
     med = float(np.median(ratios))
     assert max(ratios) <= 10.0 * med
-    f = make_cancellation_test_function(g, 1, 1.0, [0.0])
-    cfg = CZCheckConfig(l=1, t=1.0, x0prime=[0.0], Nconst=3.0, pbar=pbar)
+    f = make_cancellation_test_function(g, 1.0, [0.0])
+    cfg = CZCheckConfig(t=1.0, x0prime=[0.0], Nconst=3.0, pbar=pbar)
     ident = cz_condition_check(lambda u: apply_psido(constant_symbol(1.0), u),
                                cfg, f)
     assert ident.ratio == 0.0

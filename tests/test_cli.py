@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psidolab import (CZCheckConfig, Grid, MixedExponent, SampledFunction, Symbol,
+from psidolab import (CZCheckConfig, Grid, SampledFunction, Symbol,
                       cz_condition_check, cz_sweep, make_cancellation_test_function,
                       random_band_limited)
 from psidolab import apply_psido, cli, fileio
@@ -188,6 +188,26 @@ class TestCzCommand:
         assert code == 2
         assert "zero-mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--l", "1"), "--pbar must list 1 inner exponents"),
+        (("--l", "1", "--pbar", "1"), "exponents must lie strictly inside (1, inf), got 1.0"),
+        (("--l", "1", "--pbar", "1", "--t", "0.01"),      # read before the widths
+         "exponents must lie strictly inside (1, inf), got 1.0"),
+        (("--l", "2", "--pbar", "2,2"), "x0prime: expected numbers, got ''"),
+        (("--l", "2", "--pbar", "2,2", "--x0prime", "0"), "split l = 2 outside 0..1"),
+        (("--l", "1", "--pbar", "2", "--x0prime", "0,0"),
+         "x0prime has 2 components, expected 1"),
+        (("--l", "0", "--x0prime", "0"), "x0prime has 1 components, expected 2"),
+    ])
+    def test_split_disagreements_exit_two(self, tmp_path, capsys, flags, error):
+        # --l must agree with the count of --pbar, and the x0prime
+        # coordinates with d - l
+        code = run_cli("cz-check", "--symbol", "wave:0", "--d", "2", "--n", "64",
+                       "--R", "4", *flags, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_passes(self, tmp_path):
         code = run_cli("cz-check", "--symbol", "bessel:-4", "--d", "2",
                        "--n", "64", "--R", "4", "--l", "1", "--x0prime", "0",
@@ -212,7 +232,7 @@ class TestCzCommand:
         # the sweep's test functions and on a PSLB input
         g = Grid(d, n, 4.0)
         sym = parse_symbol_spec(spec, 2.0 * g.half_extent)
-        pbar = MixedExponent((2.0, 3.0)[:l] + (2.0,) * (d - l), split=l)
+        pbar = (2.0, 3.0)[:l]
         x0 = [0.0] * (d - l)
         common = ["--symbol", spec, "--l", str(l), "--x0prime", ",".join(["0"] * (d - l)),
                   "--Nconst", "3", "--out-dir", str(tmp_path)]
@@ -226,13 +246,13 @@ class TestCzCommand:
 
         assert run_cli("cz-check", *common, "--d", str(d), "--n", str(n), "--R", "4",
                        "--t", ",".join(map(str, ts))) == 0
-        want = cz_sweep(lambda u: apply_psido(sym, u), g, l, x0, 3.0, pbar, ts)
+        want = cz_sweep(lambda u: apply_psido(sym, u), g, x0, 3.0, pbar, ts)
         assert rows() == [(r.lhs.hex(), r.rhs.hex(), r.ratio.hex()) for r in want]
         assert any(r.lhs > 0 for r in want)  # N t > R excludes no point
         src = tmp_path / "f.pslb"
-        write_pslb(src, make_cancellation_test_function(g, l, ts[0], x0))
+        write_pslb(src, make_cancellation_test_function(g, ts[0], x0))
         assert run_cli("cz-check", *common, "--input", str(src), "--t", str(ts[0])) == 0
-        cfg = CZCheckConfig(l=l, t=ts[0], x0prime=x0, Nconst=3.0, pbar=pbar)
+        cfg = CZCheckConfig(t=ts[0], x0prime=x0, Nconst=3.0, pbar=pbar)
         want = cz_condition_check(lambda u: apply_psido(sym, u), cfg, read_pslb(src))
         assert rows() == [(want.lhs.hex(), want.rhs.hex(), want.ratio.hex())]
 
@@ -568,30 +588,59 @@ class TestMalformedParameters:
         assert not out_dir.exists()
 
     def test_integral_values_accepted(self, tmp_path):
-        # 64.0 is 64 and 1e3 is 1000; the report echoes the raw values
+        # 64.0 is 64 and 1e3 is 1000; the report echoes the raw budget and
+        # the common n as the number it reads
         code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--R", "8",
                        "--method", "power_iteration_p2", "--budget", "1e3",
                        *_config(tmp_path, {"n": 64.0}), "--out-dir", str(tmp_path))
         assert code == 0
         report = json.loads((tmp_path / "norm-estimate-report.json").read_text())
-        assert report["config"]["n"] == 64.0 and report["config"]["budget"] == "1e3"
+        assert report["config"]["n"] == 64 and type(report["config"]["n"]) is int
+        assert report["config"]["budget"] == "1e3"
         assert report["tables"]["estimate"][0]["j_or_t"] == 64
 
     def test_common_flags_echo_as_numbers(self, tmp_path):
-        # --n 64.0 is 64 and writes the report of --n 64; a seed above 2^53
-        # given as digits stays exact
-        reports = []
-        for n in ("64", "64.0"):
-            assert run_cli("dyadic", "--symbol", "bessel:-1", "--d", "1", "--n", n,
-                           "--R", "8", "--seed", str(2**53 + 1),
-                           "--out-dir", str(tmp_path / n)) == 0
-            report = json.loads((tmp_path / n / "dyadic-report.json").read_text())
-            report.pop("timestamp")
-            reports.append(json.dumps(report, sort_keys=True))
-        assert reports[0] == reports[1]
-        report = json.loads(reports[0])
-        assert report["config"]["n"] == 64 and report["config"]["R"] == 8.0
-        assert report["seed"] == report["config"]["seed"] == 2**53 + 1
+        # --n 64.0 is 64 and writes the report of --n 64, as a flag or as a
+        # config string; a seed above 2^53 given as digits stays exact
+        def report(name, *args):
+            out = tmp_path / name
+            assert run_cli("dyadic", "--symbol", "bessel:-1", "--d", "1", "--R", "8",
+                           *args, "--out-dir", str(out)) == 0
+            rep = json.loads((out / "dyadic-report.json").read_text())
+            rep.pop("timestamp")
+            return json.dumps(rep, sort_keys=True)
+
+        big = str(2**53 + 1)
+        exact = report("64", "--n", "64", "--seed", big)
+        assert report("64.0", "--n", "64.0", "--seed", big) == exact
+        assert report("config", *_config(tmp_path, {"n": "64.0", "seed": "7"})) \
+            == report("flags", "--n", "64", "--seed", "7")
+        exact = json.loads(exact)
+        assert exact["config"]["n"] == 64 and exact["config"]["R"] == 8.0
+        assert exact["seed"] == exact["config"]["seed"] == 2**53 + 1
+
+    @pytest.mark.parametrize("kind, config, key", [
+        ("dyadic", {"symbol": "bessel:-1", "n": 64, "bogus_key": 3}, "bogus_key"),
+        ("probe", {"symbol": "wave:0", "stable_tolerance": 1.0}, "stable_tolerance"),
+        ("budget", {"levels": 3}, "levels"),      # another experiment's flag
+        ("budget", {"kind": "dyadic"}, "kind"),
+    ])
+    def test_config_keys_are_the_experiments_flags(self, tmp_path, capsys, kind,
+                                                   config, key):
+        # a key that names no flag of the experiment is refused, as an
+        # unknown flag is, not ignored and echoed
+        out_dir = tmp_path / "out"
+        code = run_cli(kind, *_config(tmp_path, config), "--out-dir", str(out_dir))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: config ") and f"{key!r} is not a parameter" in err
+        assert not out_dir.exists()
+
+    def test_missing_symbol_exits_two(self, tmp_path, capsys):
+        assert run_cli("dyadic", "--n", "64", "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            "error: --symbol is required for this experiment\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ("cz-check", "--inner-profile", "bump"), ("cz-check", "--outer-profile", "cos"),
@@ -617,13 +666,18 @@ class TestPaths:
         (KERNEL_DECAY + ("--d", "2", "--decay-csv", "{unwritable}",
                          "--out-dir", "{tmp}/out"), "{unwritable}"),
         (("budget", "--out-dir", "{src}/out"), "{src}/out"),
+        (("budget", "--config", "{missing}", "--out-dir", "{tmp}/out"), "{missing}"),
+        (("budget", "--config", "{listed}", "--out-dir", "{tmp}/out"),
+         "{listed} must hold a JSON object"),
     ])
     def test_exit_two_naming_the_path(self, tmp_path, capsys, argv, named):
         paths = {"tmp": tmp_path, "src": tmp_path / "f.pslb",
                  "missing": tmp_path / "nope.pslb",
-                 "unwritable": tmp_path / "no-such-dir" / "g.out"}
+                 "unwritable": tmp_path / "no-such-dir" / "g.out",
+                 "listed": tmp_path / "list.json"}
         write_pslb(paths["src"], random_band_limited(Grid(1, 64, 8.0),
                                                      np.random.default_rng(0)))
+        paths["listed"].write_text("[1, 2]")
         code = run_cli(*(a.format(**paths) for a in argv))
         err = capsys.readouterr().err
         assert code == 2

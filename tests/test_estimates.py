@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -111,6 +112,18 @@ class TestDyadicEnvelope:
         assert rep.ring_spread == pytest.approx(spread, abs=1e-3)
         assert rep.passed is passed and not rep.degenerate
 
+    def test_alpha_envelopes_vanish_for_x_independent_symbols(self):
+        # d_x^alpha of an x-independent symbol is zero on every ring, so the
+        # report is degenerate; an x-dependent symbol is refused
+        g = Grid(1, 256, 8.0)
+        dd = dyadic_decompose(bessel_multiplier(-1.0), g, 3)
+        rep = dyadic_envelope_check(dd, 0, (1,), (0,))
+        assert rep.ratios == rep.suprema == (0.0,) * 4
+        assert rep.ring_spread is None and rep.passed and rep.degenerate
+        dd = dyadic_decompose(cli.parse_symbol_spec("sep:2,6:-1", 16.0), g, 3)
+        with pytest.raises(InvalidInputError, match="x-independent"):
+            dyadic_envelope_check(dd, 0, (1,), (0,))
+
     def test_weighted_envelope_changes_slope_by_two_rho(self):
         # raising M from 0 to 2 lowers the per-ring growth rate of the raw
         # suprema by rho * 2
@@ -160,14 +173,14 @@ class TestDyadicEnvelope:
 class TestCancellationFunction:
     def test_zero_mean_rows(self):
         g = Grid(2, 128, 4.0)
-        f = make_cancellation_test_function(g, 1, 1.0, [0.0])
+        f = make_cancellation_test_function(g, 1.0, [0.0])
         h = g.spacing
         means = np.abs(f.values.sum(axis=1)) * h
         assert float(np.max(means)) <= 1e-12
 
     def test_support_mask_exact(self):
         g = Grid(2, 128, 4.0)
-        f = make_cancellation_test_function(g, 1, 1.0, [0.0])
+        f = make_cancellation_test_function(g, 1.0, [0.0])
         x2 = g.meshgrid()[1]
         outside = np.abs(x2) > 1.0
         assert np.max(np.abs(f.values[outside])) == 0.0
@@ -175,37 +188,43 @@ class TestCancellationFunction:
     def test_rescaled_t_keeps_cancellation(self):
         g = Grid(2, 128, 4.0)
         for t in (0.5, 1.0, 2.0):
-            f = make_cancellation_test_function(g, 1, t, [0.0])
+            f = make_cancellation_test_function(g, t, [0.0])
             means = np.abs(f.values.sum(axis=1)) * g.spacing
             assert float(np.max(means)) <= 1e-12
             assert np.max(np.abs(f.values)) > 0
 
     def test_split_zero(self):
         g = Grid(1, 256, 4.0)
-        f = make_cancellation_test_function(g, 0, 1.0, [0.0])
+        f = make_cancellation_test_function(g, 1.0, [0.0])
         assert abs(f.values.sum()) * g.spacing <= 1e-12
 
     def test_too_small_t(self):
         g = Grid(2, 64, 4.0)
         with pytest.raises(InvalidInputError, match="t"):
-            make_cancellation_test_function(g, 1, 3 * g.spacing, [0.0])
+            make_cancellation_test_function(g, 3 * g.spacing, [0.0])
 
     def test_slab_must_fit(self):
         g = Grid(2, 64, 4.0)
         with pytest.raises(InvalidInputError, match="box"):
-            make_cancellation_test_function(g, 1, 1.0, [3.8])
+            make_cancellation_test_function(g, 1.0, [3.8])
 
 
 class TestCZCondition:
     @staticmethod
-    def _cfg(l, t, x0, pbar_inner, d, Nconst=3.0):
-        full = MixedExponent(tuple(pbar_inner) + (2.0,) * (d - l), split=l)
-        return CZCheckConfig(l=l, t=t, x0prime=x0, Nconst=Nconst, pbar=full)
+    def _cfg(t, x0, pbar, Nconst=3.0):
+        return CZCheckConfig(t=t, x0prime=x0, Nconst=Nconst, pbar=pbar)
+
+    def test_split_is_the_count_of_inner_exponents(self):
+        assert [f.name for f in dataclasses.fields(CZCheckConfig)] == [
+            "t", "x0prime", "Nconst", "pbar"]
+        for pbar in ((), (2.0,), (2, 3)):
+            cfg = CZCheckConfig(t=1.0, x0prime=[0.0], Nconst=3.0, pbar=pbar)
+            assert cfg.l == len(pbar) and cfg.pbar == tuple(map(float, pbar))
 
     def test_identity_symbol_gives_zero_ratio(self):
         g = Grid(2, 64, 4.0)
-        f = make_cancellation_test_function(g, 1, 1.0, [0.0])
-        cfg = self._cfg(1, 1.0, [0.0], (2.0,), 2)
+        f = make_cancellation_test_function(g, 1.0, [0.0])
+        cfg = self._cfg(1.0, [0.0], (2.0,))
         rep = cz_condition_check(lambda u: apply_psido(constant_symbol(1.0), u),
                                  cfg, f)
         assert rep.ratio == 0.0
@@ -215,14 +234,14 @@ class TestCZCondition:
         x2 = g.meshgrid()[1]
         fvals = np.where(np.abs(x2) < 1.0, 1.0, 0.0)
         f = SampledFunction(g, fvals)
-        cfg = self._cfg(1, 1.0, [0.0], (2.0,), 2)
+        cfg = self._cfg(1.0, [0.0], (2.0,))
         with pytest.raises(PreconditionError, match="zero-mean"):
             cz_condition_check(lambda u: u, cfg, f)
 
     def test_support_escape_rejected(self):
         g = Grid(2, 64, 4.0)
-        f = make_cancellation_test_function(g, 1, 2.0, [0.0])
-        cfg = self._cfg(1, 0.5, [0.0], (2.0,), 2)
+        f = make_cancellation_test_function(g, 2.0, [0.0])
+        cfg = self._cfg(0.5, [0.0], (2.0,))
         with pytest.raises(PreconditionError, match="slab"):
             cz_condition_check(lambda u: u, cfg, f)
 
@@ -239,8 +258,8 @@ class TestCZCondition:
                               rng.standard_normal(g.shape), 0.0)
             mask = np.abs(values) > 1e-14
             reach = np.max(np.abs(g.coord_stack()[mask][:, l:] - x0), axis=-1).max()
-            cfg = CZCheckConfig(l=l, t=0.5 * reach, x0prime=x0, Nconst=3.0,
-                                pbar=MixedExponent((2.0,) * d, split=l))
+            cfg = CZCheckConfig(t=0.5 * reach, x0prime=x0, Nconst=3.0,
+                                pbar=(2.0,) * l)
             with pytest.raises(PreconditionError) as err:
                 cz_condition_check(lambda u: u, cfg, SampledFunction(g, values))
             assert f"support escapes the slab: |x' - x0'|_inf reaches {reach:.6g} " \
@@ -250,21 +269,21 @@ class TestCZCondition:
         g = Grid(2, 64, 4.0)
         s = bessel_multiplier(-4.0)
         apply_fn = lambda u: apply_psido(s, u)  # noqa: E731
-        f = make_cancellation_test_function(g, 1, 0.5, [0.0])
-        cfg0 = self._cfg(1, 0.5, [0.0], (2.0,), 2)
+        f = make_cancellation_test_function(g, 0.5, [0.0])
+        cfg0 = self._cfg(0.5, [0.0], (2.0,))
         base = cz_condition_check(apply_fn, cfg0, f)
         shift_cells = 11
         shifted = SampledFunction(g, np.roll(f.values, shift_cells, axis=1))
         x0 = shift_cells * g.spacing
-        cfg1 = self._cfg(1, 0.5, [x0], (2.0,), 2)
+        cfg1 = self._cfg(0.5, [x0], (2.0,))
         moved = cz_condition_check(apply_fn, cfg1, shifted)
         assert moved.ratio == pytest.approx(base.ratio, abs=1e-10)
 
     def test_sweep_ratios_stable(self):
         g = Grid(2, 64, 4.0)
         s = bessel_multiplier(-4.0)
-        reports = cz_sweep(lambda u: apply_psido(s, u), g, 1, [0.0], 3.0,
-                           MixedExponent((2.0, 2.0), split=1), (0.5, 1.0))
+        reports = cz_sweep(lambda u: apply_psido(s, u), g, [0.0], 3.0, (2.0,),
+                           (0.5, 1.0))
         ratios = [r.ratio for r in reports]
         assert all(np.isfinite(ratios))
         assert max(ratios) <= 10 * np.median(ratios)
@@ -833,6 +852,16 @@ class TestOperatorNorm:
         nz = np.abs(v) > 0
         want = np.abs(v[nz]) ** (q - 1.0) * np.exp(1j * np.angle(v[nz]))
         assert np.allclose(got[nz], want, rtol=1e-14, atol=0.0)
+
+    def test_power_iteration_stops_at_its_budget(self):
+        # sep:2,6:-1 settles at 1.2441 after 19 iterations (open bracket
+        # [., 1.4]); a budget of one stops at the first ratio, unconverged
+        s = cli.parse_symbol_spec("sep:2,6:-1", 16.0)
+        est = operator_norm_estimate(s, Grid(1, 512, 8.0), MixedExponent((2.0,)),
+                                     "power_iteration_p2", budget=1)
+        assert (est.reason, est.converged, est.iterations) == ("budget", False, 1)
+        assert est.lower == est.value == pytest.approx(1.02832, rel=1e-5)
+        assert est.upper == pytest.approx(1.4, rel=1e-15)
 
     def test_power_iteration_requires_p2(self):
         g = Grid(1, 64, 8.0)

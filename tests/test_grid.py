@@ -51,6 +51,8 @@ class TestGridValidation:
         (2, 16, 1e-160),   # 1 / h^2 overflows
         (3, 8, 1e200),     # h^3 overflows
         (1, 8, 1e155),     # R^2 overflows
+        (1, 8, 10**155),   # R^2 overflows, R given as an int
+        (1, 8, 10**400),   # the int R itself is beyond float64
     ])
     def test_rejects_boxes_out_of_float_range(self, d, n, R):
         with pytest.raises(InvalidInputError, match="half_extent"):

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psidolab import (Grid, InvalidInputError, MixedExponent, SampledFunction,
-                      holder_dual, mixed_norm, partial_norm, quadrature)
-from psidolab.mixed_norm import _abs_power, iterated_pnorm
+from psidolab import (CZCheckConfig, Grid, InvalidInputError, MixedExponent,
+                      SampledFunction, holder_dual, mixed_norm, partial_norm,
+                      quadrature)
+from psidolab.mixed_norm import _abs_power, exponent_tuple, iterated_pnorm
 
 exponents = st.floats(1.05, 8.0)
 
@@ -17,10 +19,25 @@ class TestMixedExponent:
             with pytest.raises(InvalidInputError):
                 MixedExponent((2.0, bad))
 
-    def test_split_range(self):
-        MixedExponent((2.0, 3.0), split=1)
-        with pytest.raises(InvalidInputError):
-            MixedExponent((2.0, 3.0), split=2)
+    def test_holds_the_exponents_alone(self):
+        assert [f.name for f in dataclasses.fields(MixedExponent)] == ["p"]
+        assert MixedExponent.uniform(3, 2) == MixedExponent((3.0, 3.0))
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            MixedExponent(())
+
+    @pytest.mark.parametrize("bad", [1.0, math.inf, 0.5, math.nan])
+    def test_inner_exponents_share_the_rule(self, grid_2d, bad):
+        # the cancellation condition's inner exponents, none at l = 0, are
+        # checked by the rule of a MixedExponent's components
+        assert exponent_tuple(()) == () and exponent_tuple([2, 3.5]) == (2.0, 3.5)
+        f = SampledFunction(grid_2d, np.ones(grid_2d.shape))
+        for build in (lambda: MixedExponent((2.0, bad)),
+                      lambda: exponent_tuple((2.0, bad)),
+                      lambda: partial_norm(f, (bad,), [0.0]),
+                      lambda: CZCheckConfig(t=1.0, x0prime=[0.0], Nconst=3.0,
+                                            pbar=(bad,))):
+            with pytest.raises(InvalidInputError, match="strictly inside"):
+                build()
 
     def test_holder_dual_examples(self):
         assert holder_dual(MixedExponent((2.0, 2.0))).p == (2.0, 2.0)
@@ -86,10 +103,9 @@ class TestPartialNorm:
         rng = np.random.default_rng(0)
         f = SampledFunction(grid_2d, rng.standard_normal(grid_2d.shape)
                             + 1j * rng.standard_normal(grid_2d.shape))
-        p = MixedExponent((2.0, 2.0), split=0)
         pt = [grid_2d.axis_coords()[5], grid_2d.axis_coords()[9]]
         idx = grid_2d.index_of(pt)
-        assert partial_norm(f, p, pt) == float(np.abs(f.values[idx]))
+        assert partial_norm(f, (), pt) == float(np.abs(f.values[idx]))
 
     def test_separable_inner_norm(self):
         g = Grid(2, 64, 4.0)
@@ -101,7 +117,7 @@ class TestPartialNorm:
         base = mixed_norm(SampledFunction(g1, np.exp(-g1.axis_coords() ** 2)),
                           MixedExponent((3.0,)))
         x2pt = g.axis_coords()[17]
-        val = partial_norm(f, MixedExponent((3.0, 2.0), split=1), [x2pt])
+        val = partial_norm(f, (3.0,), [x2pt])
         assert val == pytest.approx(base * abs(math.cos(0.5 * x2pt) + 1.5), rel=1e-8)
 
     def test_recomposition_consistency(self):
@@ -109,15 +125,15 @@ class TestPartialNorm:
         g = Grid(2, 32, 2.0)
         rng = np.random.default_rng(4)
         f = SampledFunction(g, rng.standard_normal(g.shape))
-        p = MixedExponent((2.5, 3.5), split=1)
-        field = np.array([partial_norm(f, p, [x2]) for x2 in g.axis_coords()])
+        p = MixedExponent((2.5, 3.5))
+        field = np.array([partial_norm(f, p.p[:1], [x2]) for x2 in g.axis_coords()])
         outer = (g.spacing * np.sum(field ** p.p[1])) ** (1.0 / p.p[1])
         assert outer == pytest.approx(mixed_norm(f, p), rel=1e-10)
 
     def test_offgrid_outer_point(self, grid_2d):
         f = SampledFunction(grid_2d, np.ones(grid_2d.shape))
         with pytest.raises(InvalidInputError):
-            partial_norm(f, MixedExponent((2.0, 2.0), split=1), [0.0123])
+            partial_norm(f, (2.0,), [0.0123])
 
 
 class TestNormProperties:

@@ -1018,6 +1018,13 @@ class TestOffSupport:
         l1 = float(np.sum(np.abs(f.values))) * g.spacing
         assert abs(val) <= 1e-3 * l1
 
+    def test_zero_input_gives_zero(self):
+        # an empty support leaves every x off it: (T 0)(x) = 0
+        g = Grid(1, 1024, 16.0)
+        k = kernel_sum(dyadic_decompose(bessel_multiplier(-2.0), g, default_levels(g)))
+        val = offsupport_apply(k, SampledFunction(g, np.zeros(g.shape)), [0.5])
+        assert val == 0j and type(val) is complex
+
     def test_rejects_x_inside_support(self):
         g = Grid(1, 1024, 16.0)
         dd = dyadic_decompose(bessel_multiplier(-2.0), g, default_levels(g))

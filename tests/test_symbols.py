@@ -89,8 +89,7 @@ def _ref_verify(s, spec, cap):
                 witness_x=tuple(float(v) for v in x_all[i]),
                 witness_xi=tuple(float(v) for v in xi_all[i]),
                 passed=bool(np.isfinite(fitted) and fitted <= cap)))
-    return DerivativeBoundReport(entries=entries, cap=cap,
-                                 global_pass=all(e.passed for e in entries))
+    return DerivativeBoundReport(entries=entries, cap=cap)
 
 
 def _bits(report):
@@ -634,6 +633,13 @@ class TestVerifySymbolClass:
         report = verify_symbol_class(s, SampleSpec(dim=1, xi_max=64.0), cap=10.0)
         assert report.global_pass
         assert report.entry((0,), (0,)).fitted_constant == pytest.approx(1.0)
+
+    def test_global_pass_reads_the_entries(self):
+        # a report built from its entries alone passes when every pair does
+        good, bad = (DerivativeBoundEntry((0,), (b,), 1.0, (0.0,), (0.0,), ok)
+                     for b, ok in ((0, True), (1, False)))
+        assert DerivativeBoundReport(entries=[good], cap=10.0).global_pass
+        assert not DerivativeBoundReport(entries=[good, bad], cap=10.0).global_pass
 
     def test_bessel_constants_small(self):
         # calculus oracle: |d^b <xi>^-1| <= b! <xi>^(-1-b), so the sharp
