@@ -26,8 +26,8 @@ import numpy as np
 from . import fileio, reporting
 from .errors import (InfeasibleBudgetError, InvalidInputError,
                      SymbolEvaluationError)
-from .estimates import (PROBE_GROWTH_THRESHOLD, CZCheckConfig,
-                        KernelDecayParams, condition_report,
+from .estimates import (PROBE_GROWTH_THRESHOLD, PROBE_STABLE_TOLERANCE,
+                        CZCheckConfig, KernelDecayParams, condition_report,
                         cz_condition_check, cz_sweep, decay_fit,
                         necessary_condition_probe, operator_norm_estimate,
                         smoothness_budget)
@@ -41,7 +41,6 @@ from .symbols import (Symbol, bessel_multiplier, constant_symbol,
                       wave_multiplier, with_params)
 
 CZ_MEDIAN_FACTOR = 10.0   # sweep_stability: max ratio <= this times the median
-PROBE_STABLE_TOLERANCE = 0.05   # norm_stability: max/min - 1 <= this
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +291,8 @@ def _run_cz_check(params):
     sym = _symbol(params, grid.half_extent)
     l = _int(params, "l", 0)
     x0prime = _floats(params.get("x0prime", ",".join("0" * (grid.dim - l))), "x0prime")
+    if not 0 <= l <= grid.dim - 1:   # before the plan and the test functions
+        raise InvalidInputError(f"split l = {l} outside 0..{grid.dim - 1}")
     Nconst = _float(params, "Nconst", grid.dim + 1.0)
     pbar = _floats(params["pbar"], "pbar") if params.get("pbar") else ()
     if len(pbar) != l:
@@ -373,8 +374,6 @@ def _run_conditions(params):
 
 def _run_probe(params):
     expect = params.get("expect", "report")
-    if expect not in ("report", "growth", "stable"):
-        raise InvalidInputError(f"expect: expected report, growth or stable, got {expect!r}")
     half_extent = _float(params, "R", 32.0)
     sym = parse_symbol_spec(params.get("symbol", "wave:0"),
                             period=2.0 * half_extent)
@@ -386,24 +385,28 @@ def _run_probe(params):
         dim=_int(params, "d", 1),
         budget=_int(params, "budget", 300),
         seed=_int(params, "seed", 0),
+        expect=expect,
     )
     checks = []
     if expect == "growth":
         checks.append(reporting.make_check("norm_growth", rep.grows,
                                            growth=rep.growth,
-                                           threshold=PROBE_GROWTH_THRESHOLD))
+                                           threshold=PROBE_GROWTH_THRESHOLD,
+                                           certified=rep.certified))
     elif expect == "stable":
         checks.append(reporting.make_check(
             "norm_stability", rep.variation <= PROBE_STABLE_TOLERANCE,
-            variation=rep.variation, tolerance=PROBE_STABLE_TOLERANCE))
+            variation=rep.variation, tolerance=PROBE_STABLE_TOLERANCE,
+            certified=rep.certified))
     rows = [reporting.sweep_row(n, est, rep.estimates[0],
                                 est / rep.estimates[0], conv, lower=lower,
-                                upper=upper, reason=reason)
-            for n, est, conv, lower, upper, reason in zip(
+                                upper=upper, reason=reason, iterations=used)
+            for n, est, conv, lower, upper, reason, used in zip(
                 rep.resolutions, rep.estimates, rep.converged, rep.lowers,
-                rep.uppers, rep.reasons)]
+                rep.uppers, rep.reasons, rep.iterations)]
     lines = [f"estimates: {dict(zip(rep.resolutions, [round(e, 6) for e in rep.estimates]))}",
-             f"growth = {rep.growth:+.2%}, variation = {rep.variation:.2%}"]
+             f"growth = {rep.growth:+.2%}, variation = {rep.variation:.2%}, "
+             f"certified = {rep.certified}"]
     return checks, {"estimates": rows}, lines
 
 

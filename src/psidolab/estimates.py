@@ -29,6 +29,7 @@ from .symbols import Symbol, as_multi_index, multi_index_order
 ZERO_MEAN_TOL = 1e-12
 ENVELOPE_PASS_FACTOR = 3.0   # largest ring spread `dyadic_envelope_check` passes
 PROBE_GROWTH_THRESHOLD = 0.2   # smallest last/first - 1 the probe calls growth
+PROBE_STABLE_TOLERANCE = 0.05   # largest max/min - 1 the probe calls stable
 # shell maxima up to this share of max|k| are roundoff (kernel paths differ by 5e-14)
 DECAY_ROUNDOFF_FLOOR = 256 * np.finfo(float).eps
 
@@ -424,10 +425,12 @@ class NormEstimate:
     above it: value <= upper * (1 + BRACKET_RTOL) holds, not value <= upper.
     reason says why the iteration stopped: "settled" (a ratio
     stopped moving, or its adjoint step vanished), "bracket_closed"
-    (upper - lower <= BRACKET_RTOL * upper), "zero_operator" (upper == 0)
-    or "budget" (out of iterations).  The bracket is tested after each
-    apply, never before the first, so a bracket closed in closed form
-    stops the iteration at its first apply."""
+    (upper - lower <= BRACKET_RTOL * upper), "zero_operator" (upper == 0),
+    "budget" (out of iterations) or, in `necessary_condition_probe` only,
+    "verdict" (lower reached the target that certifies the probe's
+    verdict, or the resolution was not run once it was certified).  The
+    bracket is tested after each apply, never before the first, so a
+    bracket closed in closed form stops the iteration at its first apply."""
 
     value: float
     method: str
@@ -439,14 +442,15 @@ class NormEstimate:
 
     @property
     def converged(self) -> bool:
-        return self.reason != "budget"
+        return self.reason not in ("budget", "verdict")
 
     @property
     def estimate(self) -> float:
         """The norm estimate to report: lower once the bracket is closed,
         where it pins the norm to BRACKET_RTOL (an iteration stopped by a
         bracket closed in closed form has measured only its first ratio),
-        else the measured ratio value."""
+        or once a verdict stopped it, where lower is a certified lower
+        bound, else the measured ratio value."""
         return self.value if self.reason in ("settled", "budget") else self.lower
 
 
@@ -601,7 +605,7 @@ def _duality_map(v: np.ndarray, spacing: float, p: tuple,
 
 def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                  rng: np.random.Generator, peak: tuple, plane: float,
-                 upper: Optional[float]) -> tuple:
+                 upper: Optional[float], target: Optional[float] = None) -> tuple:
     """Boyd's fixed-point ascent on ||Tf||_p / ||f||_p (Boyd 1974): y = T x,
     z = T* J_p(y), x = J_p'(z) / ||J_p'(z)||_p.  By Hoelder equality the
     ratio never falls along one start's path, up to roundoff.
@@ -615,8 +619,10 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
     rounded up, and doubles k.  Live starts iterate as one stack on one
     `operator_plan`, in chunks of at most ASCENT_STACK_SAMPLES samples,
     each with its bits alone; ratios count in start order, each followed
-    by the test _closed(max(best, plane), upper).  Returns (best ratio,
-    reason, iterations), "settled" if the lead settled."""
+    by the test _closed(max(best, plane), upper) and, given a target, the
+    test max(best, plane) >= target, which stops with reason "verdict";
+    a target moves no iterate, only where the ascent stops.  Returns (best
+    ratio, reason, iterations), "settled" if the lead settled."""
     pp, qq, h = p.p, holder_dual(p).p, grid.spacing
     plan = operator_plan(s, grid)
     x = _ascent_starts(s, plan, peak, rng)
@@ -640,6 +646,8 @@ def _boyd_ascent(s: Symbol, grid: Grid, p: MixedExponent, budget: int,
                     best[j], top = max(best[j], ratio), max(top, ratio)
                     if closed := _closed(max(top, plane), upper):
                         return top, closed, used
+                    if target is not None and max(top, plane) >= target:
+                        return top, "verdict", used
                     settled[j] = abs(ratio - prev[j]) <= 1e-10 * max(ratio, 1.0)
                     prev[j] = ratio
                     if not settled[j]:
@@ -705,14 +713,23 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
             raise InvalidInputError("power_iteration_p2 requires p = (2, ..., 2)")
     elif method != "random_ascent":
         raise InvalidInputError(f"unknown method {method!r}")
-    peak, plane, upper = _norm_bracket(s, grid, p)
+    return _bracketed_estimate(s, grid, p, method, budget, seed,
+                               _norm_bracket(s, grid, p))
+
+
+def _bracketed_estimate(s: Symbol, grid: Grid, p: MixedExponent, method: str,
+                        budget: int, seed: int, bracket: tuple,
+                        target: Optional[float] = None) -> NormEstimate:
+    """`operator_norm_estimate` on its `_norm_bracket`, checked inputs and,
+    for the ascent, an optional target (see `_boyd_ascent`)."""
+    peak, plane, upper = bracket
     if method == "power_iteration_p2":
         value, reason, used = _power_iteration_p2(s, grid, budget, peak,
                                                   plane, upper)
     else:
         value, reason, used = _boyd_ascent(s, grid, p, budget,
                                            np.random.default_rng(seed),
-                                           peak, plane, upper)
+                                           peak, plane, upper, target)
     if reason == "bracket_closed":   # both within BRACKET_RTOL of upper
         value, plane = min(value, upper), min(plane, upper)
     return NormEstimate(value, method, reason, used, p.p, max(value, plane), upper)
@@ -884,14 +901,17 @@ class ProbeReport:
     lowers: tuple            # per resolution, as on NormEstimate
     uppers: tuple
     reasons: tuple
-    growth: float            # last/first - 1
-    variation: float         # max/min - 1
+    iterations: tuple
+    growth: float            # last/first - 1, or as certified (see below)
+    variation: float         # max/min - 1, or as certified
     grows: bool              # growth >= PROBE_GROWTH_THRESHOLD
+    certified: bool          # the brackets certify the verdict asked for
 
 
 def necessary_condition_probe(s: Symbol, p: float, resolutions,
                               half_extent: float, dim: int = 1,
-                              budget: int = 300, seed: int = 0) -> ProbeReport:
+                              budget: int = 300, seed: int = 0,
+                              expect: str = "report") -> ProbeReport:
     """Track random-ascent norm lower bounds across grid resolutions at a
     fixed box size.
 
@@ -901,19 +921,63 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
     (`NormEstimate.estimate`: the measured ratio, or the lower bound once
     the bracket is closed), while each resolution's certified bracket and
     stopping reason come with them.
+
+    expect "growth" or "stable" asks for that verdict and stops once the
+    brackets [lower, upper] (`_norm_bracket`, each taken once, first)
+    certify it, with r = BRACKET_RTOL:
+    - growth, if lower[last] >= (1 + PROBE_GROWTH_THRESHOLD)(1 + r)
+      upper[first]: the last resolution's ascent runs first, with that
+      value as its target;
+    - stable, if max upper (1 + r) <= (1 + PROBE_STABLE_TOLERANCE)
+      min lower: from the brackets alone.
+    Certified growth reports the certified lower bounds growth =
+    lower[last] / upper[first] - 1 and variation = max lower / min upper
+    - 1, certified stability the certified upper bound variation = max
+    upper / min lower - 1; each resolution not run reports its bracket,
+    reason "verdict" and 0 iterations, and so its estimate is lower.
+    Otherwise, and for expect "report" (no verdict asked), every
+    resolution runs its ascent from its own default_rng(seed), as if run
+    alone.
     """
+    if expect not in ("report", "growth", "stable"):
+        raise InvalidInputError(
+            f"expect: expected report, growth or stable, got {expect!r}")
     if not s.x_independent:
         raise InvalidInputError("the probe is defined for multiplier symbols")
     p = float(p)
     if p == 2.0:
         raise InvalidInputError("p = 2 is the reference exponent; probe needs p != 2")
-    runs = [operator_norm_estimate(s, Grid(dim, int(n), half_extent),
-                                   MixedExponent.uniform(p, dim), "random_ascent",
-                                   budget=budget, seed=seed)
-            for n in resolutions]
+    exponent = MixedExponent.uniform(p, dim)
+    grids = [Grid(dim, int(n), half_extent) for n in resolutions]
+    brackets = [_norm_bracket(s, g, exponent) for g in grids]
+    planes = [plane for _, plane, _ in brackets]
+    uppers = [upper for _, _, upper in brackets]
+
+    def ascent(i, target=None):
+        return _bracketed_estimate(s, grids[i], exponent, "random_ascent",
+                                   budget, seed, brackets[i], target)
+
+    runs = [None] * len(grids)
+    certified = False
+    if expect == "growth" and uppers[0] is not None:
+        target = (1.0 + PROBE_GROWTH_THRESHOLD) * (1.0 + BRACKET_RTOL) * uppers[0]
+        runs[-1] = ascent(-1, target)
+        certified = runs[-1].lower >= target
+    elif expect == "stable" and None not in uppers:
+        certified = (max(uppers) * (1.0 + BRACKET_RTOL)
+                     <= (1.0 + PROBE_STABLE_TOLERANCE) * min(planes))
+    runs = [run or (NormEstimate(0.0, "random_ascent", "verdict", 0, exponent.p,
+                                 planes[i], uppers[i]) if certified else ascent(i))
+            for i, run in enumerate(runs)]
     estimates = [est.estimate for est in runs]
     growth = estimates[-1] / estimates[0] - 1.0
     variation = max(estimates) / min(estimates) - 1.0
+    if certified and expect == "growth":   # certified lower bounds
+        growth = runs[-1].lower / uppers[0] - 1.0
+        variation = (max(est.lower for est in runs)
+                     / min(u for u in uppers if u is not None) - 1.0)
+    elif certified:   # a certified upper bound
+        variation = max(uppers) / min(planes) - 1.0
     return ProbeReport(
         resolutions=tuple(int(n) for n in resolutions),
         estimates=tuple(estimates),
@@ -921,7 +985,9 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
         lowers=tuple(est.lower for est in runs),
         uppers=tuple(est.upper for est in runs),
         reasons=tuple(est.reason for est in runs),
+        iterations=tuple(est.iterations for est in runs),
         growth=growth,
         variation=variation,
         grows=growth >= PROBE_GROWTH_THRESHOLD,
+        certified=certified,
     )

@@ -138,6 +138,8 @@ def partial_norm(f: SampledFunction, pbar, xprime) -> float:
     pbar = exponent_tuple(pbar)
     l = len(pbar)
     d = f.grid.dim
+    if l > d:
+        raise InvalidInputError(f"{l} inner exponents for {d} axes")
     xprime = np.atleast_1d(np.asarray(xprime, dtype=float))
     if xprime.shape != (d - l,):
         raise InvalidInputError(

@@ -198,6 +198,8 @@ class TestCzCommand:
         (("--l", "1", "--pbar", "2", "--x0prime", "0,0"),
          "x0prime has 2 components, expected 1"),
         (("--l", "0", "--x0prime", "0"), "x0prime has 1 components, expected 2"),
+        (("--l", "2", "--pbar", "2,2", "--x0prime", "0", "--t", "0.01"),
+         "split l = 2 outside 0..1"),   # before the plan and the widths
     ])
     def test_split_disagreements_exit_two(self, tmp_path, capsys, flags, error):
         # --l must agree with the count of --pbar, and the x0prime
@@ -409,13 +411,37 @@ class TestProbeCommand:
                                             check, key, value):
         # wave:0 at p=4 grows 13.76% from n=64 to n=128: short of the growth
         # threshold and beyond the stable tolerance, so either verdict fails
+        # and neither is certified
         code = run_cli("probe", "--symbol", "wave:0", "--p", "4", "--resolutions",
                        "64,128", "--R", "32", "--expect", expect,
                        "--out-dir", str(tmp_path))
         assert code == 1
-        assert "variation = 13.76%" in capsys.readouterr().out
+        assert "variation = 13.76%, certified = False" in capsys.readouterr().out
         [got] = json.loads((tmp_path / "probe-report.json").read_text())["checks"]
         assert got["name"] == check and not got["passed"] and got[key] == value
+        assert got["certified"] is False
+
+    @pytest.mark.parametrize("argv, check, key, value", [
+        (("--symbol", "wave:0", "--resolutions", "64,128,256,512", "--expect",
+          "growth", "--seed", "1"), "norm_growth", "growth", 0.23085354770042388),
+        (("--symbol", "bessel:-1", "--expect", "stable"), "norm_stability",
+         "variation", 0.004460965755511026)])
+    def test_certified_verdicts(self, tmp_path, capsys, argv, check, key, value):
+        # the two probes CI runs: the brackets certify each verdict, and
+        # the resolutions not run report their brackets with reason verdict
+        code = run_cli("probe", "--p", "4", "--R", "32", *argv,
+                       "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "certified = True" in capsys.readouterr().out
+        report = json.loads((tmp_path / "probe-report.json").read_text())
+        [got] = report["checks"]
+        assert (got["name"], got["passed"], got["certified"]) == (check, True, True)
+        assert got[key] == value
+        rows = report["tables"]["estimates"]
+        assert rows[0]["reason"] == rows[1]["reason"] == "verdict"
+        assert rows[0]["iterations"] == rows[1]["iterations"] == 0
+        assert all(row["measured"] == row["lower"] for row in rows)
+        assert not any(row["pass"] for row in rows)
 
 
 class TestDyadicCommand:

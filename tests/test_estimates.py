@@ -892,6 +892,13 @@ class TestOperatorNorm:
             assert svd <= est.upper * (1 + estimates.BRACKET_RTOL)
 
 
+PROBE_SYMBOLS = {"bessel:-1": lambda: bessel_multiplier(-1.0),
+                 "bessel:-4": lambda: bessel_multiplier(-4.0),
+                 "wave:0": lambda: wave_multiplier(0.0),
+                 "wave:-0.5": lambda: wave_multiplier(-0.5),
+                 "wave:-1": lambda: wave_multiplier(-1.0)}
+
+
 class TestNecessaryConditionProbe:
     @staticmethod
     def _unit_multiplier():
@@ -926,6 +933,102 @@ class TestNecessaryConditionProbe:
         with pytest.raises(InvalidInputError):
             necessary_condition_probe(self._unit_multiplier(), 2.0, (16, 32),
                                       half_extent=4.0)
+        with pytest.raises(InvalidInputError, match="expect: expected"):
+            necessary_condition_probe(self._unit_multiplier(), 4.0, (16, 32),
+                                      half_extent=4.0, expect="grows")
+
+    @pytest.mark.parametrize("R", [8.0, 32.0])
+    @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0])
+    @pytest.mark.parametrize("spec", PROBE_SYMBOLS)
+    def test_certificates_agree_with_full_budget_verdicts(self, spec, p, R):
+        # whenever the brackets certify a verdict, the full-budget run with
+        # no verdict asked reaches it too; a run they cannot certify is
+        # that run, bit for bit
+        from psidolab import necessary_condition_probe
+        s = PROBE_SYMBOLS[spec]()
+        res = (64, 128, 256, 512)
+        full = necessary_condition_probe(s, p, res, half_extent=R, seed=1)
+        assert not full.certified
+        full_verdict = {"growth": full.grows,
+                        "stable": full.variation <= estimates.PROBE_STABLE_TOLERANCE}
+        certified = set()
+        for expect in ("growth", "stable"):
+            rep = necessary_condition_probe(s, p, res, half_extent=R, seed=1,
+                                            expect=expect)
+            if rep.certified:
+                certified.add(expect)
+                assert full_verdict[expect]
+                assert (rep.grows if expect == "growth" else
+                        rep.variation <= estimates.PROBE_STABLE_TOLERANCE)
+                assert "verdict" in rep.reasons and not any(rep.converged)
+            else:
+                assert rep == full
+        assert certified == ({"growth"} if (spec, R) == ("wave:0", 32.0) else
+                             {"stable"} if spec.startswith("bessel") else set())
+
+    @pytest.mark.parametrize("R, expect, hexes", [
+        (8.0, "growth", ("0x1.bd34424747096p+0", "0x1.d6020ed05a434p+0",
+                         "0x1.e80e6bf226eddp+0", "0x1.f628533b2dd81p+0")),
+        (32.0, "report", ("0x1.6740742751ed6p+0", "0x1.98fa04b65e0f0p+0",
+                          "0x1.bc8754b9c6b9bp+0", "0x1.d5bac5b348aadp+0"))])
+    def test_uncertified_runs_keep_their_bits(self, R, expect, hexes):
+        # the estimates of wave:0 at p=4, seed 1, as before certificates:
+        # growth at R=8 cannot be certified, and report asks for no verdict
+        from psidolab import necessary_condition_probe
+        rep = necessary_condition_probe(wave_multiplier(0.0), 4.0,
+                                        (64, 128, 256, 512), half_extent=R,
+                                        seed=1, expect=expect)
+        assert tuple(e.hex() for e in rep.estimates) == hexes
+        assert rep.reasons == ("budget",) * 4 and not rep.certified
+
+    def test_growth_certificate(self):
+        # the benchmark's probe: the n=512 ascent runs first and stops once
+        # its lower bound certifies growth over the n=64 upper bound; the
+        # other resolutions report their brackets, lower = max|b| = 1
+        from psidolab import necessary_condition_probe
+        rep = necessary_condition_probe(wave_multiplier(0.0), 4.0,
+                                        (64, 128, 256, 512), half_extent=32.0,
+                                        seed=1, expect="growth")
+        target = (1 + estimates.PROBE_GROWTH_THRESHOLD) * (1 + estimates.BRACKET_RTOL)
+        assert rep.certified and rep.grows
+        assert rep.reasons == ("verdict",) * 4 and rep.iterations == (0, 0, 0, 16)
+        assert rep.lowers[-1] >= target * rep.uppers[0]
+        assert rep.growth == rep.lowers[-1] / rep.uppers[0] - 1
+        assert rep.estimates == rep.lowers == (1.0, 1.0, 1.0, rep.lowers[-1])
+        assert rep.variation == rep.lowers[-1] / min(rep.uppers) - 1
+
+    def test_stability_certificate(self):
+        from psidolab import necessary_condition_probe
+        rep = necessary_condition_probe(self._unit_multiplier(), 4.0, (16, 32),
+                                        half_extent=4.0, expect="stable")
+        assert rep.certified and rep.reasons == ("verdict",) * 2
+        assert rep.iterations == (0, 0)
+        assert rep.estimates == rep.lowers == rep.uppers == (1.0, 1.0)
+        assert rep.variation == 0.0 and rep.converged == (False, False)
+
+    def test_a_target_moves_no_iterate(self, monkeypatch):
+        # the ascent tests its target after each ratio, where it tests its
+        # bracket: it stops at the first lower bound that reaches the
+        # target, on the trajectory of the ascent without one
+        s, g, p = wave_multiplier(0.0), Grid(1, 128, 32.0), MixedExponent((4.0,))
+        peak, plane, upper = estimates._norm_bracket(s, g, p)
+
+        def ascent(target=None):
+            return estimates._boyd_ascent(s, g, p, 300, np.random.default_rng(3),
+                                          peak, plane, upper, target)
+
+        lowers, closed = [], estimates._closed
+        monkeypatch.setattr(estimates, "_closed",
+                            lambda lower, up: lowers.append(lower) or closed(lower, up))
+        free = ascent()
+        monkeypatch.setattr(estimates, "_closed", closed)
+        assert ascent(target=2 * upper) == free
+        for target in (lowers[0], lowers[20], 0.5 * (lowers[40] + lowers[41]),
+                       lowers[-1]):
+            top, reason, used = ascent(target)
+            first = next(i for i, v in enumerate(lowers) if v >= target)
+            assert (reason, used, max(top, plane)) == ("verdict", first + 1,
+                                                       lowers[first])
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,13 @@ class TestPartialNorm:
         with pytest.raises(InvalidInputError):
             partial_norm(f, (2.0,), [0.0123])
 
+    def test_more_inner_exponents_than_axes(self, grid_2d):
+        # an error that counts both, not a negative outer shape
+        f = SampledFunction(grid_2d, np.ones(grid_2d.shape))
+        with pytest.raises(InvalidInputError,
+                           match=r"^3 inner exponents for 2 axes$"):
+            partial_norm(f, (2, 2, 2), [0.0])
+
 
 class TestNormProperties:
     @given(st.integers(0, 2**31), st.lists(exponents, min_size=2, max_size=2),
