@@ -333,11 +333,11 @@ def _run_norm_estimate(params):
                                  budget=_int(params, "budget", 300),
                                  seed=_int(params, "seed", 0))
     checks = []
-    rows = [reporting.sweep_row(grid.points_per_axis, est.estimate, None, None,
+    rows = [reporting.sweep_row(grid.points_per_axis, est.lower, None, None,
                                 est.converged, lower=est.lower,
                                 upper=est.upper, reason=est.reason)]
     upper = "none" if est.upper is None else f"{est.upper:.8g}"
-    lines = [f"estimate = {est.estimate:.8g} ({est.method}, {est.reason}), "
+    lines = [f"estimate = {est.lower:.8g} ({est.method}, {est.reason}), "
              f"bracket [{est.lower:.8g}, {upper}]"]
     return checks, {"estimate": rows}, lines
 
@@ -398,13 +398,15 @@ def _run_probe(params):
             "norm_stability", rep.variation <= PROBE_STABLE_TOLERANCE,
             variation=rep.variation, tolerance=PROBE_STABLE_TOLERANCE,
             certified=rep.certified))
-    rows = [reporting.sweep_row(n, est, rep.estimates[0],
-                                est / rep.estimates[0], conv, lower=lower,
-                                upper=upper, reason=reason, iterations=used)
-            for n, est, conv, lower, upper, reason, used in zip(
-                rep.resolutions, rep.estimates, rep.converged, rep.lowers,
-                rep.uppers, rep.reasons, rep.iterations)]
-    lines = [f"estimates: {dict(zip(rep.resolutions, [round(e, 6) for e in rep.estimates]))}",
+    first = rep.runs[0].lower
+    rows, shown = [], {}
+    for n, est in zip(rep.resolutions, rep.runs):
+        rows.append(reporting.sweep_row(n, est.lower, first, est.lower / first,
+                                        est.converged, lower=est.lower,
+                                        upper=est.upper, reason=est.reason,
+                                        iterations=est.iterations))
+        shown[n] = round(est.lower, 6)
+    lines = [f"estimates: {shown}",
              f"growth = {rep.growth:+.2%}, variation = {rep.variation:.2%}, "
              f"certified = {rep.certified}"]
     return checks, {"estimates": rows}, lines

@@ -419,10 +419,12 @@ class NormEstimate:
     """A discrete operator norm estimate inside its bracket [lower, upper].
 
     value is the best ratio ||T f||_p / ||f||_p the iteration reached;
-    lower = max(value, the plane-wave ratio certified in closed form) and
-    upper is a certified bound, None for a coupled ("general") symbol.  A
-    closed bracket caps value and lower at upper; else value can end an ulp
-    above it: value <= upper * (1 + BRACKET_RTOL) holds, not value <= upper.
+    lower = max(value, the plane-wave ratio certified in closed form) is
+    the estimate to report, as every ratio reached is a lower bound (Boyd
+    1974), and upper is a certified bound, None for a coupled ("general")
+    symbol.  A closed bracket caps value and lower at upper; else value can
+    end an ulp above it: value <= upper * (1 + BRACKET_RTOL) holds, not
+    value <= upper.
     reason says why the iteration stopped: "settled" (a ratio
     stopped moving, or its adjoint step vanished), "bracket_closed"
     (upper - lower <= BRACKET_RTOL * upper), "zero_operator" (upper == 0),
@@ -443,15 +445,6 @@ class NormEstimate:
     @property
     def converged(self) -> bool:
         return self.reason not in ("budget", "verdict")
-
-    @property
-    def estimate(self) -> float:
-        """The norm estimate to report: lower once the bracket is closed,
-        where it pins the norm to BRACKET_RTOL (an iteration stopped by a
-        bracket closed in closed form has measured only its first ratio),
-        or once a verdict stopped it, where lower is a certified lower
-        bound, else the measured ratio value."""
-        return self.value if self.reason in ("settled", "budget") else self.lower
 
 
 def _norm_bracket(s: Symbol, grid: Grid, p: MixedExponent) -> tuple:
@@ -700,8 +693,9 @@ def operator_norm_estimate(s: Symbol, grid: Grid, p: MixedExponent,
     (see `_boyd_ascent`).  Either stops early once lower = max(best ratio,
     plane-wave ratio) comes within BRACKET_RTOL of the certified upper
     bound, so a bracket closed in closed form (a p=2 multiplier, a
-    multiplication) stops at the first apply.  value, lower, upper,
-    reason, converged and estimate are described on `NormEstimate`.
+    multiplication) stops at the first apply.  lower is the estimate to
+    report; it, value, upper, reason and converged are described on
+    `NormEstimate`.
     """
     if budget < 1:
         raise InvalidInputError(f"budget must be >= 1, got {budget}")
@@ -896,14 +890,9 @@ def smoothness_budget(d: int, m: float, rho: float, delta: float) -> SmoothnessB
 @dataclass(frozen=True)
 class ProbeReport:
     resolutions: tuple
-    estimates: tuple         # per resolution, NormEstimate.estimate
-    converged: tuple
-    lowers: tuple            # per resolution, as on NormEstimate
-    uppers: tuple
-    reasons: tuple
-    iterations: tuple
-    growth: float            # last/first - 1, or as certified (see below)
-    variation: float         # max/min - 1, or as certified
+    runs: tuple              # per resolution, its NormEstimate
+    growth: float            # last/first - 1 of the lowers, or as certified
+    variation: float         # max/min - 1 of the lowers, or as certified
     grows: bool              # growth >= PROBE_GROWTH_THRESHOLD
     certified: bool          # the brackets certify the verdict asked for
 
@@ -917,10 +906,10 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
 
     A discretized operator violating the order condition shows estimates
     that grow with resolution; a bounded one stays flat.  The verdict is
-    qualitative and tied to the supplied settings; it reads the estimates
-    (`NormEstimate.estimate`: the measured ratio, or the lower bound once
-    the bracket is closed), while each resolution's certified bracket and
-    stopping reason come with them.
+    qualitative and tied to the supplied settings; it reads each
+    resolution's `NormEstimate.lower`, which comes with its certified
+    bracket and stopping reason.  A symbol that vanishes on a grid (plane
+    = max|b| = 0 there) is rejected, as no ratio to it is defined.
 
     expect "growth" or "stable" asks for that verdict and stops once the
     brackets [lower, upper] (`_norm_bracket`, each taken once, first)
@@ -934,10 +923,9 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
     lower[last] / upper[first] - 1 and variation = max lower / min upper
     - 1, certified stability the certified upper bound variation = max
     upper / min lower - 1; each resolution not run reports its bracket,
-    reason "verdict" and 0 iterations, and so its estimate is lower.
-    Otherwise, and for expect "report" (no verdict asked), every
-    resolution runs its ascent from its own default_rng(seed), as if run
-    alone.
+    reason "verdict" and 0 iterations.  Otherwise, and for expect
+    "report" (no verdict asked), every resolution runs its ascent from its
+    own default_rng(seed), as if run alone.
     """
     if expect not in ("report", "growth", "stable"):
         raise InvalidInputError(
@@ -952,6 +940,9 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
     brackets = [_norm_bracket(s, g, exponent) for g in grids]
     planes = [plane for _, plane, _ in brackets]
     uppers = [upper for _, _, upper in brackets]
+    if min(planes) == 0.0:
+        raise InvalidInputError(f"symbol {s.label!r} is 0 on the grid of "
+                                f"n={grids[planes.index(0.0)].points_per_axis}")
 
     def ascent(i, target=None):
         return _bracketed_estimate(s, grids[i], exponent, "random_ascent",
@@ -969,23 +960,17 @@ def necessary_condition_probe(s: Symbol, p: float, resolutions,
     runs = [run or (NormEstimate(0.0, "random_ascent", "verdict", 0, exponent.p,
                                  planes[i], uppers[i]) if certified else ascent(i))
             for i, run in enumerate(runs)]
-    estimates = [est.estimate for est in runs]
-    growth = estimates[-1] / estimates[0] - 1.0
-    variation = max(estimates) / min(estimates) - 1.0
+    lowers = [est.lower for est in runs]
+    growth = lowers[-1] / lowers[0] - 1.0
+    variation = max(lowers) / min(lowers) - 1.0
     if certified and expect == "growth":   # certified lower bounds
-        growth = runs[-1].lower / uppers[0] - 1.0
-        variation = (max(est.lower for est in runs)
-                     / min(u for u in uppers if u is not None) - 1.0)
+        growth = lowers[-1] / uppers[0] - 1.0
+        variation = max(lowers) / min(u for u in uppers if u is not None) - 1.0
     elif certified:   # a certified upper bound
         variation = max(uppers) / min(planes) - 1.0
     return ProbeReport(
         resolutions=tuple(int(n) for n in resolutions),
-        estimates=tuple(estimates),
-        converged=tuple(est.converged for est in runs),
-        lowers=tuple(est.lower for est in runs),
-        uppers=tuple(est.upper for est in runs),
-        reasons=tuple(est.reason for est in runs),
-        iterations=tuple(est.iterations for est in runs),
+        runs=tuple(runs),
         growth=growth,
         variation=variation,
         grows=growth >= PROBE_GROWTH_THRESHOLD,

@@ -341,7 +341,7 @@ def _factored(params: SymbolClassParams, label: str, x_factor=None,
                   x_factor=x_factor, xi_factor=xi_factor, label=label)
 
 
-def constant_symbol(c, label: Optional[str] = None) -> Symbol:
+def constant_symbol(c) -> Symbol:
     """sigma = c.  Tagged xi-independent so application is exact pointwise.
     A +0.0 imaginary part makes a real factor; -0.0 reaches zeros' signs."""
     c = complex(c)
@@ -350,18 +350,18 @@ def constant_symbol(c, label: Optional[str] = None) -> Symbol:
     def factor(x):
         return np.full(x.shape if isinstance(x, Grid) else x.shape[:-1], value)
 
-    return _factored(SymbolClassParams(m=0.0), label or f"const:{c}",
+    return _factored(SymbolClassParams(m=0.0), f"const:{c}",
                      x_factor=_takes_grid(factor))
 
 
-def bessel_multiplier(m: float, Nprime: int = 4) -> Symbol:
+def bessel_multiplier(m: float) -> Symbol:
     """sigma(xi) = <xi>^m, the smooth model multiplier of order m."""
-    return _factored(SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=Nprime),
+    return _factored(SymbolClassParams(m=float(m), rho=1.0, delta=0.0, N=0, Nprime=4),
                      f"bessel:{m}",
                      xi_factor=_radial(lambda r2: np.sqrt(1.0 + r2) ** m))
 
 
-def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
+def wave_multiplier(m: float = 0.0) -> Symbol:
     """sigma(xi) = exp(i <xi>) <xi>^m; oscillation cancels the decay gain,
     so the honest claim is rho = 0."""
 
@@ -369,7 +369,7 @@ def wave_multiplier(m: float = 0.0, Nprime: int = 2) -> Symbol:
         br = np.sqrt(1.0 + r2)
         return np.exp(1j * br) * br**m
 
-    return _factored(SymbolClassParams(m=float(m), rho=0.0, delta=0.0, N=0, Nprime=Nprime),
+    return _factored(SymbolClassParams(m=float(m), rho=0.0, delta=0.0, N=0, Nprime=2),
                      f"wave:{m}", xi_factor=_radial(profile))
 
 

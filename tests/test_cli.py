@@ -392,6 +392,18 @@ class TestNormEstimateCommand:
         assert row["measured"] == row["lower"] == row["upper"] == 1.0
         assert row["reason"] == "bracket_closed"
 
+    def test_settled_run_reports_its_lower_bound(self, tmp_path):
+        # the ascent settles one ulp under the plane-wave ratio 1, which
+        # certifies lower = 1: the report gives lower, not the settled ratio
+        code = run_cli("norm-estimate", "--symbol", "bessel:-1", "--d", "1",
+                       "--n", "64", "--R", "32", "--p", "1.3333333333333333",
+                       "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "norm-estimate-report.json").read_text())
+        row = report["tables"]["estimate"][0]
+        assert row["reason"] == "settled"
+        assert row["measured"] == row["lower"] == 1.0
+
     @pytest.mark.parametrize("d, n, R", [(1, 16, "1e-300"), (3, 8, "1e-110")])
     def test_box_out_of_float_range_exits_two(self, tmp_path, capsys, d, n, R):
         # such a box once printed overflow warnings and a bracket [1, 1], or

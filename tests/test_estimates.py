@@ -56,6 +56,14 @@ class TestDecayFit:
         k = kernel_sum(dd)
         with pytest.raises(InvalidInputError, match="admissible"):
             decay_fit(k, (0.25, 2.0), KernelDecayParams((0,), (0,), L=0.0))
+        # rho = 0 admits no L at all
+        wave = kernel_sum(dyadic_decompose(wave_multiplier(0.0), g, 2))
+        with pytest.raises(InvalidInputError, match="need rho > 0"):
+            decay_fit(wave, (0.25, 2.0), KernelDecayParams((0,), (0,), L=0.0))
+        # rho = 1 admits L = 0, where m = -5 leaves the exponent d + m + L <= 0
+        low = kernel_sum(dyadic_decompose(bessel_multiplier(-5.0), g, 2))
+        with pytest.raises(InvalidInputError, match="= -4.0 must be positive"):
+            decay_fit(low, (0.25, 2.0), KernelDecayParams((0,), (0,), L=0.0))
 
     def test_rejects_bad_window(self):
         g = Grid(1, 256, 8.0)
@@ -65,6 +73,10 @@ class TestDecayFit:
             decay_fit(k, (1e-4, 2.0), KernelDecayParams((0,), (0,), L=1.5))
         with pytest.raises(InvalidInputError, match="window"):
             decay_fit(k, (0.5, 7.9), KernelDecayParams((0,), (0,), L=1.5))
+        # inside the band, but strictly between two grid radii
+        with pytest.raises(InvalidInputError, match="no grid points"):
+            decay_fit(k, (2.1 * g.spacing, 2.9 * g.spacing),
+                      KernelDecayParams((0,), (0,), L=1.5))
 
     def test_envelope_grows_with_window(self):
         # sup over a superset cannot shrink
@@ -207,6 +219,8 @@ class TestCancellationFunction:
         g = Grid(2, 64, 4.0)
         with pytest.raises(InvalidInputError, match="box"):
             make_cancellation_test_function(g, 1.0, [3.8])
+        with pytest.raises(InvalidInputError, match=r"y' has shape \(3,\)"):
+            make_cancellation_test_function(g, 1.0, [0.0, 0.0, 0.0])
 
 
 class TestCZCondition:
@@ -220,6 +234,16 @@ class TestCZCondition:
         for pbar in ((), (2.0,), (2, 3)):
             cfg = CZCheckConfig(t=1.0, x0prime=[0.0], Nconst=3.0, pbar=pbar)
             assert cfg.l == len(pbar) and cfg.pbar == tuple(map(float, pbar))
+
+    def test_config_validation(self):
+        with pytest.raises(InvalidInputError, match="t must be positive"):
+            self._cfg(0.0, [0.0], (2.0,))
+        with pytest.raises(InvalidInputError, match="Nconst must exceed 1"):
+            self._cfg(1.0, [0.0], (2.0,), Nconst=1.0)
+        # l = d inner exponents leave no trailing axis
+        f = make_cancellation_test_function(Grid(1, 64, 4.0), 1.0, [0.0])
+        with pytest.raises(InvalidInputError, match=r"split l = 1 outside 0\.\.0"):
+            cz_condition_check(lambda u: u, self._cfg(1.0, [], (2.0,)), f)
 
     def test_identity_symbol_gives_zero_ratio(self):
         g = Grid(2, 64, 4.0)
@@ -639,7 +663,7 @@ class TestOperatorNorm:
             est = operator_norm_estimate(bessel_multiplier(-1.0), g, p,
                                          "random_ascent", seed=seed)
             assert est.reason == "settled" and est.iterations <= 150
-            assert est.estimate == pytest.approx(1.0, rel=estimates.BRACKET_RTOL)
+            assert est.lower == pytest.approx(1.0, rel=estimates.BRACKET_RTOL)
 
     @staticmethod
     def _pinned_run(spec, g, p, budget, seed):
@@ -653,7 +677,7 @@ class TestOperatorNorm:
             return est.value, est.reason, est.iterations
         assert ((est.value.hex(), est.reason, est.iterations)
                 == CLOSED_FORM_ASCENT[spec, p.p])
-        assert est.estimate == est.lower == est.upper == 1.0
+        assert est.lower == est.upper == 1.0
         peak, _, _ = estimates._norm_bracket(s, g, p)
         return estimates._boyd_ascent(s, g, p, budget,
                                       np.random.default_rng(seed), peak, 0.0, None)
@@ -870,6 +894,15 @@ class TestOperatorNorm:
                                    MixedExponent((3.0,)),
                                    "power_iteration_p2", budget=10)
 
+    @pytest.mark.parametrize("p, method, budget, match", [
+        ((4.0,), "random_ascent", 0, "budget must be >= 1"),
+        ((4.0, 4.0), "random_ascent", 300, "2 components for a 1-d grid"),
+        ((4.0,), "svd", 300, "unknown method 'svd'")])
+    def test_input_checks(self, p, method, budget, match):
+        with pytest.raises(InvalidInputError, match=match):
+            operator_norm_estimate(constant_symbol(1.0), Grid(1, 64, 8.0),
+                                   MixedExponent(p), method, budget=budget)
+
     @pytest.mark.parametrize("spec, d, n, R", [("sep:2,6:-1", 1, 512, 8.0),
                                                 ("sep:2,6:-1", 3, 8, 4.0),
                                                 ("sep:2,6:-2", 2, 16, 8.0)])
@@ -887,7 +920,7 @@ class TestOperatorNorm:
                  for seed in (1, 2, 3)]
         for est in ests:
             assert est.reason == "settled"
-            assert est.estimate == pytest.approx(svd, rel=1e-10)
+            assert est.lower == pytest.approx(svd, rel=1e-10)
             assert est.lower <= svd * (1 + estimates.BRACKET_RTOL)
             assert svd <= est.upper * (1 + estimates.BRACKET_RTOL)
 
@@ -911,18 +944,18 @@ class TestNecessaryConditionProbe:
         from psidolab import necessary_condition_probe
         rep = necessary_condition_probe(self._unit_multiplier(), 4.0,
                                         (16, 32), half_extent=4.0, budget=40)
-        assert all(abs(e - 1.0) <= 1e-6 for e in rep.estimates)
+        assert all(abs(est.lower - 1.0) <= 1e-6 for est in rep.runs)
         assert not rep.grows
 
     def test_closed_brackets_keep_the_verdict_flat(self):
         # at R=8 the bracket of bessel:-1 is [1, 1] at every resolution, so
         # each ascent stops at its first apply with a small measured ratio;
-        # the estimates are the lower bounds and the verdict stays flat
+        # the lower bounds are 1 and the verdict stays flat
         from psidolab import necessary_condition_probe
         rep = necessary_condition_probe(bessel_multiplier(-1.0), 4.0,
                                         (64, 128, 256, 512), half_extent=8.0)
-        assert set(rep.reasons) == {"bracket_closed"}
-        assert rep.estimates == rep.lowers == (1.0,) * 4
+        assert {est.reason for est in rep.runs} == {"bracket_closed"}
+        assert [est.lower for est in rep.runs] == [1.0] * 4
         assert (rep.growth, rep.variation, rep.grows) == (0.0, 0.0, False)
 
     def test_probe_preconditions(self):
@@ -936,6 +969,15 @@ class TestNecessaryConditionProbe:
         with pytest.raises(InvalidInputError, match="expect: expected"):
             necessary_condition_probe(self._unit_multiplier(), 4.0, (16, 32),
                                       half_extent=4.0, expect="grows")
+
+    @pytest.mark.parametrize("expect", ["report", "growth", "stable"])
+    def test_zero_multiplier_is_rejected(self, expect):
+        from psidolab import necessary_condition_probe
+        zero = Symbol(lambda x, xi: np.zeros(xi.shape[:-1]),
+                      SymbolClassParams(m=0.0), "multiplier", label="zero")
+        with pytest.raises(InvalidInputError, match="'zero' is 0 on the grid of n=16"):
+            necessary_condition_probe(zero, 4.0, (16, 32), half_extent=4.0,
+                                      expect=expect)
 
     @pytest.mark.parametrize("R", [8.0, 32.0])
     @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0])
@@ -960,7 +1002,8 @@ class TestNecessaryConditionProbe:
                 assert full_verdict[expect]
                 assert (rep.grows if expect == "growth" else
                         rep.variation <= estimates.PROBE_STABLE_TOLERANCE)
-                assert "verdict" in rep.reasons and not any(rep.converged)
+                assert "verdict" in {est.reason for est in rep.runs}
+                assert not any(est.converged for est in rep.runs)
             else:
                 assert rep == full
         assert certified == ({"growth"} if (spec, R) == ("wave:0", 32.0) else
@@ -978,8 +1021,9 @@ class TestNecessaryConditionProbe:
         rep = necessary_condition_probe(wave_multiplier(0.0), 4.0,
                                         (64, 128, 256, 512), half_extent=R,
                                         seed=1, expect=expect)
-        assert tuple(e.hex() for e in rep.estimates) == hexes
-        assert rep.reasons == ("budget",) * 4 and not rep.certified
+        assert tuple(est.lower.hex() for est in rep.runs) == hexes
+        assert [est.reason for est in rep.runs] == ["budget"] * 4
+        assert not rep.certified
 
     def test_growth_certificate(self):
         # the benchmark's probe: the n=512 ascent runs first and stops once
@@ -991,20 +1035,23 @@ class TestNecessaryConditionProbe:
                                         seed=1, expect="growth")
         target = (1 + estimates.PROBE_GROWTH_THRESHOLD) * (1 + estimates.BRACKET_RTOL)
         assert rep.certified and rep.grows
-        assert rep.reasons == ("verdict",) * 4 and rep.iterations == (0, 0, 0, 16)
-        assert rep.lowers[-1] >= target * rep.uppers[0]
-        assert rep.growth == rep.lowers[-1] / rep.uppers[0] - 1
-        assert rep.estimates == rep.lowers == (1.0, 1.0, 1.0, rep.lowers[-1])
-        assert rep.variation == rep.lowers[-1] / min(rep.uppers) - 1
+        lowers = [est.lower for est in rep.runs]
+        uppers = [est.upper for est in rep.runs]
+        assert [est.reason for est in rep.runs] == ["verdict"] * 4
+        assert [est.iterations for est in rep.runs] == [0, 0, 0, 16]
+        assert lowers[-1] >= target * uppers[0]
+        assert rep.growth == lowers[-1] / uppers[0] - 1
+        assert lowers == [1.0, 1.0, 1.0, lowers[-1]]
+        assert rep.variation == lowers[-1] / min(uppers) - 1
 
     def test_stability_certificate(self):
         from psidolab import necessary_condition_probe
         rep = necessary_condition_probe(self._unit_multiplier(), 4.0, (16, 32),
                                         half_extent=4.0, expect="stable")
-        assert rep.certified and rep.reasons == ("verdict",) * 2
-        assert rep.iterations == (0, 0)
-        assert rep.estimates == rep.lowers == rep.uppers == (1.0, 1.0)
-        assert rep.variation == 0.0 and rep.converged == (False, False)
+        assert rep.certified and rep.variation == 0.0
+        for est in rep.runs:
+            assert (est.reason, est.iterations, est.converged) == ("verdict", 0, False)
+            assert est.lower == est.upper == 1.0
 
     def test_a_target_moves_no_iterate(self, monkeypatch):
         # the ascent tests its target after each ratio, where it tests its
@@ -1040,6 +1087,11 @@ class TestConditionReport:
         assert rep.necessary_lp and rep.sufficient_thm32
         assert rep.necessary_margins[0] == pytest.approx(0.0)
         assert rep.sufficient_margin == pytest.approx(0.0)
+
+    def test_rejects_bad_class_parameters(self):
+        for rho, delta in ((1.5, 0.0), (1.0, 1.0)):
+            with pytest.raises(InvalidInputError, match="bad class parameters"):
+                condition_report(0.0, rho, delta, 1, 4.0)
 
     def test_half_gain_thresholds_d1(self):
         rep = condition_report(0.0, 0.5, 0.0, 1, 4.0)

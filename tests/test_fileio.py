@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from psidolab import Grid, InvalidInputError, SampledFunction, random_band_limited
-from psidolab.fileio import (read_pslb, write_function_csv, write_pslb,
-                             write_radial_decay_csv)
+from psidolab.fileio import (_HEADER, MAGIC, read_pslb, write_function_csv,
+                             write_pslb, write_radial_decay_csv)
 
 
 def test_pslb_round_trip(tmp_path):
@@ -78,6 +78,12 @@ def test_pslb_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(InvalidInputError, match="magic"):
+        read_pslb(path)
+    path.write_bytes(MAGIC + bytes(4))
+    with pytest.raises(InvalidInputError, match="truncated header"):
+        read_pslb(path)
+    path.write_bytes(_HEADER.pack(MAGIC, 2, 1, 8, 1.0))
+    with pytest.raises(InvalidInputError, match="unsupported version 2"):
         read_pslb(path)
 
 

@@ -176,6 +176,11 @@ class TestGridValidation:
         assert grid_1d.index_of([0.0]) == (128,)
         with pytest.raises(InvalidInputError):
             grid_1d.index_of([0.01])
+        with pytest.raises(InvalidInputError, match="point has shape"):
+            grid_1d.index_of([0.0, 0.0])
+        # on the grid's lattice, one step past its last point
+        with pytest.raises(InvalidInputError, match="outside the box"):
+            grid_1d.index_of([grid_1d.half_extent])
 
 
 class TestFourierTransform:
@@ -403,6 +408,8 @@ class TestVectorNorms:
     def test_rejects_p_below_one(self):
         with pytest.raises(InvalidInputError):
             vector_pnorm((1.0, 2.0), 0.5)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            vector_pnorm((1.0, math.nan), 2.0)
 
     def test_bracket_values(self):
         assert japanese_bracket(0.0) == pytest.approx(1.0)

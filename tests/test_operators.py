@@ -936,6 +936,8 @@ class TestDyadicDecomposition:
         with pytest.raises(InvalidInputError):
             dyadic_decompose(constant_symbol(1.0), g, 5)  # ring starts at 16 > 2pi
         assert default_levels(g) == 1
+        with pytest.raises(InvalidInputError, match=r"piece index 2 outside 0\.\.1"):
+            dyadic_decompose(constant_symbol(1.0), g, 1).cutoff_values(2)
 
     def test_x_required_for_x_dependent(self):
         g = Grid(1, 64, 8.0)
@@ -943,6 +945,8 @@ class TestDyadicDecomposition:
         dd = dyadic_decompose(a, g, 2)
         with pytest.raises(InvalidInputError):
             dd.piece_values(0)
+        with pytest.raises(InvalidInputError, match=r"x has shape \(2,\)"):
+            dd.symbol_values([0.0, 0.0])
 
 
 class TestKernels:
@@ -1032,6 +1036,10 @@ class TestOffSupport:
         f = bump(g)
         with pytest.raises(PreconditionError):
             offsupport_apply(k, f, [0.5])
+        with pytest.raises(InvalidInputError, match="different grids"):
+            offsupport_apply(k, bump(Grid(1, 512, 16.0)), [8.0])
+        with pytest.raises(InvalidInputError, match="computed at x = "):
+            offsupport_apply(kernel_sum(dd, x=[1.0]), f, [8.0])
 
 
 class TestAdjoint:

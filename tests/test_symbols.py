@@ -250,6 +250,15 @@ class TestEvalSymbol:
             SymbolClassParams(m=0.0, delta=1.0)
         with pytest.raises(InvalidInputError):
             SymbolClassParams(m=0.0, N=3)
+        with pytest.raises(InvalidInputError, match="order m must be finite"):
+            SymbolClassParams(m=math.nan)
+
+    def test_eval_rejects_point_shapes(self):
+        s = bessel_multiplier(-1.0)
+        with pytest.raises(InvalidInputError, match="coordinate axis"):
+            s.eval(0.0, [1.0])
+        with pytest.raises(InvalidInputError, match="x has dimension 2, xi has 1"):
+            s.eval(np.zeros((1, 2)), np.zeros((1, 1)))
 
 
 class TestSymbolFactors:
@@ -265,6 +274,11 @@ class TestSymbolFactors:
                               ("general", {"xi_factor": factor})):
             with pytest.raises(InvalidInputError, match=kind):
                 Symbol(ev, params, kind, **factors)
+        # the factories' own checks
+        with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+            trig_multiplication((0.1, math.nan), 2.0)
+        with pytest.raises(InvalidInputError, match="needs a multiplication symbol"):
+            separable_symbol(bessel_multiplier(-1.0), bessel_multiplier(-1.0))
 
     def test_missing_factor_samples_evaluator(self):
         b = bessel_multiplier(-1.0)
@@ -449,6 +463,12 @@ class TestFiniteDifference:
             finite_diff_derivative(s, 2, 2, [0.0], [1.0], step=1e-5)
         with pytest.raises(InvalidInputError):
             finite_diff_derivative(s, 0, 1, [0.0], [1.0], step=0.0)
+        # multi-indices: a scalar beyond d = 1, a wrong length, a negative entry
+        for alpha, x, match in ((1, [0.0, 0.0], "scalar multi-index"),
+                                ((0, 0), [0.0], "has length 2, expected 1"),
+                                ((-1,), [0.0], "negative entries")):
+            with pytest.raises(InvalidInputError, match=match):
+                finite_diff_derivative(s, alpha, 0, x, [1.0] * len(x), step=0.1)
         # order 2 passes the cancellation guard, but 12 step^2 underflows
         with pytest.raises(InvalidInputError, match="step 1e-300 .* underflows"):
             finite_diff_derivative(wave_multiplier(0.0), 0, 2, [0.0], [1.0], step=1e-300)
@@ -634,6 +654,16 @@ class TestVerifySymbolClass:
         assert report.global_pass
         assert report.entry((0,), (0,)).fitted_constant == pytest.approx(1.0)
 
+    def test_sample_spec_and_cap_validation(self):
+        for fields, match in (({"dim": 4}, "dim must be 1..3"),
+                              ({"num_xi": 1}, "num_x >= 1 and num_xi >= 2"),
+                              ({"num_x": 2, "num_xi": 2**13 + 1}, "larger than 2")):
+            with pytest.raises(InvalidInputError, match=match):
+                SampleSpec(**{"dim": 1, "xi_max": 64.0, **fields})
+        with pytest.raises(InvalidInputError, match="cap must be positive"):
+            verify_symbol_class(constant_symbol(1.0), SampleSpec(dim=1, xi_max=64.0),
+                                cap=0.0)
+
     def test_global_pass_reads_the_entries(self):
         # a report built from its entries alone passes when every pair does
         good, bad = (DerivativeBoundEntry((0,), (b,), 1.0, (0.0,), (0.0,), ok)
@@ -801,3 +831,6 @@ class TestSchwartzSeminorm:
     def test_guard_on_spectral_order(self, grid_1d):
         with pytest.raises(InvalidInputError):
             schwartz_seminorm(gaussian(grid_1d), 0, 5)
+        for N, Nprime in ((-1, 0), (1.0, 0), (0, -1)):
+            with pytest.raises(InvalidInputError, match="nonnegative integers"):
+                schwartz_seminorm(gaussian(grid_1d), N, Nprime)

@@ -14,9 +14,12 @@ uniform exponents 2, 4 and 4/3 and, at d >= 2, the alternating exponents
 
 ``--out`` writes the table: one row per case with the symbol's index in
 ``builtin_symbols`` and its label, the grid, p, the seed, the reported
-``estimate`` and the ``value``, ``lower``, ``upper``, ``reason`` and
+``estimate`` (the ``NormEstimate``'s ``lower``, which every report
+prints) and the ``value``, ``lower``, ``upper``, ``reason`` and
 ``iterations`` of the ``NormEstimate``.  JSON floats round-trip, so the
-table holds the exact bits.
+table holds the exact bits.  Tables written before reports printed
+``lower`` hold ``value`` as the ``estimate`` of a ``settled`` or
+``budget`` case.
 
 ``--check BASELINE`` runs the scan and compares it with a table written
 by ``--out``, at this commit or another.  It exits 1 if any estimate
@@ -64,7 +67,7 @@ def scan(grids, seeds) -> list:
                                                  "random_ascent", seed=seed)
                     rows.append({
                         "symbol": index, "label": s.label, "d": d, "n": n, "R": R,
-                        "p": list(p), "seed": seed, "estimate": est.estimate,
+                        "p": list(p), "seed": seed, "estimate": est.lower,
                         "value": est.value, "lower": est.lower, "upper": est.upper,
                         "reason": est.reason, "iterations": est.iterations})
     return rows
