@@ -663,7 +663,7 @@ class TestOperatorNorm:
             est = operator_norm_estimate(bessel_multiplier(-1.0), g, p,
                                          "random_ascent", seed=seed)
             assert est.reason == "settled" and est.iterations <= 150
-            assert est.lower == pytest.approx(1.0, rel=estimates.BRACKET_RTOL)
+            assert est.value == pytest.approx(1.0, rel=estimates.BRACKET_RTOL)
 
     @staticmethod
     def _pinned_run(spec, g, p, budget, seed):
@@ -920,7 +920,7 @@ class TestOperatorNorm:
                  for seed in (1, 2, 3)]
         for est in ests:
             assert est.reason == "settled"
-            assert est.lower == pytest.approx(svd, rel=1e-10)
+            assert est.value == pytest.approx(svd, rel=1e-10)
             assert est.lower <= svd * (1 + estimates.BRACKET_RTOL)
             assert svd <= est.upper * (1 + estimates.BRACKET_RTOL)
 

@@ -13,22 +13,21 @@ uniform exponents 2, 4 and 4/3 and, at d >= 2, the alternating exponents
 (d,n,R, repeatable) narrows it to the grids given.
 
 ``--out`` writes the table: one row per case with the symbol's index in
-``builtin_symbols`` and its label, the grid, p, the seed, the reported
-``estimate`` (the ``NormEstimate``'s ``lower``, which every report
-prints) and the ``value``, ``lower``, ``upper``, ``reason`` and
-``iterations`` of the ``NormEstimate``.  JSON floats round-trip, so the
-table holds the exact bits.  Tables written before reports printed
-``lower`` hold ``value`` as the ``estimate`` of a ``settled`` or
-``budget`` case.
+``builtin_symbols`` and its label, the grid, p, the seed and the
+``value``, ``lower``, ``upper``, ``reason`` and ``iterations`` of the
+``NormEstimate``.  JSON floats round-trip, so the table holds the exact
+bits.
 
 ``--check BASELINE`` runs the scan and compares it with a table written
-by ``--out``, at this commit or another.  It exits 1 if any estimate
-falls below the baseline's minimum over seeds for the same (symbol,
-grid, p) by more than ``CHECK_RTOL`` relative, the ascent's settle
-tolerance.  It also prints, against the baseline row of the same seed,
-how many estimates rose, stayed equal and fell, every fall with its old
-and new value, the iteration totals and how many cases moved from
-``budget`` to another reason and back.
+by ``--out``, at this commit or another.  It compares ``value``, the
+best ratio the ascent itself reached, not ``lower``, which the
+closed-form plane-wave ratio can hold up however low the ascent ends.
+It exits 1 if any value falls below the baseline's minimum over seeds
+for the same (symbol, grid, p) by more than ``CHECK_RTOL`` relative, the
+ascent's settle tolerance.  It also prints, against the baseline row of
+the same seed, how many values rose, stayed equal and fell, every fall
+with its old and new value, the iteration totals and how many cases
+moved from ``budget`` to another reason and back.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ def scan(grids, seeds) -> list:
                                                  "random_ascent", seed=seed)
                     rows.append({
                         "symbol": index, "label": s.label, "d": d, "n": n, "R": R,
-                        "p": list(p), "seed": seed, "estimate": est.lower,
-                        "value": est.value, "lower": est.lower, "upper": est.upper,
+                        "p": list(p), "seed": seed, "value": est.value, "lower": est.lower, "upper": est.upper,
                         "reason": est.reason, "iterations": est.iterations})
     return rows
 
@@ -78,12 +76,12 @@ def _case(row) -> tuple:
 
 
 def check(rows, baseline) -> bool:
-    """Print the comparison with the baseline rows; True if no estimate
+    """Print the comparison with the baseline rows; True if no value
     falls below the baseline's minimum over seeds for its case."""
     floor, same_seed = {}, {}
     for row in baseline:
         key = _case(row)
-        floor[key] = min(floor.get(key, row["estimate"]), row["estimate"])
+        floor[key] = min(floor.get(key, row["value"]), row["value"])
         same_seed[key + (row["seed"],)] = row
     rise = equal = fall = to_budget = from_budget = 0
     iterations = [0, 0]
@@ -96,19 +94,19 @@ def check(rows, baseline) -> bool:
                   f"R={row['R']} p={row['p']} seed={row['seed']}")
             failures.append(row)
             continue
-        new_est, old_est = row["estimate"], old["estimate"]
-        rise += new_est > old_est
-        equal += new_est == old_est
-        if new_est < old_est:
+        new_value, old_value = row["value"], old["value"]
+        rise += new_value > old_value
+        equal += new_value == old_value
+        if new_value < old_value:
             fall += 1
             print(f"fall: {row['label']} d={row['d']} n={row['n']} R={row['R']} "
-                  f"p={row['p']} seed={row['seed']}: {old_est!r} -> {new_est!r} "
-                  f"({new_est / old_est - 1:+.2e})")
+                  f"p={row['p']} seed={row['seed']}: {old_value!r} -> {new_value!r} "
+                  f"({new_value / old_value - 1:+.2e})")
         iterations[0] += old["iterations"]
         iterations[1] += row["iterations"]
         from_budget += old["reason"] == "budget" != row["reason"]
         to_budget += old["reason"] != "budget" == row["reason"]
-        if new_est < floor[key] * (1.0 - CHECK_RTOL):
+        if new_value < floor[key] * (1.0 - CHECK_RTOL):
             failures.append(row)
     print(f"{len(rows)} cases: {rise} rise, {equal} equal, {fall} fall; "
           f"iterations {iterations[0]} -> {iterations[1]}; "
@@ -117,7 +115,7 @@ def check(rows, baseline) -> bool:
         if _case(row) in floor:
             print(f"BELOW BASELINE MINIMUM: {row['label']} d={row['d']} n={row['n']} "
                   f"R={row['R']} p={row['p']} seed={row['seed']}: "
-                  f"{row['estimate']!r} < {floor[_case(row)]!r}")
+                  f"{row['value']!r} < {floor[_case(row)]!r}")
     return not failures
 
 
